@@ -1,11 +1,14 @@
-"""Benchmark the jitted kernels against their pure-numpy fallbacks.
+"""Benchmark the hot kernels.
 
 Run:  python benchmarks/bench_kernels.py [--sizes 65 129]
 
-Per kernel the table shows the jitted time (after a warmup call that pays
-compilation), the numpy fallback time, and the speedup. The env flag
-RTGEO_DISABLE_NUMBA=1 makes the whole package use the numpy path; here both
-implementations are called directly so one process covers both columns.
+The Hölder quotient has one implementation, the numpy offset sweep; its row
+shows that time alone.  For interpolation and mollification the table shows
+the jitted time (after a warmup call that pays compilation), the numpy
+fallback time, and the speedup. The env flag RTGEO_DISABLE_NUMBA=1 makes
+the whole package use the numpy path; here both implementations are called
+directly so one process covers both columns.  End-to-end numbers come from
+``perfbench/``.
 """
 
 import argparse
@@ -33,15 +36,8 @@ def bench_holder(m):
     coords = chart.nodes.reshape(-1, 2)
     vals = np.sqrt(np.abs(coords[:, :1] - 0.3)) + 0.2 * coords[:, 1:]
     floor = 4 * float(chart.h.max())
-    if _kernels.HAVE_NUMBA:
-        _kernels._holder_pair_max_jit(coords, vals, 0.5, floor)  # warmup/compile
-        t_jit, a = timeit(_kernels._holder_pair_max_jit, coords, vals, 0.5, floor)
-    else:
-        t_jit, a = np.nan, None
-    t_np, b = timeit(_kernels._holder_pair_max_numpy, coords, vals, 0.5, floor)
-    if a is not None:
-        assert abs(a - b) < 1e-12
-    return t_jit, t_np
+    t, _ = timeit(_kernels.holder_pair_max, coords, vals, 0.5, floor)
+    return t
 
 
 def bench_interp(m, npts=200_000):
@@ -89,8 +85,8 @@ def main():
     print(header)
     print("-" * len(header))
     for m in args.sizes:
+        print(f"{'holder_pair_max':<22}{m:>4}^2{'':>12}{bench_holder(m):>12.4f}")
         for name, fn in (
-            ("holder_pair_max", bench_holder),
             ("interp2_batch", bench_interp),
             ("mollify2", bench_mollify),
         ):

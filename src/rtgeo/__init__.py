@@ -28,6 +28,7 @@ from .calculus import (
     mollify,
     norm_report,
     poisson_solve,
+    w1p_norm,
     wedge,
 )
 from .curvature import (

@@ -1,13 +1,17 @@
-"""Hot numeric kernels: numba-jitted versions with pure-numpy fallbacks.
+"""Hot numeric kernels.
 
-Set RTGEO_DISABLE_NUMBA=1 to force the numpy path (used by the benchmark
-and by CI environments without a working JIT). Selection happens once at
-import; the dispatching wrappers at the bottom are the public surface.
+The Hölder quotient is one numpy offset sweep.  Interpolation and
+mollification have numba-jitted versions with pure-numpy fallbacks: set
+RTGEO_DISABLE_NUMBA=1 to force the numpy path (used by the benchmark and by
+CI environments without a working JIT). Selection happens once at import;
+the dispatching wrappers at the bottom are the public surface.
 """
 
 import os
 
 import numpy as np
+
+from .errors import ShapeError
 
 _DISABLED = os.environ.get("RTGEO_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
 
@@ -29,54 +33,99 @@ except ImportError:
 
 # ---------------------------------------------------------------------------
 # pairwise Hölder quotient: max over node pairs with |u-v| >= floor of
-# |f(u)-f(v)|_2 / |u-v|^alpha.  O(N^2) over grid nodes; the one kernel where
-# the JIT genuinely matters (138M pairs at 129^2).
+# |f(u)-f(v)|_2 / |u-v|^alpha, on the nodes of a product grid.  All pairs
+# with the same index offset share one slice difference, so the sweep runs
+# over offsets: a cheap per-offset upper bound first, then the exact pair
+# arithmetic on the few offsets whose bound can still win.
 # ---------------------------------------------------------------------------
 
+# Relative slack between an offset's bound and its exact pair quotients; it
+# covers only the rounding of the two differently ordered computations.
+_BOUND_SLACK = 1e-9
 
-@njit(cache=True)
-def _holder_pair_max_jit(coords, vals, alpha, floor):
-    npts = coords.shape[0]
-    ndim = coords.shape[1]
-    ncmp = vals.shape[1]
-    best = 0.0
+
+def _grid_axes(coords):
+    """Per-axis node arrays of the C-ordered product grid whose nodes are ``coords``."""
+    n = coords.shape[1]
+    axes = []
+    sub = coords
+    for k in range(n - 1, -1, -1):
+        # axis k is the fastest one left: its run ends where a slower axis moves
+        moved = np.flatnonzero((sub[1:, :k] != sub[:1, :k]).any(axis=1))
+        r = int(moved[0]) + 1 if moved.size else len(sub)
+        axes.insert(0, sub[:r, k].copy())
+        sub = sub[::r]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    if not np.array_equal(grid, coords):
+        raise ShapeError("holder_pair_max needs the nodes of a C-ordered product grid")
+    return axes
+
+
+def _half_space_offsets(res):
+    """Index offsets d != 0 whose first nonzero entry is positive: one per pair."""
+    span = np.asarray(res) - 1
+    offs = np.indices(2 * span + 1).reshape(len(res), -1).T - span
+    lead = offs[np.arange(len(offs)), (offs != 0).argmax(axis=1)]
+    return offs[lead > 0]
+
+
+def _pair_slices(d):
+    """Index slices of the pair ends p + d and p, over all p with both on the grid."""
+    far = tuple(slice(k, None) if k >= 0 else slice(None, k) for k in d)
+    near = tuple(slice(None, -k) if k > 0 else slice(-k, None) for k in d)
+    return far, near
+
+
+def holder_pair_max(coords, vals, alpha, floor):
+    """max over pairs (u, v) of grid nodes with |u-v| >= floor of |f(u)-f(v)| / |u-v|^alpha.
+
+    ``coords`` (N, n) must be the nodes of a C-ordered product grid and
+    ``vals`` (N, C) the samples on them; ``floor`` > 0.  The result equals the
+    all-pairs maximum bit for bit: every pair that can hold the maximum is
+    evaluated with the same arithmetic as the all-pairs loop.
+    """
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    alpha, floor = float(alpha), float(floor)
+    if len(coords) < 2:
+        return 0.0
+    axes = _grid_axes(coords)
+    res = tuple(len(x) for x in axes)
     f2 = floor * floor
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            d2 = 0.0
-            for k in range(ndim):
-                t = coords[i, k] - coords[j, k]
-                d2 += t * t
-            if d2 < f2:
-                continue
-            v2 = 0.0
-            for c in range(ncmp):
-                t = vals[i, c] - vals[j, c]
-                v2 += t * t
-            q = np.sqrt(v2) / d2 ** (0.5 * alpha)
-            if q > best:
-                best = q
+    offs = _half_space_offsets(res)
+    # extreme per-axis squared separations at each |d_k|, summed in the pair
+    # arithmetic's order: the offset's smallest and largest pair distances
+    ext = []
+    for x in axes:
+        sq = [(x[j:] - x[: len(x) - j]) ** 2 for j in range(len(x))]
+        ext.append((np.array([v.min() for v in sq]), np.array([v.max() for v in sq])))
+    span = np.abs(offs)
+    d2_lo = np.stack([lo[span[:, k]] for k, (lo, _) in enumerate(ext)], axis=-1).sum(-1)
+    d2_hi = np.stack([hi[span[:, k]] for k, (_, hi) in enumerate(ext)], axis=-1).sum(-1)
+
+    # pass 1: max_p |F[p+d] - F[p]| per offset, on component-major slices
+    F = np.moveaxis(vals.reshape(res + (-1,)), -1, 0).copy()
+    every = (slice(None),)
+    bound = np.zeros(len(offs))
+    for i in np.flatnonzero(d2_hi >= f2):  # offsets with no pair above the floor add 0
+        far, near = _pair_slices(offs[i])
+        diff = F[every + far] - F[every + near]
+        bound[i] = np.einsum("c...,c...->...", diff, diff).max()
+    bound = np.sqrt(bound) / np.maximum(d2_lo, f2) ** (0.5 * alpha)
+
+    # pass 2: exact pair quotients, best bound first, until no bound can win
+    V = vals.reshape(res + (-1,))
+    best = 0.0
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] == 0.0 or bound[i] * (1.0 + _BOUND_SLACK) < best:
+            break
+        far, near = _pair_slices(offs[i])
+        sep = [x[s] - x[f] for x, f, s in zip(axes, far, near)]
+        d2 = (np.stack(np.meshgrid(*sep, indexing="ij"), axis=-1) ** 2).sum(-1)
+        dv = np.sqrt(((V[near] - V[far]) ** 2).sum(-1))
+        q = np.where(d2 >= f2, dv / np.maximum(d2, f2) ** (0.5 * alpha), 0.0)
+        best = max(best, float(q.max()))
     return best
-
-
-def _holder_pair_max_numpy(coords, vals, alpha, floor, chunk=512):
-    npts = coords.shape[0]
-    best = 0.0
-    f2 = floor * floor
-    for s in range(0, npts, chunk):
-        cs = coords[s : s + chunk]
-        vs = vals[s : s + chunk]
-        # pairs (s..s+chunk) x (s..end); upper triangle covered across chunks
-        d2 = ((cs[:, None, :] - coords[None, s:, :]) ** 2).sum(-1)
-        dv = np.sqrt(((vs[:, None, :] - vals[None, s:, :]) ** 2).sum(-1))
-        mask = d2 >= f2
-        if not mask.any():
-            continue
-        q = np.where(mask, dv / np.maximum(d2, f2) ** (0.5 * alpha), 0.0)
-        m = q.max()
-        if m > best:
-            best = m
-    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +214,6 @@ def _mollify2_numpy(field, kern):
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------
-
-
-def holder_pair_max(coords, vals, alpha, floor):
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if HAVE_NUMBA:
-        return float(_holder_pair_max_jit(coords, vals, float(alpha), float(floor)))
-    return _holder_pair_max_numpy(coords, vals, float(alpha), float(floor))
 
 
 def interp2_batch(values, ti, tj, fi, fj):

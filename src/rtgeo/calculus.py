@@ -273,13 +273,16 @@ def gradient_field(fld):
     return fld.copy(values=grads)
 
 
-def norm_report(fld, p, alpha, pair_subsample=None):
+def w1p_norm(fld, p):
+    """W^{1,p} norm: L^p of the field plus L^p of its gradient."""
+    return lp_norm(fld, p) + lp_norm(gradient_field(fld), p)
+
+
+def norm_report(fld, p, alpha):
     """L^p (h-weighted Riemann sum), W^{1,p}, C^0 and C^{0,alpha} estimates.
 
     Pointwise magnitudes are Frobenius norms over components.  The Hölder
-    quotient maxes over node pairs with separation >= 4 max(h); on large
-    grids ``pair_subsample`` strides the node set (exactness is only needed
-    for the shipped tolerance tests, which pass None).
+    quotient is the exact maximum over node pairs with separation >= 4 max(h).
     """
     chart = fld.chart
     if not np.isinf(p) and p <= chart.n:
@@ -287,15 +290,12 @@ def norm_report(fld, p, alpha, pair_subsample=None):
     if not (0 < alpha <= 1):
         raise ConfigurationError(f"alpha must lie in (0, 1], got {alpha}")
     lp = lp_norm(fld, p)
-    w1p = lp + lp_norm(gradient_field(fld), p)
+    w1p = w1p_norm(fld, p)
     mag = _pointwise_mag(fld.values, chart)
     c0 = float(mag.max())
     floor = HOLDER_PAIR_FLOOR * float(chart.h.max())
     coords = chart.nodes.reshape(-1, chart.n)
     vals = fld.values.reshape(chart.npoints, -1)
-    if pair_subsample and pair_subsample > 1:
-        coords = coords[::pair_subsample]
-        vals = vals[::pair_subsample]
     quot = _kernels.holder_pair_max(coords, vals, alpha, floor)
     return NormReport(
         p=float(p),

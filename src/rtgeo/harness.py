@@ -7,13 +7,14 @@ the checker also sees the generating bundle and closed forms.
 
 import configparser
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .calculus import mollify, norm_report
+from .calculus import mollify, norm_report, w1p_norm
 from .charts import (
     Chart,
     CoordinateMap,
@@ -448,11 +449,8 @@ def _regularity_ladder(scn, rt_kwargs, grids):
             ),
             rt_config=RTConfig(**rt_kwargs) if rt_kwargs else None,
         )
-        alpha = 1 - 2 / s.p
-        nx = norm_report(GridField(gen.conn_x.chart, gen.conn_x.values), s.p, alpha)
-        ny = norm_report(GridField(res.conn_y.chart, res.conn_y.values), s.p, alpha)
-        out["w1p_x"].append(nx.w1p)
-        out["w1p_y"].append(ny.w1p)
+        out["w1p_x"].append(w1p_norm(GridField(gen.conn_x.chart, gen.conn_x.values), s.p))
+        out["w1p_y"].append(w1p_norm(GridField(res.conn_y.chart, res.conn_y.values), s.p))
     out["x_growth"] = out["w1p_x"][-1] / out["w1p_x"][0]
     ys = out["w1p_y"]
     out["y_variation"] = max(ys) / min(ys) - 1.0
@@ -475,7 +473,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
 
     def log(msg):
         if not quiet:
-            print(msg)
+            print(msg, file=sys.stderr)
 
     def timed(name, fn):
         t0 = time.perf_counter()

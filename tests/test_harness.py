@@ -116,6 +116,15 @@ def test_cli_usage_exit_2():
     assert out.returncode == 2
 
 
+def test_cli_run_stdout_is_json():
+    # progress lines go to stderr, so the report on stdout parses
+    out = _cli("run", "configs/sphere.cfg")
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["scenario"]["name"] == "sphere"
+    assert "[sphere] generate:" in out.stderr
+
+
 def test_cli_malformed_config_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a config at all")

@@ -1,33 +1,94 @@
-"""The jitted kernels and their numpy fallbacks must agree exactly."""
+"""Kernel checks: the Hölder offset sweep against an all-pairs reference,
+and the jitted interpolation/mollification kernels against their numpy
+fallbacks."""
 
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rtgeo import _kernels
 from rtgeo.calculus import bump_kernel
 from rtgeo.charts import Chart
+from rtgeo.errors import ShapeError
+
+
+def brute_holder(coords, vals, alpha, floor):
+    """All pairs i < j, with the pair arithmetic the kernel must reproduce."""
+    i, j = np.triu_indices(len(coords), k=1)
+    d2 = ((coords[i] - coords[j]) ** 2).sum(-1)
+    dv = np.sqrt(((vals[i] - vals[j]) ** 2).sum(-1))
+    f2 = floor * floor
+    q = np.where(d2 >= f2, dv / np.maximum(d2, f2) ** (0.5 * alpha), 0.0)
+    return float(q.max(initial=0.0))
+
+
+def grid_nodes(lo, hi, res):
+    axes = [np.linspace(a, b, r) for a, b, r in zip(lo, hi, res)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(res))
 
 
 def test_holder_paths_agree():
     rng = np.random.default_rng(0)
-    coords = rng.uniform(0, 1, size=(400, 2))
+    for trial in range(60):
+        n = 1 + trial % 2
+        res = tuple(int(r) for r in rng.integers(2, 60 if n == 1 else 17, size=n))
+        lo = rng.uniform(-2.0, 1.0, n)
+        hi = lo + rng.uniform(0.1, 3.0, n)
+        coords = grid_nodes(lo, hi, res)
+        ncmp = int(rng.integers(1, 9))
+        kind = trial % 3
+        if kind == 0:
+            vals = rng.standard_normal((len(coords), ncmp))
+        elif kind == 1:  # rough: a random walk along the flattened node order
+            vals = np.cumsum(rng.standard_normal((len(coords), ncmp)), axis=0)
+        else:
+            vals = np.full((len(coords), ncmp), rng.standard_normal())
+        alpha = 1.0 if trial % 5 == 0 else float(rng.uniform(1e-3, 1.0))
+        h = float(((hi - lo) / np.maximum(np.asarray(res) - 1, 1)).max())
+        # whole multiples of h put the floor on pair distances, so some
+        # offsets straddle it by rounding
+        floor = float(rng.choice([0.5, 1.0, 2.0, 4.0, rng.uniform(0.1, 5.0)])) * h
+        want = brute_holder(coords, vals, alpha, floor)
+        assert _kernels.holder_pair_max(coords, vals, alpha, floor) == want
+        if kind == 2:
+            assert want == 0.0
+
+
+@st.composite
+def grid_samples(draw):
+    n = draw(st.integers(1, 2))
+    res = tuple(draw(st.lists(st.integers(1, 24 if n == 1 else 7), min_size=n, max_size=n)))
+    lo = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n)))
+    coords = grid_nodes(lo, hi, res)
+    ncmp = draw(st.integers(1, 4))
+    vals = draw(arrays(np.float64, (len(coords), ncmp), elements=st.floats(-1e3, 1e3)))
+    alpha = draw(st.floats(1e-3, 1.0))
+    floor = draw(st.floats(1e-3, 2.0)) * float((hi - lo).max())
+    return coords, vals, alpha, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_samples())
+def test_holder_sweep_matches_all_pairs(sample):
+    coords, vals, alpha, floor = sample
+    assert _kernels.holder_pair_max(coords, vals, alpha, floor) == brute_holder(coords, vals, alpha, floor)
+
+
+def test_holder_rejects_scattered_nodes():
+    rng = np.random.default_rng(3)
     vals = rng.standard_normal((400, 3))
-    a = _kernels._holder_pair_max_numpy(coords, vals, 0.5, 0.05)
-    if _kernels.HAVE_NUMBA:
-        b = _kernels._holder_pair_max_jit(coords, vals, 0.5, 0.05)
-        assert abs(a - b) < 1e-12
-    # brute force reference
-    best = 0.0
-    for i in range(400):
-        for j in range(i + 1, 400):
-            d = np.linalg.norm(coords[i] - coords[j])
-            if d < 0.05:
-                continue
-            best = max(best, np.linalg.norm(vals[i] - vals[j]) / d ** 0.5)
-    assert abs(a - best) < 1e-12
+    with pytest.raises(ShapeError):
+        _kernels.holder_pair_max(rng.uniform(0, 1, size=(400, 2)), vals, 0.5, 0.05)
+    # grid nodes out of C order are not a product grid either
+    coords = grid_nodes((0.0, 0.0), (1.0, 1.0), (20, 20))
+    with pytest.raises(ShapeError):
+        _kernels.holder_pair_max(coords[rng.permutation(400)], vals, 0.5, 0.05)
 
 
 def test_interp_paths_agree():
