@@ -3,9 +3,9 @@
 Run:  python benchmarks/bench_kernels.py [--sizes 65 129]
 
 The Hölder quotient has one implementation, the numpy offset sweep; its row
-shows that time alone.  For interpolation and mollification the table shows
-the jitted time (after a warmup call that pays compilation), the numpy
-fallback time, and the speedup. The env flag RTGEO_DISABLE_NUMBA=1 makes
+shows that time alone.  For mollification the table shows the jitted time
+(after a warmup call that pays compilation), the numpy fallback time, and
+the speedup. The env flag RTGEO_DISABLE_NUMBA=1 makes
 the whole package use the numpy path; here both implementations are called
 directly so one process covers both columns.  End-to-end numbers come from
 ``perfbench/``.
@@ -40,26 +40,6 @@ def bench_holder(m):
     return t
 
 
-def bench_interp(m, npts=200_000):
-    chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
-    rng = np.random.default_rng(0)
-    values = np.ascontiguousarray(rng.standard_normal(chart.res + (8,)))
-    pts = rng.uniform(0.01, 0.99, size=(npts, 2))
-    t = (pts - chart.lo) / chart.h
-    i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
-    frac = t - i0
-    args = (values, i0[:, 0], i0[:, 1], frac[:, 0], frac[:, 1])
-    if _kernels.HAVE_NUMBA:
-        _kernels._interp2_jit(*args)
-        t_jit, a = timeit(_kernels._interp2_jit, *args)
-    else:
-        t_jit, a = np.nan, None
-    t_np, b = timeit(_kernels._interp2_numpy, *args)
-    if a is not None:
-        assert np.abs(a - b).max() < 1e-12
-    return t_jit, t_np
-
-
 def bench_mollify(m, eps=1 / 8):
     chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
     rng = np.random.default_rng(1)
@@ -86,13 +66,9 @@ def main():
     print("-" * len(header))
     for m in args.sizes:
         print(f"{'holder_pair_max':<22}{m:>4}^2{'':>12}{bench_holder(m):>12.4f}")
-        for name, fn in (
-            ("interp2_batch", bench_interp),
-            ("mollify2", bench_mollify),
-        ):
-            t_jit, t_np = fn(m)
-            speed = t_np / t_jit if t_jit and not np.isnan(t_jit) else float("nan")
-            print(f"{name:<22}{m:>4}^2{t_jit:>12.4f}{t_np:>12.4f}{speed:>8.1f}x")
+        t_jit, t_np = bench_mollify(m)
+        speed = t_np / t_jit if t_jit and not np.isnan(t_jit) else float("nan")
+        print(f"{'mollify2':<22}{m:>4}^2{t_jit:>12.4f}{t_np:>12.4f}{speed:>8.1f}x")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Hot numeric kernels.
 
-The Hölder quotient is one numpy offset sweep.  Interpolation and
-mollification have numba-jitted versions with pure-numpy fallbacks: set
-RTGEO_DISABLE_NUMBA=1 to force the numpy path (used by the benchmark and by
-CI environments without a working JIT). Selection happens once at import;
-the dispatching wrappers at the bottom are the public surface.
+The Hölder quotient is one numpy offset sweep.  Mollification has a
+numba-jitted version next to its numpy fallback, used when numba is
+installed (the ``jit`` extra); set RTGEO_DISABLE_NUMBA=1 to force the numpy
+path.  Selection happens once at import; the dispatcher at the bottom is
+the public surface.
 """
 
 import os
@@ -129,43 +129,6 @@ def holder_pair_max(coords, vals, alpha, floor):
 
 
 # ---------------------------------------------------------------------------
-# bilinear interpolation batch, n == 2 fast path.  values: (r0, r1, C),
-# pts already mapped to fractional index space.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _interp2_jit(values, ti, tj, fi, fj):
-    npts = ti.shape[0]
-    ncmp = values.shape[2]
-    out = np.empty((npts, ncmp))
-    for p in range(npts):
-        i = ti[p]
-        j = tj[p]
-        a = fi[p]
-        b = fj[p]
-        for c in range(ncmp):
-            out[p, c] = (
-                (1 - a) * (1 - b) * values[i, j, c]
-                + a * (1 - b) * values[i + 1, j, c]
-                + (1 - a) * b * values[i, j + 1, c]
-                + a * b * values[i + 1, j + 1, c]
-            )
-    return out
-
-
-def _interp2_numpy(values, ti, tj, fi, fj):
-    a = fi[:, None]
-    b = fj[:, None]
-    return (
-        (1 - a) * (1 - b) * values[ti, tj]
-        + a * (1 - b) * values[ti + 1, tj]
-        + (1 - a) * b * values[ti, tj + 1]
-        + a * b * values[ti + 1, tj + 1]
-    )
-
-
-# ---------------------------------------------------------------------------
 # compact-support bump convolution with boundary-truncated renormalization,
 # n == 2.  Equivalent to normalized convolution with zero-fill outside.
 # ---------------------------------------------------------------------------
@@ -212,14 +175,8 @@ def _mollify2_numpy(field, kern):
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# dispatcher
 # ---------------------------------------------------------------------------
-
-
-def interp2_batch(values, ti, tj, fi, fj):
-    if HAVE_NUMBA:
-        return _interp2_jit(values, ti, tj, fi, fj)
-    return _interp2_numpy(values, ti, tj, fi, fj)
 
 
 def mollify2(field, kern):

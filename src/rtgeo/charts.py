@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .errors import (
     ConfigurationError,
     DomainExit,
@@ -233,6 +232,27 @@ def sample_field(chart, evaluator, comp_shape, variance=()):
     return GridField(chart, vals.reshape(chart.res + tuple(comp_shape)), variance)
 
 
+def _corner_sum(flat, i0, frac):
+    """Multilinear corner sum over a grid cell; one entry of ``i0``/``frac`` per axis.
+
+    For one point the entries are ints and floats and ``flat[idx]`` is a
+    (C,) row; for a batch they are index arrays and (N, 1) fraction columns.
+    Corner c takes axis k's upper node when bit k of c is set, each weight is
+    a left-to-right product over the axes (1.0 times the first factor is that
+    factor), and the sum starts from the first corner's term, so a -0.0
+    survives: n = 2 reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
+    """
+    corners = [((), 1.0)]  # (index, weight) over the axes so far, axis 0 varying fastest
+    for i, f in zip(i0, frac):
+        ends = ((i, 1 - f), (i + 1, f))
+        corners = [(idx + (j,), w * wj) for j, wj in ends for idx, w in corners]
+    (idx, w), *rest = corners
+    out = w * flat[idx]
+    for idx, w in rest:
+        out = out + w * flat[idx]
+    return out
+
+
 def interpolate(fld, points, clip=False):
     """Multilinear interpolation; exact on multilinear data.
 
@@ -250,24 +270,50 @@ def interpolate(fld, points, clip=False):
     t = (pts - chart.lo) / chart.h
     i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
     frac = t - i0
-    comp = fld.comp_shape
-    flat = fld.values.reshape(chart.res + (-1,))
-    if chart.n == 2:
-        out = _kernels.interp2_batch(
-            np.ascontiguousarray(flat), i0[:, 0], i0[:, 1], frac[:, 0], frac[:, 1]
-        )
-    else:
-        out = np.zeros((pts.shape[0], flat.shape[-1]))
-        for corner in range(2 ** chart.n):
-            w = np.ones(pts.shape[0])
-            idx = []
-            for ax in range(chart.n):
-                bit = (corner >> ax) & 1
-                w = w * (frac[:, ax] if bit else 1 - frac[:, ax])
-                idx.append(i0[:, ax] + bit)
-            out += w[:, None] * flat[tuple(idx)]
-    out = out.reshape((pts.shape[0],) + comp)
+    out = _corner_sum(fld.values.reshape(chart.res + (-1,)), i0.T, frac.T[:, :, None])
+    out = out.reshape(pts.shape[:1] + fld.comp_shape)
     return out[0] if single else out
+
+
+def point_inside(chart):
+    """``chart.contains`` for one point given as a list of floats, as a fast predicate."""
+    lo, hi = chart.lo.tolist(), chart.hi.tolist()
+
+    def inside(x):
+        for a, xk, b in zip(lo, x, hi):
+            if not a <= xk <= b:
+                return False
+        return True
+
+    return inside
+
+
+def point_interpolator(fld):
+    """``x -> interpolate(fld, x).ravel()`` for one point (a 1-D array), bit for bit.
+
+    The chart's geometry is held as Python floats and the values as one
+    contiguous (*res, C) view, so a call pays only the bounds test, the cell
+    index and the corner sum over (C,) rows, not the batch set-up.  The
+    result is the flat (C,) row of components.
+    """
+    chart = fld.chart
+    inside = point_inside(chart)
+    geom = list(zip(chart.lo.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
+    flat = np.ascontiguousarray(fld.values.reshape(chart.res + (-1,)))
+
+    def at(x):
+        xs = x.tolist()
+        if not inside(xs):
+            raise DomainExit(x)
+        i0, frac = [], []
+        for xk, (lo, h, top) in zip(xs, geom):
+            t = (xk - lo) / h
+            i = min(int(t), top)
+            i0.append(i)
+            frac.append(t - i)
+        return _corner_sum(flat, i0, frac)
+
+    return at
 
 
 # -- specialized field wrappers ----------------------------------------------

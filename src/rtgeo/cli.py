@@ -55,18 +55,20 @@ def _vec(s):
 
 
 def cmd_run(args):
-    codes = []
+    codes, reports = [], []
     for cfg in args.configs:
         report, code = run_experiment(
             cfg, out_dir=args.out, grid=args.grid, seed=args.seed, quiet=args.quiet
         )
         if not args.quiet:
-            print(report.to_json())
+            reports.append(report.to_json())
         else:
             flags = dict(report.flags)
             status = "PASS" if report.all_passed() else f"FAIL ({report.failed_stage or 'flags'})"
             print(f"{Path(cfg).stem}: {status} {flags}")
         codes.append(code)
+    if reports:  # stdout is one JSON document: the report, or an array of them
+        print(reports[0] if len(reports) == 1 else "[\n" + ",\n".join(reports) + "\n]")
     return max(codes)
 
 

@@ -9,13 +9,14 @@ evaluators; intervals truncate at chart exit and at the velocity ball
 """
 
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
 
 from . import _kernels
 from .calculus import gradient_field, lp_norm, mollify
-from .charts import GridField, connection_field, interpolate
+from .charts import GridField, connection_field, interpolate, point_inside, point_interpolator
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, StageError
 from .rt_solver import (
@@ -76,15 +77,11 @@ class Curve:
 
 
 def _gamma_evaluator(problem):
+    """Gamma at one point: the closed form, or the sampled field's point interpolator."""
     conn = problem.connection
     if callable(conn) and not isinstance(conn, GridField):
         return conn
-    fld = GridField(conn.chart, conn.values)
-
-    def ev(x):
-        return interpolate(fld, x)
-
-    return ev
+    return point_interpolator(conn)
 
 
 def _rhs(problem, gamma_at):
@@ -123,14 +120,10 @@ def solve_forced(problem, method="rk4", dt=None, tol_ode=1e-12):
     return solve_geodesic(problem, method=method, dt=dt, tol_ode=tol_ode)
 
 
-def _inside(problem, x):
-    return problem.chart is None or bool(problem.chart.contains(x)[0])
-
-
 def _solve_rk4(problem, dt):
     dt = dt or default_dt(problem)
-    gamma_at = _gamma_evaluator(problem)
-    F = _rhs(problem, gamma_at)
+    F = _rhs(problem, _gamma_evaluator(problem))
+    inside = (lambda x: True) if problem.chart is None else point_inside(problem.chart)
     steps = int(round(problem.interval / dt))
     t = problem.t0
     x = problem.x0.copy()
@@ -151,7 +144,8 @@ def _solve_rk4(problem, dt):
             break
         xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         vn = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not _inside(problem, xn) or np.linalg.norm(vn - problem.v0) > VELOCITY_BALL:
+        # _last_inside's rule at one node; this 1-D norm rounds through BLAS dot, as before
+        if not inside(xn.tolist()) or np.linalg.norm(vn - problem.v0) > VELOCITY_BALL:
             truncated = True
             break
         t, x, v = t + dt, xn, vn
@@ -180,7 +174,8 @@ def _estimate_lipschitz(problem):
 
 def _solve_picard(problem, dt, tol_ode, max_sweeps):
     dt = dt or default_dt(problem)
-    gamma_at = _gamma_evaluator(problem)
+    conn = problem.connection
+    gamma_at = conn if callable(conn) and not isinstance(conn, GridField) else partial(interpolate, conn)
     force = problem.force
     K = int(round(problem.interval / dt))
     ts = problem.t0 + dt * np.arange(K + 1)
@@ -240,16 +235,16 @@ def _solve_picard(problem, dt, tol_ode, max_sweeps):
 
 
 def _last_inside(problem, pos, kmax, vel=None, v0=None):
+    """Last node index up to ``kmax`` before the first node off the chart, else
+    before the first with |v - v0| > VELOCITY_BALL; 0 at the earliest."""
     if problem.chart is not None:
-        ok = problem.chart.contains(pos)
-        for k in range(kmax + 1):
-            if not ok[k]:
-                return max(k - 1, 0)
+        out = np.flatnonzero(~problem.chart.contains(pos[: kmax + 1]))
+        if out.size:
+            return max(int(out[0]) - 1, 0)
     if vel is not None:
-        dev = np.linalg.norm(vel - v0, axis=1)
-        for k in range(kmax + 1):
-            if dev[k] > VELOCITY_BALL:
-                return max(k - 1, 0)
+        out = np.flatnonzero(np.linalg.norm(vel[: kmax + 1] - v0, axis=1) > VELOCITY_BALL)
+        if out.size:
+            return max(int(out[0]) - 1, 0)
     return kmax
 
 

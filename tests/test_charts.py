@@ -10,6 +10,7 @@ from rtgeo.charts import (
     interpolate,
     load_field,
     make_chart,
+    point_interpolator,
     sample_field,
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError
@@ -100,6 +101,91 @@ def test_interpolate_domain_exit(unit_chart):
     f = GridField(unit_chart, np.zeros(unit_chart.res + (1,)))
     with pytest.raises(DomainExit):
         interpolate(f, np.array([1.2, 0.5]))
+
+
+def bilinear_reference(fld, pts):
+    """The n = 2 bilinear formula, (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11."""
+    chart = fld.chart
+    t = (pts - chart.lo) / chart.h
+    i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
+    frac = t - i0
+    a, b = frac[:, :1], frac[:, 1:]
+    i, j = i0[:, 0], i0[:, 1]
+    v = fld.values.reshape(chart.res + (-1,))
+    return (
+        (1 - a) * (1 - b) * v[i, j]
+        + a * (1 - b) * v[i + 1, j]
+        + (1 - a) * b * v[i, j + 1]
+        + a * b * v[i + 1, j + 1]
+    )
+
+
+def probe_points(chart, rng, m=400):
+    """Random points, every grid node, and points on each hi face, where the
+    cell index clamps to res - 2."""
+    pts = [chart.lo + rng.random((m, chart.n)) * (chart.hi - chart.lo), chart.nodes.reshape(-1, chart.n)]
+    for ax in range(chart.n):
+        face = chart.lo + rng.random((m // 4, chart.n)) * (chart.hi - chart.lo)
+        face[:, ax] = chart.hi[ax]
+        pts.append(face)
+    pts.append(chart.hi[None, :])
+    return np.concatenate(pts)
+
+
+def test_interpolate_matches_bilinear_formula():
+    rng = np.random.default_rng(11)
+    chart = Chart((-0.3, 0.1), (1.7, 0.93), (17, 23))
+    # non-positive values with -0.0 nodes: at a node every corner term is
+    # -0.0, so only a sum started from the first term keeps the sign bit
+    vals = -np.abs(rng.standard_normal(chart.res + (3,)))
+    vals[rng.random(vals.shape) < 0.3] = -0.0
+    for values in (vals, rng.standard_normal(chart.res + (2, 2))):
+        fld = GridField(chart, values)
+        pts = probe_points(chart, rng)
+        got = interpolate(fld, pts).reshape(len(pts), -1)
+        want = bilinear_reference(fld, pts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    at_nodes = interpolate(GridField(chart, vals), chart.nodes.reshape(-1, 2))
+    assert (np.signbit(at_nodes) & (at_nodes == 0)).any()  # the -0.0 case occurs
+
+
+@pytest.mark.parametrize("res", [(17, 23), (9, 10, 11)])
+def test_point_interpolator_matches_interpolate(res):
+    rng = np.random.default_rng(len(res))
+    n = len(res)
+    chart = Chart(rng.uniform(-1, 0, n), rng.uniform(0.5, 2, n), res)
+    vals = rng.standard_normal(chart.res + (n, n))
+    vals[rng.random(vals.shape) < 0.2] = -0.0
+    fld = GridField(chart, vals)
+    pts = probe_points(chart, rng)
+    batch = interpolate(fld, pts).reshape(len(pts), -1)
+    at = point_interpolator(fld)
+    for x, row in zip(pts, batch):
+        assert at(x).tobytes() == row.tobytes()
+        assert interpolate(fld, x).ravel().tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("res", [(17, 23), (9, 10, 11)])
+def test_interpolators_raise_domain_exit(res):
+    n = len(res)
+    chart = Chart(np.linspace(-0.5, 0.2, n), np.linspace(0.7, 1.9, n), res)
+    fld = GridField(chart, np.ones(chart.res + (2,)))
+    at = point_interpolator(fld)
+    mid = 0.5 * (chart.lo + chart.hi)
+    for ax in range(n):
+        for face, away in ((chart.lo[ax], -np.inf), (chart.hi[ax], np.inf)):
+            on = mid.copy()
+            on[ax] = face
+            off = on.copy()
+            off[ax] = np.nextafter(face, away)
+            assert at(on).tolist() == [1.0, 1.0]
+            with pytest.raises(DomainExit):
+                at(off)
+            with pytest.raises(DomainExit):
+                interpolate(fld, off)
+            with pytest.raises(DomainExit):
+                interpolate(fld, np.stack([mid, off]))
 
 
 def test_jacobian_field_invariants(unit_chart):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rtgeo.charts import Chart, ForceField, connection_field
+from rtgeo import geodesics
+from rtgeo.charts import Chart, ForceField, connection_field, interpolate
 from rtgeo.errors import DomainExit, RtgeoError
 from rtgeo.geodesics import (
     GeodesicProblem,
@@ -373,3 +374,96 @@ def test_gronwall_flat_disguise_envelope(unit_chart_65):
     prob = GeodesicProblem(conn, 0.0, [0.16, 0.55], [0.6, 0.0], interval=1.0)
     rep = gronwall_uniqueness_check(prob, 1e-6)
     assert rep["within_envelope"]
+
+
+# -- RK4 and Picard against the per-step reference ----------------------------
+
+
+def rk4_reference(problem, dt):
+    """The RK4 loop with batch ``interpolate``, ``chart.contains`` and
+    ``np.linalg.norm`` at every step; returns the curve arrays, the truncation
+    flag and which rule stopped it."""
+    fld = problem.connection
+    n = len(problem.x0)
+
+    def F(x, v):
+        return -np.einsum("mrn,r,n->m", interpolate(fld, x).reshape(n, n, n), v, v)
+
+    x, v = problem.x0.copy(), problem.v0.copy()
+    ts, xs, vs = [problem.t0], [x.copy()], [v.copy()]
+    t, cause = problem.t0, None
+    for _ in range(int(round(problem.interval / dt))):
+        try:
+            k1x, k1v = v, F(x, v)
+            k2x = v + 0.5 * dt * k1v
+            k2v = F(x + 0.5 * dt * k1x, k2x)
+            k3x = v + 0.5 * dt * k2v
+            k3v = F(x + 0.5 * dt * k2x, k3x)
+            k4x = v + dt * k3v
+            k4v = F(x + dt * k3x, k4x)
+        except DomainExit:
+            cause = "stage"
+            break
+        xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        vn = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not problem.chart.contains(xn)[0]:
+            cause = "chart"
+            break
+        if np.linalg.norm(vn - problem.v0) > 1.0:
+            cause = "ball"
+            break
+        t, x, v = t + dt, xn, vn
+        ts.append(t)
+        xs.append(x.copy())
+        vs.append(v.copy())
+    return np.asarray(ts), np.asarray(xs), np.asarray(vs), cause is not None, cause
+
+
+def last_inside_reference(problem, pos, kmax, vel=None, v0=None):
+    """Picard's truncation rule as two scans over the nodes."""
+    ok = problem.chart.contains(pos)
+    for k in range(kmax + 1):
+        if not ok[k]:
+            return max(k - 1, 0)
+    if vel is not None:
+        dev = np.linalg.norm(vel - v0, axis=1)
+        for k in range(kmax + 1):
+            if dev[k] > 1.0:
+                return max(k - 1, 0)
+    return kmax
+
+
+# (x0, v0) on the sphere chart per stopping cause at dt = 1/32: "stage" is a
+# DomainExit inside an RK stage, "chart" a step whose end leaves the chart
+# while its stages stay on it.  That window is O(dt^3) wide; the coarse step
+# puts this x0 some 3e-6 inside it rather than at its last bit.
+SPHERE_IVPS = {
+    None: ([2.151, 0.734], [-1.013, -0.268]),
+    "stage": ([1.586, 0.968], [1.766, 2.252]),
+    "chart": ([1.594091, 0.72], [-1.56, -0.65]),
+    "ball": ([1.726, 0.788], [-2.106, -1.81]),
+}
+
+
+@pytest.mark.parametrize("cause", list(SPHERE_IVPS))
+def test_rk4_and_picard_match_reference_on_sphere(cause, monkeypatch):
+    chart = Chart((np.pi / 4, -0.15), (3 * np.pi / 4, 1.15), (65, 65))
+    conn = connection_field(
+        chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2))
+    )
+    x0, v0 = SPHERE_IVPS[cause]
+    prob = GeodesicProblem(conn, 0.0, x0, v0, interval=1.0)
+    ts, xs, vs, truncated, got_cause = rk4_reference(prob, 1 / 32)
+    assert got_cause == cause
+    c = solve_geodesic(prob, "rk4", dt=1 / 32)
+    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert c.truncated == truncated
+
+    p = solve_geodesic(prob, "picard", dt=1 / 32)
+    monkeypatch.setattr(geodesics, "_last_inside", last_inside_reference)
+    q = solve_geodesic(prob, "picard", dt=1 / 32)
+    assert (p.picard_sweeps, len(p.times), p.truncated) == (q.picard_sweeps, len(q.times), q.truncated)
+    for a, b in ((p.times, q.times), (p.positions, q.positions), (p.velocities, q.velocities)):
+        assert a.tobytes() == b.tobytes()
+    assert p.truncated == (cause is not None)

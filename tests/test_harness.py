@@ -125,6 +125,14 @@ def test_cli_run_stdout_is_json():
     assert "[sphere] generate:" in out.stderr
 
 
+def test_cli_run_two_configs_stdout_is_one_json_array():
+    out = _cli("run", "configs/flat_disguise.cfg", "configs/sphere.cfg")
+    assert out.returncode == 0, out.stderr
+    reps = json.loads(out.stdout)
+    assert [r["scenario"]["name"] for r in reps] == ["flat_disguise", "sphere"]
+    assert all(set(r) == {"scenario", "stages", "flags", "failed_stage", "timings"} for r in reps)
+
+
 def test_cli_malformed_config_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a config at all")

@@ -1,6 +1,5 @@
 """Kernel checks: the Hölder offset sweep against an all-pairs reference,
-and the jitted interpolation/mollification kernels against their numpy
-fallbacks."""
+and the jitted mollification kernel against its numpy fallback."""
 
 import os
 import subprocess
@@ -89,20 +88,6 @@ def test_holder_rejects_scattered_nodes():
     coords = grid_nodes((0.0, 0.0), (1.0, 1.0), (20, 20))
     with pytest.raises(ShapeError):
         _kernels.holder_pair_max(coords[rng.permutation(400)], vals, 0.5, 0.05)
-
-
-def test_interp_paths_agree():
-    chart = Chart((0.0, 0.0), (1.0, 1.0), (17, 17))
-    rng = np.random.default_rng(1)
-    values = np.ascontiguousarray(rng.standard_normal(chart.res + (3,)))
-    pts = rng.uniform(0.0, 0.999, size=(500, 2))
-    t = (pts - chart.lo) / chart.h
-    i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
-    frac = t - i0
-    a = _kernels._interp2_numpy(values, i0[:, 0], i0[:, 1], frac[:, 0], frac[:, 1])
-    if _kernels.HAVE_NUMBA:
-        b = _kernels._interp2_jit(values, i0[:, 0], i0[:, 1], frac[:, 0], frac[:, 1])
-        assert np.abs(a - b).max() < 1e-13
 
 
 def test_mollify_paths_agree():
