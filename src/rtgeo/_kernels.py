@@ -1,10 +1,10 @@
 """Hot numeric kernels.
 
-The Hölder quotient is one numpy offset sweep.  Mollification has a
-numba-jitted version next to its numpy fallback, used when numba is
-installed (the ``jit`` extra); set RTGEO_DISABLE_NUMBA=1 to force the numpy
-path.  Selection happens once at import; the dispatcher at the bottom is
-the public surface.
+The Hölder quotient is one numpy offset sweep.  Mollification has one numpy
+path, ``calculus.mollify``; the n = 2 loop below is its numba-jitted
+alternative, which ``calculus.mollify`` calls when numba is installed (the
+``jit`` extra).  Set RTGEO_DISABLE_NUMBA=1 to force the numpy path; the
+choice is made once at import (``HAVE_NUMBA``).
 """
 
 import os
@@ -130,7 +130,7 @@ def holder_pair_max(coords, vals, alpha, floor):
 
 # ---------------------------------------------------------------------------
 # compact-support bump convolution with boundary-truncated renormalization,
-# n == 2.  Equivalent to normalized convolution with zero-fill outside.
+# n == 2: the normalized zero-fill convolution of calculus.mollify, jitted.
 # ---------------------------------------------------------------------------
 
 
@@ -162,24 +162,3 @@ def _mollify2_jit(field, kern):
             for c in range(ncmp):
                 out[i, j, c] = acc[c] / wsum
     return out
-
-
-def _mollify2_numpy(field, kern):
-    from scipy import ndimage
-
-    out = np.empty_like(field)
-    den = ndimage.convolve(np.ones(field.shape[:2]), kern, mode="constant", cval=0.0)
-    for c in range(field.shape[2]):
-        out[..., c] = ndimage.convolve(field[..., c], kern, mode="constant", cval=0.0) / den
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
-
-
-def mollify2(field, kern):
-    if HAVE_NUMBA:
-        return _mollify2_jit(np.ascontiguousarray(field), np.ascontiguousarray(kern))
-    return _mollify2_numpy(field, kern)

@@ -77,18 +77,29 @@ def full_antisymmetric(w):
     return out
 
 
+def d_one_form(chart, vals):
+    """(d w)_{(i,j)} = D_i w_j - D_j w_i over the last (form) axis of any (*res, ..., n) array."""
+    pairs = form_pairs(chart.n)
+    out = np.empty(vals.shape[:-1] + (len(pairs),))
+    for k, (i, j) in enumerate(pairs):
+        out[..., k] = chart.deriv(vals[..., j], i) - chart.deriv(vals[..., i], j)
+    return out
+
+
+def delta_one_form(chart, vals):
+    """delta w = -sum_j D_j w_j over the last (form) axis of any (*res, ..., n) array."""
+    out = np.zeros(vals.shape[:-1])
+    for j in range(chart.n):
+        out -= chart.deriv(vals[..., j], j)
+    return out
+
+
 def exterior_derivative(w):
     """d: centered second-order differences inside, one-sided at the boundary."""
-    chart, n = w.chart, w.chart.n
     if w.degree == 0:
-        out = np.stack([chart.deriv(w.values, j) for j in range(n)], axis=-1)
-        return MatrixForm(chart, 1, out)
+        return MatrixForm(w.chart, 1, w.chart.grad(w.values))
     if w.degree == 1:
-        pairs = form_pairs(n)
-        out = np.empty(w.values.shape[:-1] + (len(pairs),))
-        for k, (i, j) in enumerate(pairs):
-            out[..., k] = chart.deriv(w.values[..., j], i) - chart.deriv(w.values[..., i], j)
-        return MatrixForm(chart, 2, out)
+        return MatrixForm(w.chart, 2, d_one_form(w.chart, w.values))
     raise DegreeError("exterior derivative supports degrees 0 and 1 only")
 
 
@@ -96,10 +107,7 @@ def coderivative(w):
     """delta, the Euclidean codifferential: minus-divergence over the form index."""
     chart, n = w.chart, w.chart.n
     if w.degree == 1:
-        out = np.zeros(w.values.shape[:-1])
-        for j in range(n):
-            out -= chart.deriv(w.values[..., j], j)
-        return MatrixForm(chart, 0, out)
+        return MatrixForm(chart, 0, delta_one_form(chart, w.values))
     if w.degree == 2:
         full = full_antisymmetric(w)
         out = np.zeros(w.values.shape[:-1] + (n,))
@@ -204,15 +212,16 @@ def mollify(fld, eps):
     """Normalized convolution with the bump kernel; truncated-renormalized at the rim.
 
     Linear, positivity preserving, exact on constants, and leaves affine data
-    unchanged wherever the kernel support is fully interior.
+    unchanged wherever the kernel support is fully interior.  One ``ndimage``
+    path serves every n; with numba installed, n = 2 runs the jitted loop.
     """
     chart = fld.chart
     K = bump_kernel(chart, eps)
     comp = fld.values.reshape(chart.res + (-1,))
-    if chart.n == 2:
-        out = _kernels.mollify2(comp, K)
+    if chart.n == 2 and _kernels.HAVE_NUMBA:
+        out = _kernels._mollify2_jit(np.ascontiguousarray(comp), np.ascontiguousarray(K))
     else:
-        from scipy import ndimage
+        from scipy import ndimage  # on first use: importing it costs ~0.1 s
 
         out = np.empty_like(comp)
         den = ndimage.convolve(np.ones(chart.res), K, mode="constant", cval=0.0)
@@ -251,15 +260,10 @@ class NormReport:
         )
 
 
-def _pointwise_mag(values, chart):
-    flat = values.reshape(chart.npoints, -1)
-    return np.sqrt((flat ** 2).sum(axis=1))
-
-
 def lp_norm(fld, p, weights=None):
-    """h-weighted (trapezoidal) L^p norm of the pointwise Frobenius magnitude."""
+    """h-weighted (trapezoidal) L^p norm of the pointwise Frobenius magnitude; p = inf is C0."""
     chart = fld.chart
-    mag = _pointwise_mag(fld.values, chart)
+    mag = np.sqrt((fld.values.reshape(chart.npoints, -1) ** 2).sum(axis=1))
     if weights is not None:
         mag = mag * weights.ravel()
     if np.isinf(p):
@@ -268,9 +272,7 @@ def lp_norm(fld, p, weights=None):
 
 
 def gradient_field(fld):
-    chart = fld.chart
-    grads = np.stack([chart.deriv(fld.values, ax) for ax in range(chart.n)], axis=-1)
-    return fld.copy(values=grads)
+    return fld.copy(values=fld.chart.grad(fld.values))
 
 
 def w1p_norm(fld, p):
@@ -291,8 +293,7 @@ def norm_report(fld, p, alpha):
         raise ConfigurationError(f"alpha must lie in (0, 1], got {alpha}")
     lp = lp_norm(fld, p)
     w1p = w1p_norm(fld, p)
-    mag = _pointwise_mag(fld.values, chart)
-    c0 = float(mag.max())
+    c0 = lp_norm(fld, np.inf)
     floor = HOLDER_PAIR_FLOOR * float(chart.h.max())
     coords = chart.nodes.reshape(-1, chart.n)
     vals = fld.values.reshape(chart.npoints, -1)
@@ -320,21 +321,14 @@ def poisson_solve(source, boundary):
     collapses to -sum_j D_j^2 per component exactly, by commutation of the
     axis-difference matrices).  Sparse LU; deterministic.
     """
-    if isinstance(source, MatrixForm):
-        chart = source.chart
-        bvals = boundary.values if isinstance(boundary, MatrixForm) else boundary
-        u = chart.dirichlet_solve(source.values, bvals)
-        out = MatrixForm(chart, source.degree, u)
-        resid = _relative_residual(chart, u, source.values)
-        if resid > 1e-10:
-            raise SolverError(f"poisson residual {resid:.2e} above 1e-10", [resid])
-        return out
     chart = source.chart
-    bvals = boundary.values if isinstance(boundary, GridField) else boundary
+    bvals = boundary.values if isinstance(boundary, (MatrixForm, GridField)) else boundary
     u = chart.dirichlet_solve(source.values, bvals)
     resid = _relative_residual(chart, u, source.values)
     if resid > 1e-10:
         raise SolverError(f"poisson residual {resid:.2e} above 1e-10", [resid])
+    if isinstance(source, MatrixForm):
+        return MatrixForm(chart, source.degree, u)
     return source.copy(values=u)
 
 

@@ -129,6 +129,10 @@ class Chart:
         out = self.diff_ops[ax] @ values.reshape(self.npoints, -1)
         return out.reshape(shp)
 
+    def grad(self, values):
+        """Axis derivatives stacked last: (*res, *comp) -> (*res, *comp, n)."""
+        return np.stack([self.deriv(values, ax) for ax in range(self.n)], axis=-1)
+
     def laplace(self, values):
         shp = values.shape
         out = self.lap_op @ values.reshape(self.npoints, -1)
@@ -353,8 +357,9 @@ class JacobianField:
         if err > TAU_INV:
             raise JacobianError(f"J @ Jinv deviates from identity by {err:.2e}")
 
-    def as_field(self):
-        return GridField(self.chart, self.J, ("up", "down"))
+    def at(self, pts, clip=False):
+        """J interpolated at x-chart points, as :func:`interpolate` does it."""
+        return interpolate(GridField(self.chart, self.J), pts, clip=clip)
 
 
 @dataclass
@@ -365,8 +370,6 @@ class CoordinateMap:
     y_chart: Chart
     forward: np.ndarray       # (*x_res, n)
     inverse: np.ndarray       # (*y_res, n)
-    basepoint: np.ndarray     # Q in x coordinates
-    image_of_q: np.ndarray    # y(Q)
     roundtrip_error: float = 0.0
 
     def forward_at(self, pts, clip=False):

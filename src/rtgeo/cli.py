@@ -11,11 +11,19 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import norm_report
-from .charts import GridField, connection_field, dump_curve, dump_field, dump_map, load_field
+from .charts import Chart, GridField, connection_field, dump_curve, dump_field, dump_map, load_field
 from .errors import ConfigurationError, RtgeoError
 from .geodesics import GeodesicProblem, solve_geodesic
-from .harness import load_config, run_experiment
-from .rt_solver import RTConfig, assemble_gamma_tilde, optimal_connection, rt_bundle, solve_reduced_rt
+from .harness import (
+    _mollified_identity_inputs,
+    generate_scenario,
+    load_config,
+    run_experiment,
+    smooth_connection,
+    trig_gradient_jacobian,
+)
+from .rt_solver import RTConfig, regularize
+from .transform import coderivative_identity_residual, dgamma_identity_residual
 
 
 def _parser():
@@ -75,35 +83,14 @@ def cmd_run(args):
 def cmd_check_identities(args):
     """Identity suites: O(h^2) refinement on the smooth gradient-jacobian
     anchor case plus the config scenario's own residuals as diagnostics."""
-    import numpy as np
-
-    from .charts import Chart
-    from .harness import Scenario, _mollified_identity_inputs, generate_scenario
-    from .transform import (
-        coderivative_identity_residual,
-        dgamma_identity_residual,
-    )
-
     scn, _ = load_config(args.config)
     if args.grid:
         scn.resolution = (args.grid, args.grid)
 
     def anchor_case(m):
         chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
-        X = chart.nodes
-        u = X.copy()
-        u[..., 0] = X[..., 0] + 0.04 * np.sin(2.1 * X[..., 0] + 0.3) * np.cos(1.7 * X[..., 1])
-        u[..., 1] = X[..., 1] + 0.05 * np.cos(1.3 * X[..., 0]) * np.sin(1.9 * X[..., 1] + 0.5)
-        J = np.stack(
-            [np.stack([chart.deriv(u[..., k], nu) for nu in range(2)], axis=-1) for k in range(2)],
-            axis=-2,
-        )
-        vals = np.zeros(chart.res + (2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    vals[..., a, b, c] = 0.3 * np.sin((1 + a) * X[..., 0] + 0.5 * (1 + b) * X[..., 1] + 0.2 * c)
-        return connection_field(chart, vals), J
+        J, _ = trig_gradient_jacobian(chart)
+        return smooth_connection(chart), J
 
     m = scn.resolution[0]
     grids = sorted({max(m // 2 + 1, 17), m})
@@ -132,22 +119,13 @@ def cmd_check_identities(args):
 def cmd_rt_solve(args):
     fld = load_field(args.field)
     conn = connection_field(fld.chart, fld.values)
-    state = solve_reduced_rt(conn, RTConfig())
-    bundle = rt_bundle(state)
-    conn_used = conn
-    if state.used_subchart:
-        sub, slc = conn.chart.sub_chart(0.5)
-        conn_used = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
-    tilde = assemble_gamma_tilde(conn_used, state)
-    conn_y = optimal_connection(tilde, bundle)
+    state, bundle, conn_y = regularize(conn, RTConfig())
     print(json.dumps(state.summary(), sort_keys=True))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dump_field(GridField(state.chart, state.J, ("up", "down")), out / "jacobian.csv")
-        dump_field(
-            GridField(conn_y.chart, conn_y.values, ("up", "down", "down")), out / "gamma_y.csv"
-        )
+        dump_field(conn_y, out / "gamma_y.csv")
         dump_map(bundle.map, out / "map_forward.csv", out / "map_inverse.csv")
     return 0
 

@@ -18,9 +18,10 @@ from .calculus import (
     form_pairs,
     full_antisymmetric,
     lp_norm,
+    mollify,
     wedge,
 )
-from .charts import Chart, GridField, interpolate
+from .charts import Chart, GridField, connection_field, interpolate
 from .errors import FittingError, ShapeError, TestFunctionError
 
 
@@ -189,28 +190,6 @@ def represent_weak(conn, basis):
     return CurvatureField(chart, fitted, "weak"), residual
 
 
-def representation_noise_floor(conn, basis, p):
-    """Calibrated L^p noise level of a bump-basis curvature representation.
-
-    Each basis functional carries a pure quadrature defect (the grid sum of
-    an exact-zero continuum integral of grad psi); scaled by the connection's
-    C0 magnitude and pushed through the same Gram solve, this bounds the
-    spurious field content the fit can manufacture from quadrature error.
-    """
-    chart = conn.chart
-    pts = chart.nodes.reshape(-1, chart.n)
-    psi_vals = np.stack([psi(pts) for psi in basis], axis=0)
-    vox = chart.voxel()
-    gram = vox * psi_vals @ psi_vals.T
-    qdef = np.array(
-        [np.abs(psi.gradient(pts).sum(axis=0) * vox).max() for psi in basis]
-    )
-    c0 = float(np.sqrt((conn.values.reshape(chart.npoints, -1) ** 2).sum(axis=1)).max())
-    coef = np.abs(np.linalg.solve(gram, qdef * max(c0, 1e-300)))
-    noise_field = (psi_vals.T @ coef).reshape(chart.res)
-    return lp_norm(GridField(chart, noise_field), p)
-
-
 def transform_curvature(R, J, Jinv=None):
     """Tensor transformation: contraction with undifferentiated Jacobians.
 
@@ -260,17 +239,14 @@ def lemma_b1_check(conn_x, bundle, conn_y, basis_per_axis=5, p=4.0, drop_jacobia
 
     ``drop_jacobian_factor`` omits one contraction; the negative control.
     """
-    from .calculus import mollify
-    from .charts import connection_field as _cf
-
     chart_x = conn_x.chart
     chart_y = conn_y.chart
     basis_x = bump_basis(chart_x, basis_per_axis)
     _, res_x = represent_weak(conn_x, basis_x)
     hmax_x = float(chart_x.h.max())
     eps = max(2.05 * hmax_x, min(4.0 * hmax_x, 0.075))
-    smoothed = mollify(GridField(chart_x, conn_x.values), eps)
-    Rx = riemann(_cf(chart_x, smoothed.values))
+    smoothed = mollify(conn_x, eps)
+    Rx = riemann(connection_field(chart_x, smoothed.values))
     # blank the rim band where truncated kernels and one-sided stencils
     # corrupt the strong evaluation; probes are filtered to stay clear of it
     pad = [int(np.ceil((eps + 2 * chart_x.h[k]) / chart_x.h[k])) for k in range(chart_x.n)]
@@ -281,7 +257,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, basis_per_axis=5, p=4.0, drop_jacobia
     ypts = chart_y.nodes.reshape(-1, chart_y.n)
     xpts = bundle.map.inverse_at(ypts, clip=True)
     Rx_at = interpolate(Rx.as_field(), xpts, clip=True)
-    J_at = interpolate(GridField(chart_x, bundle.jac.J), xpts, clip=True)
+    J_at = bundle.jac.at(xpts, clip=True)
     Jinv_at = np.linalg.inv(J_at)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     if drop_jacobian_factor:
@@ -342,7 +318,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, basis_per_axis=5, p=4.0, drop_jacobia
     # tolerance: probe quadrature error O((h/r)^2) at the functional scale
     # plus the mollification transport bias
     hmax = float(max(chart_x.h.max(), chart_y.h.max()))
-    c0y = float(np.sqrt((conn_y.values.reshape(chart_y.npoints, -1) ** 2).sum(axis=1)).max())
+    c0y = lp_norm(conn_y, np.inf)
     scale = max(rhs_scale, c0y ** 2, 1.0)
     r_min = min(psi.radius for psi in kept)
     eps_basis = res_x + (hmax / r_min) ** 2 * scale

@@ -70,3 +70,11 @@ class StageError(RtgeoError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+def staged(name, fn):
+    """Run ``fn()``; an RtgeoError raised inside becomes a StageError labelled ``name``."""
+    try:
+        return fn()
+    except RtgeoError as e:
+        raise StageError(name, e) from e

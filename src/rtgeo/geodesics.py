@@ -8,7 +8,7 @@ evaluators; intervals truncate at chart exit and at the velocity ball
 |v - v0| <= 1, the normalization under which the uniform bound holds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 import math
 
@@ -16,16 +16,10 @@ import numpy as np
 
 from . import _kernels
 from .calculus import gradient_field, lp_norm, mollify
-from .charts import GridField, connection_field, interpolate, point_inside, point_interpolator
+from .charts import Chart, GridField, connection_field, interpolate, point_inside, point_interpolator
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
-from .errors import DomainExit, RtgeoError, SolverError, StageError
-from .rt_solver import (
-    RTConfig,
-    assemble_gamma_tilde,
-    optimal_connection,
-    rt_bundle,
-    solve_reduced_rt,
-)
+from .errors import DomainExit, RtgeoError, SolverError, staged
+from .rt_solver import RTConfig, regularize
 from .transform import pushforward_curve
 
 VELOCITY_BALL = 1.0
@@ -164,18 +158,16 @@ def _solve_rk4(problem, dt):
     )
 
 
-def _estimate_lipschitz(problem):
-    conn = problem.connection
-    if callable(conn) and not isinstance(conn, GridField):
-        return 0.0
-    grad = gradient_field(GridField(conn.chart, conn.values))
-    return float(np.abs(grad.values).max())
+def _grad_max(conn):
+    """max |grad Gamma| over the nodes of a sampled connection (FD gradient)."""
+    return float(np.abs(gradient_field(conn).values).max())
 
 
 def _solve_picard(problem, dt, tol_ode, max_sweeps):
     dt = dt or default_dt(problem)
     conn = problem.connection
-    gamma_at = conn if callable(conn) and not isinstance(conn, GridField) else partial(interpolate, conn)
+    closed_form = callable(conn) and not isinstance(conn, GridField)
+    gamma_at = conn if closed_form else partial(interpolate, conn)
     force = problem.force
     K = int(round(problem.interval / dt))
     ts = problem.t0 + dt * np.arange(K + 1)
@@ -220,7 +212,7 @@ def _solve_picard(problem, dt, tol_ode, max_sweeps):
         else:
             grow = 0
         inc_prev = inc
-    lip = _estimate_lipschitz(problem)
+    lip = 0.0 if closed_form else _grad_max(conn)
     flag = lip * problem.interval > 50.0
     return Curve(
         times=ts,
@@ -274,61 +266,30 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
         raise RtgeoError(f"unknown mode '{mode}'")
     prov = {"mode": mode}
     cfg = rt_config or RTConfig()
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except RtgeoError as e:
-            raise StageError(name, e) from e
-
-    state = stage("rt_solve", lambda: solve_reduced_rt(conn, cfg))
+    state, bundle, conn_y = regularize(conn, cfg)
     prov["rt"] = state.summary()
-    work_conn = conn
-    if state.used_subchart:
-        sub, slc = conn.chart.sub_chart(0.5)
-        work_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
-    bundle = stage("integrate_jacobian", lambda: rt_bundle(state))
-    tilde = stage("gamma_tilde", lambda: assemble_gamma_tilde(work_conn, state))
-    conn_y = stage("optimal_connection", lambda: optimal_connection(tilde, bundle))
     prov["y_chart"] = repr(conn_y.chart)
     second = None
     if mode == "uniqueness":
-        cfg2 = RTConfig(
-            max_iters=cfg.max_iters,
-            elliptic_tol=cfg.elliptic_tol,
-            fixed_point_tol=cfg.fixed_point_tol,
-            damping=cfg.damping,
-            p=cfg.p,
-            retry_subchart=False,
-        )
-        state2 = stage("rt_solve_second", lambda: solve_reduced_rt(conn_y, cfg2))
-        bundle2 = stage("integrate_jacobian_second", lambda: rt_bundle(state2))
-        tilde2 = stage("gamma_tilde_second", lambda: assemble_gamma_tilde(conn_y, state2))
-        conn_yy = stage("optimal_connection_second", lambda: optimal_connection(tilde2, bundle2))
+        state2, bundle2, conn_yy = regularize(conn_y, replace(cfg, retry_subchart=False), "_second")
         second = {"state": state2, "bundle": bundle2, "conn": conn_yy}
         prov["rt_second"] = state2.summary()
 
-    # push initial data forward
-    y0 = bundle.map.forward_at(problem.x0)
-    J0 = interpolate(GridField(bundle.x_chart, bundle.jac.J), problem.x0)
-    w0 = J0 @ problem.v0
-    if second is not None:
-        b2 = second["bundle"]
-        y0b = b2.map.forward_at(y0, clip=True)
-        J0b = interpolate(GridField(b2.x_chart, b2.jac.J), y0, clip=True)
-        w0b = J0b @ w0
-        target_conn, target_y0, target_w0 = second["conn"], y0b, w0b
-    else:
-        target_conn, target_y0, target_w0 = conn_y, y0, w0
+    def initial_data():
+        """The y-side problem: (x0, v0) pushed through each pass by y(x) and J(x)."""
+        y0 = bundle.map.forward_at(problem.x0)
+        w0 = bundle.jac.at(problem.x0) @ problem.v0
+        target = conn_y
+        if second is not None:  # the second pass acts at the first pass's y0
+            b2, target = second["bundle"], second["conn"]
+            w0 = b2.jac.at(y0, clip=True) @ w0
+            y0 = b2.map.forward_at(y0, clip=True)
+        return GeodesicProblem(
+            connection=target, t0=problem.t0, x0=y0, v0=w0, interval=problem.interval
+        )
 
-    prob_y = GeodesicProblem(
-        connection=target_conn,
-        t0=problem.t0,
-        x0=target_y0,
-        v0=target_w0,
-        interval=problem.interval,
-    )
-    curve_y = stage("geodesic_y", lambda: solve_geodesic(prob_y, "rk4", dt=dt))
+    prob_y = staged("initial_data", initial_data)
+    curve_y = staged("geodesic_y", lambda: solve_geodesic(prob_y, "rk4", dt=dt))
     prov["y_interval"] = curve_y.interval
     if mode == "uniqueness":
         try:
@@ -341,7 +302,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
         curve_mid = pushforward_curve(curve_y, second["bundle"], direction="backward")
     else:
         curve_mid = curve_y
-    curve_x = stage(
+    curve_x = staged(
         "pushforward_back", lambda: pushforward_curve(curve_mid, bundle, direction="backward")
     )
     prov["x_interval"] = curve_x.interval
@@ -357,10 +318,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
 class MollifiedFamily:
     eps: list
     conn_eps: list          # ConnectionField on the x-chart per epsilon
-    conn_y_eps: list
-    jac_eps: list
     masks: list             # bool mask of x-nodes with y_eps(x) inside the y-chart
-    bundle: object
 
 
 def mollified_family(conn_y, bundle, eps_list):
@@ -374,41 +332,30 @@ def mollified_family(conn_y, bundle, eps_list):
     chart_x = bundle.x_chart
     chart_y = bundle.y_chart
     n = chart_x.n
-    out_eps, out_conn, out_conny, out_jac, out_masks = [], [], [], [], []
+    out_eps, out_conn, out_masks = [], [], []
     for eps in eps_list:
-        gy_e = mollify(GridField(chart_y, conn_y.values), eps)
+        gy_e = mollify(conn_y, eps)
         u_e = mollify(GridField(chart_x, bundle.map.forward), eps).values
-        J_e = np.stack(
-            [np.stack([chart_x.deriv(u_e[..., mu], nu) for nu in range(n)], axis=-1) for mu in range(n)],
-            axis=-2,
-        )
+        J_e = chart_x.grad(u_e)
         x_of_y_e = mollify(GridField(chart_y, bundle.map.inverse), eps).values
-        dxdy_e = np.stack(
-            [np.stack([chart_y.deriv(x_of_y_e[..., mu], nu) for nu in range(n)], axis=-1) for mu in range(n)],
-            axis=-2,
-        )
+        dxdy_e = chart_y.grad(x_of_y_e)
         ypts = u_e.reshape(-1, n)
         mask = chart_y.contains(ypts).reshape(chart_x.res)
         dxdy_at = interpolate(GridField(chart_y, dxdy_e), ypts, clip=True).reshape(
             chart_x.res + (n, n)
         )
         gy_at = interpolate(gy_e, ypts, clip=True).reshape(chart_x.res + (n, n, n))
-        dJ_e = np.stack([chart_x.deriv(J_e, rho) for rho in range(n)], axis=-1)
+        dJ_e = chart_x.grad(J_e)
         # connection law with mollified ingredients; storage [mu, rho(form), nu(col)]
         vals = np.einsum("...ma,...br,...gn,...abg->...mrn", dxdy_at, J_e, J_e, gy_at)
         vals += np.einsum("...ma,...anr->...mrn", dxdy_at, dJ_e)
         out_eps.append(eps)
         out_conn.append(connection_field(chart_x, vals))
-        out_conny.append(gy_e)
-        out_jac.append(J_e)
         out_masks.append(mask)
     return MollifiedFamily(
         eps=out_eps,
         conn_eps=out_conn,
-        conn_y_eps=out_conny,
-        jac_eps=out_jac,
         masks=out_masks,
-        bundle=bundle,
     )
 
 
@@ -476,8 +423,6 @@ def _fit_rate(eps, vals):
 
 def _masked_subchart(chart, mask):
     """Grid-aligned all-true rectangle around the chart center."""
-    from .charts import Chart
-
     sl = [slice(0, chart.res[k]) for k in range(chart.n)]
     center = tuple(r // 2 for r in chart.res)
     if not mask[center]:
@@ -515,8 +460,6 @@ def convergence_report(family, curves, reference, conn_x, p=2.2, basis_per_axis=
     fits is linear in the weak-functional mismatch, hence controlled by the
     connection's L^{2p} distance).
     """
-    from .charts import connection_field as _cf
-
     chart = conn_x.chart
     mask_all = np.ones(chart.res, dtype=bool)
     for m in family.masks:
@@ -532,7 +475,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2, basis_per_axis=
         idx[ax] = slice(chart.res[ax] - cells, chart.res[ax])
         mask_all[tuple(idx)] = False
     sub, sl = _masked_subchart(chart, mask_all)
-    conn_ref = _cf(sub, np.ascontiguousarray(conn_x.values[sl]))
+    conn_ref = connection_field(sub, np.ascontiguousarray(conn_x.values[sl]))
     basis = [
         TestFunction(b.center, b.radius, profile="poly")
         for b in bump_basis(sub, basis_per_axis)
@@ -540,7 +483,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2, basis_per_axis=
     weak_reference, _ = represent_weak(conn_ref, basis)
     conn_d, riem_d, curve_d = [], [], []
     for eps, conn_e, curve in zip(family.eps, family.conn_eps, curves):
-        sub_e = _cf(sub, np.ascontiguousarray(conn_e.values[sl]))
+        sub_e = connection_field(sub, np.ascontiguousarray(conn_e.values[sl]))
         conn_d.append(lp_norm(GridField(sub, sub_e.values - conn_ref.values), 2 * p))
         R_e = riemann(sub_e)
         riem_d.append(lp_norm(GridField(sub, R_e.values - weak_reference.values), p))
@@ -632,9 +575,8 @@ def gronwall_uniqueness_check(problem, delta0, dt=None, direction=None):
         c0 = float(np.sqrt((gvals.reshape(len(pts), -1) ** 2).sum(axis=1)).max())
         lip_g = _fd_lipschitz_along(conn, pts)
     else:
-        fld = GridField(conn.chart, conn.values)
-        c0 = float(np.sqrt((conn.values.reshape(conn.chart.npoints, -1) ** 2).sum(axis=1)).max())
-        lip_g = float(np.abs(gradient_field(fld).values).max())
+        c0 = lp_norm(conn, np.inf)
+        lip_g = _grad_max(conn)
     vmax = float(np.linalg.norm(problem.v0)) + VELOCITY_BALL
     C = 1.0 + 2.0 * c0 * vmax + lip_g * vmax ** 2
     envelope = max(delta0, 1e-300) * np.exp(C * (base.times[:k] - problem.t0))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import mollify, norm_report, w1p_norm
+from .calculus import lp_norm, mollify, norm_report, w1p_norm
 from .charts import (
     Chart,
     CoordinateMap,
@@ -77,6 +77,27 @@ def sphere_geodesic(x0, v0, times):
     dth = -dp[:, 2] / np.sin(th)
     dph = (p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]) / (p[:, 0] ** 2 + p[:, 1] ** 2)
     return np.stack([th, ph], axis=1), np.stack([dth, dph], axis=1)
+
+
+def trig_gradient_jacobian(chart, amp=(0.04, 0.05)):
+    """Gradient rows of a trigonometric potential u (n = 2), exactly curl-free
+    samples; returns (J, u)."""
+    X = chart.nodes
+    u = X.copy()
+    u[..., 0] = X[..., 0] + amp[0] * np.sin(2.1 * X[..., 0] + 0.3) * np.cos(1.7 * X[..., 1])
+    u[..., 1] = X[..., 1] + amp[1] * np.cos(1.3 * X[..., 0]) * np.sin(1.9 * X[..., 1] + 0.5)
+    return chart.grad(u), u
+
+
+def smooth_connection(chart, amp=0.3):
+    """Smooth trigonometric connection with every component nonzero (n = 2)."""
+    X = chart.nodes
+    vals = np.zeros(chart.res + (2, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                vals[..., a, b, c] = amp * np.sin((1 + a) * X[..., 0] + 0.5 * (1 + b) * X[..., 1] + 0.2 * c)
+    return connection_field(chart, vals)
 
 
 class KinkMap:
@@ -254,8 +275,6 @@ def generate_scenario(scn):
         y_chart=cover_chart,
         forward=forward,
         inverse=cover_inverse,
-        basepoint=chart.nodes[tuple(r // 2 for r in chart.res)],
-        image_of_q=mp.forward(chart.nodes[tuple(r // 2 for r in chart.res)][None])[0],
     )
     cover_bundle = TransformBundle(map=cover_map, jac=JacobianField(chart, J))
     conn_x, _ = transform_connection(conn_y_cover, cover_bundle)
@@ -407,21 +426,15 @@ def _mollified_identity_inputs(gen, scn):
     ladder epsilon; J is rebuilt as the gradient of the smoothed forward map
     so it stays exactly curl-free and twice differenceable.
     """
-    from .calculus import mollify as _mollify
-
     conn = gen.conn_x
     J = gen.hidden_bundle.jac.J
     if scn.map_kind != "kink":
         return conn, J
     chart = conn.chart
     eps = max(scn.epsilons)
-    conn = connection_field(chart, _mollify(GridField(chart, conn.values), eps).values)
-    fwd = _mollify(GridField(chart, gen.hidden_bundle.map.forward), eps).values
-    J = np.stack(
-        [np.stack([chart.deriv(fwd[..., m], nu) for nu in range(chart.n)], axis=-1) for m in range(chart.n)],
-        axis=-2,
-    )
-    return conn, J
+    conn = connection_field(chart, mollify(conn, eps).values)
+    fwd = mollify(GridField(chart, gen.hidden_bundle.map.forward), eps).values
+    return conn, chart.grad(fwd)
 
 
 def _identity_stage(gen, scn):
@@ -449,8 +462,8 @@ def _regularity_ladder(scn, rt_kwargs, grids):
             ),
             rt_config=RTConfig(**rt_kwargs) if rt_kwargs else None,
         )
-        out["w1p_x"].append(w1p_norm(GridField(gen.conn_x.chart, gen.conn_x.values), s.p))
-        out["w1p_y"].append(w1p_norm(GridField(res.conn_y.chart, res.conn_y.values), s.p))
+        out["w1p_x"].append(w1p_norm(gen.conn_x, s.p))
+        out["w1p_y"].append(w1p_norm(res.conn_y, s.p))
     out["x_growth"] = out["w1p_x"][-1] / out["w1p_x"][0]
     ys = out["w1p_y"]
     out["y_variation"] = max(ys) / min(ys) - 1.0
@@ -527,8 +540,8 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         reg = timed(
             "regularity",
             lambda: {
-                "x": norm_report(GridField(gen.conn_x.chart, gen.conn_x.values), scn.p, alpha).__dict__,
-                "y": norm_report(GridField(pipe.conn_y.chart, pipe.conn_y.values), scn.p, alpha).__dict__,
+                "x": norm_report(gen.conn_x, scn.p, alpha).__dict__,
+                "y": norm_report(pipe.conn_y, scn.p, alpha).__dict__,
             },
         )
         reg["w1p_ratio"] = reg["y"]["w1p"] / max(reg["x"]["w1p"], 1e-300)
@@ -559,9 +572,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         # uniform a-priori bound for every mollified curve
         gb = []
         for conn_e, curve in zip(fam.conn_eps, curves):
-            c0 = float(
-                np.sqrt((conn_e.values.reshape(conn_e.chart.npoints, -1) ** 2).sum(axis=1)).max()
-            )
+            c0 = lp_norm(conn_e, np.inf)
             gb.append(uniform_bound_check(curve, c0, alpha, 2))
         report.stages["uniform_bound"] = gb
         report.flags["uniform_bound"] = all(g["holds"] for g in gb)
@@ -587,8 +598,8 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             report.flags["gronwall"] = gw["within_envelope"]
 
         if out:
-            dump_field(GridField(gen.conn_x.chart, gen.conn_x.values, ("up", "down", "down")), out / f"{scn.name}_gamma_x.csv")
-            dump_field(GridField(pipe.conn_y.chart, pipe.conn_y.values, ("up", "down", "down")), out / f"{scn.name}_gamma_y.csv")
+            dump_field(gen.conn_x, out / f"{scn.name}_gamma_x.csv")
+            dump_field(pipe.conn_y, out / f"{scn.name}_gamma_y.csv")
             dump_curve(pipe.curve, out / f"{scn.name}_curve.csv")
             (out / f"{scn.name}_report.json").write_text(report.to_json())
     except StageError as e:

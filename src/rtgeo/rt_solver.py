@@ -31,8 +31,9 @@ from .calculus import (
     MatrixForm,
     coderivative,
     connection_form,
+    d_one_form,
+    delta_one_form,
     exterior_derivative,
-    form_pairs,
     laplacian,
     lp_norm,
     matmul,
@@ -42,12 +43,8 @@ from .calculus import (
     wedge,
 )
 from .charts import GridField, connection_field, interpolate
-from .errors import JacobianError, SolverError
-from .transform import (
-    build_bundle,
-    jacobian_grad,
-    split_transform,
-)
+from .errors import JacobianError, SolverError, staged
+from .transform import build_bundle, jacobian_grad, row_curl_residual, split_transform
 
 
 @dataclass
@@ -78,6 +75,7 @@ class RTState:
     det_min: float = 0.0
     curl_residual: float = 0.0
     used_subchart: bool = False
+    conn: object = None      # the connection solved on: the sub-chart slice after a retry
 
     def summary(self):
         return {
@@ -92,29 +90,11 @@ class RTState:
 
 def _split_coderivative(chart, J, conn_form_vals, delta_gamma):
     """delta(J . Gamma) via the discrete Leibniz split J delta(G) - <dJ; G>."""
-    n = chart.n
-    dJ = np.stack([chart.deriv(J, rho) for rho in range(n)], axis=-1)
+    dJ = chart.grad(J)
     S = np.einsum("...ms,...sn->...mn", J, delta_gamma)
-    for j in range(n):
+    for j in range(chart.n):
         S -= np.einsum("...ms,...sn->...mn", dJ[..., j], conn_form_vals[..., j])
     return S
-
-
-def _vec_d(chart, X):
-    """d of the row-vectorization of a matrix 0-form: (dX)[mu,(ab)] = D_a X[mu,b] - D_b X[mu,a]."""
-    pairs = form_pairs(chart.n)
-    out = np.empty(X.shape[:-1] + (len(pairs),))
-    for k, (a, b) in enumerate(pairs):
-        out[..., k] = chart.deriv(X[..., b], a) - chart.deriv(X[..., a], b)
-    return out
-
-
-def _vec_delta(chart, X):
-    """delta of the row-vectorization: -sum_nu D_nu X[mu, nu]."""
-    out = np.zeros(X.shape[:-1])
-    for nu in range(chart.n):
-        out -= chart.deriv(X[..., nu], nu)
-    return out
 
 
 def solve_reduced_rt(conn, cfg=None):
@@ -131,8 +111,7 @@ def solve_reduced_rt(conn, cfg=None):
             raise
         sub, slc = conn.chart.sub_chart(0.5)
         sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
-        state = _solve_on_chart(sub_conn, cfg, used_subchart=True)
-        return state
+        return _solve_on_chart(sub_conn, cfg, used_subchart=True)
 
 
 def _solve_on_chart(conn, cfg, used_subchart):
@@ -148,12 +127,9 @@ def _solve_on_chart(conn, cfg, used_subchart):
     vox_p = 2 * cfg.p
     for it in range(1, cfg.max_iters + 1):
         S = _split_coderivative(chart, J, w.values, delta_gamma)
-        phi = chart.dirichlet_solve(_vec_delta(chart, S), np.zeros(chart.res + (n,)))
+        phi = chart.dirichlet_solve(delta_one_form(chart, S), np.zeros(chart.res + (n,)))
         u = chart.dirichlet_solve(phi, chart.nodes)
-        J_new = np.stack(
-            [np.stack([chart.deriv(u[..., mu], nu) for nu in range(n)], axis=-1) for mu in range(n)],
-            axis=-2,
-        )
+        J_new = chart.grad(u)
         inc = lp_norm(GridField(chart, J_new - J), vox_p)
         J = (1 - cfg.damping) * J + cfg.damping * J_new
         increments.append(inc)
@@ -182,11 +158,9 @@ def _solve_on_chart(conn, cfg, used_subchart):
     interior = np.zeros(chart.res)
     interior[(slice(3, -3),) * n] = 1.0
     r11 = lp_norm(GridField(chart, chart.laplace(J) - S + B), cfg.p)
-    r12 = lp_norm(GridField(chart, _vec_d(chart, B) - _vec_d(chart, S)), cfg.p)
-    r13 = lp_norm(GridField(chart, _vec_delta(chart, B)), cfg.p, interior)
-    from .transform import row_curl_residual
-
-    state = RTState(
+    r12 = lp_norm(GridField(chart, d_one_form(chart, B) - d_one_form(chart, S)), cfg.p)
+    r13 = lp_norm(GridField(chart, delta_one_form(chart, B)), cfg.p, interior)
+    return RTState(
         chart=chart,
         iterations=len(increments),
         J=J,
@@ -197,8 +171,8 @@ def _solve_on_chart(conn, cfg, used_subchart):
         det_min=float(np.abs(det).min()),
         curl_residual=row_curl_residual(chart, J),
         used_subchart=used_subchart,
+        conn=conn,
     )
-    return state
 
 
 def assemble_gamma_tilde(conn, state):
@@ -212,14 +186,24 @@ def rt_bundle(state):
     return build_bundle(state.chart, state.J)
 
 
+def regularize(conn, cfg, suffix=""):
+    """One regularizing pass, each step under its stage label (``suffix`` appended):
+    RT solve, coordinate bundle, Gamma~ on the solved chart, Gamma_y on the y-chart."""
+    state = staged("rt_solve" + suffix, lambda: solve_reduced_rt(conn, cfg))
+    bundle = staged("integrate_jacobian" + suffix, lambda: rt_bundle(state))
+    tilde = staged("gamma_tilde" + suffix, lambda: assemble_gamma_tilde(state.conn, state))
+    conn_y = staged("optimal_connection" + suffix, lambda: optimal_connection(tilde, bundle))
+    return state, bundle, conn_y
+
+
 def optimal_connection(tilde, bundle, y_res=None):
     """Contract Gamma~ with (J, Jinv) and resample onto the y-chart (Eq. 16 push)."""
     chart_x = bundle.x_chart
     y_chart = bundle.y_chart
     ypts = y_chart.nodes.reshape(-1, chart_x.n)
     xpts = bundle.map.inverse_at(ypts, clip=True)
-    Gt = interpolate(GridField(chart_x, tilde.values), xpts, clip=True)
-    J = interpolate(GridField(chart_x, bundle.jac.J), xpts, clip=True)
+    Gt = interpolate(tilde, xpts, clip=True)
+    J = bundle.jac.at(xpts, clip=True)
     Jinv = np.linalg.inv(J)
     # conn storage [k, i(form), j(col)] -> [g, a(form), b(col)]
     vals = np.einsum("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
@@ -282,8 +266,8 @@ def regularity_report(conn_x, conn_y, p):
     """Norms of the incoming and regularized connections, Morrey exponent."""
     n = conn_x.chart.n
     alpha = 1.0 - n / p
-    rep_x = norm_report(GridField(conn_x.chart, conn_x.values), p, alpha)
-    rep_y = norm_report(GridField(conn_y.chart, conn_y.values), p, alpha)
+    rep_x = norm_report(conn_x, p, alpha)
+    rep_y = norm_report(conn_y, p, alpha)
     return {
         "p": p,
         "alpha": alpha,

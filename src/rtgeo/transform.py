@@ -13,6 +13,7 @@ from .calculus import (
     MatrixForm,
     coderivative,
     connection_form,
+    d_one_form,
     exterior_derivative,
     form_to_connection,
     laplacian,
@@ -42,7 +43,6 @@ class TransformBundle:
     map: CoordinateMap
     jac: JacobianField
     curl_residual: float = 0.0
-    coverage: float = 1.0
 
     @property
     def x_chart(self):
@@ -55,19 +55,12 @@ class TransformBundle:
 
 def row_curl_residual(chart, J):
     """C0 norm of d(row) for each Jacobian row viewed as a 1-form."""
-    worst = 0.0
-    for mu in range(chart.n):
-        for i in range(chart.n):
-            for j in range(i + 1, chart.n):
-                c = chart.deriv(J[..., mu, j], i) - chart.deriv(J[..., mu, i], j)
-                worst = max(worst, float(np.abs(c).max()))
-    return worst
+    return float(np.abs(d_one_form(chart, J)).max())
 
 
 def jacobian_grad(chart, J):
     """dJ as a matrix 1-form: (dJ)[a, nu, rho] = D_rho J[a, nu] (form index last)."""
-    vals = np.stack([chart.deriv(J, rho) for rho in range(chart.n)], axis=-1)
-    return MatrixForm(chart, 1, vals)
+    return MatrixForm(chart, 1, chart.grad(J))
 
 
 def split_transform(conn, J, Jinv=None):
@@ -228,10 +221,9 @@ def build_bundle(chart_x, J, forward=None, y_chart=None, basepoint_index=None, t
     """
     jac = JacobianField(chart_x, J)
     if forward is None:
-        forward, disc, Q = integrate_jacobian(jac, basepoint_index, tau_curl)
+        forward, disc, _ = integrate_jacobian(jac, basepoint_index, tau_curl)
     else:
         disc = row_curl_residual(chart_x, J)
-        Q = chart_x.nodes[tuple(basepoint_index or [r // 2 for r in chart_x.res])]
     strict = y_chart is None
     if y_chart is None:
         y_chart = inscribed_y_chart(chart_x, forward)
@@ -249,11 +241,9 @@ def build_bundle(chart_x, J, forward=None, y_chart=None, basepoint_index=None, t
         y_chart=y_chart,
         forward=forward,
         inverse=inverse,
-        basepoint=Q,
-        image_of_q=interpolate(GridField(chart_x, forward), Q),
         roundtrip_error=rt,
     )
-    return TransformBundle(map=cmap, jac=jac, curl_residual=disc, coverage=1.0)
+    return TransformBundle(map=cmap, jac=jac, curl_residual=disc)
 
 
 def identity_bundle(chart):
@@ -331,11 +321,11 @@ def pushforward_curve(curve, bundle, direction="forward"):
 
     if direction == "forward":
         pos = bundle.map.forward_at(curve.positions, clip=True)
-        Jc = interpolate(GridField(bundle.x_chart, bundle.jac.J), curve.positions, clip=True)
+        Jc = bundle.jac.at(curve.positions, clip=True)
         vel = np.einsum("tmn,tn->tm", Jc, curve.velocities)
     else:
         pos = bundle.map.inverse_at(curve.positions, clip=True)
-        Jc = interpolate(GridField(bundle.x_chart, bundle.jac.J), pos, clip=True)
+        Jc = bundle.jac.at(pos, clip=True)
         vel = np.linalg.solve(Jc, curve.velocities[..., None])[..., 0]
     return Curve(
         times=curve.times.copy(),
@@ -353,7 +343,7 @@ def transform_force(force, bundle):
 
     def wrapped(t, y, w):
         x = bundle.map.inverse_at(np.asarray(y, dtype=float), clip=True)
-        Jx = interpolate(GridField(bundle.x_chart, bundle.jac.J), x, clip=True)
+        Jx = bundle.jac.at(x, clip=True)
         v = np.linalg.solve(Jx, np.asarray(w, dtype=float))
         return Jx @ force(t, x, v)
 

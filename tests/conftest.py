@@ -3,6 +3,7 @@ import pytest
 
 from rtgeo.charts import Chart, connection_field
 from rtgeo.harness import Scenario, generate_scenario, load_config
+from rtgeo.harness import smooth_connection, trig_gradient_jacobian  # noqa: F401  (tests import them from here)
 
 
 @pytest.fixture(scope="session")
@@ -22,29 +23,6 @@ def quadratic_jacobian(chart):
     J[..., 1, 1] = 1.0
     J[..., 1, 0] = X[..., 0]
     return J
-
-
-def trig_gradient_jacobian(chart, amp=(0.04, 0.05)):
-    """Gradient rows of a trigonometric potential: exactly curl-free samples."""
-    X = chart.nodes
-    u = X.copy()
-    u[..., 0] = X[..., 0] + amp[0] * np.sin(2.1 * X[..., 0] + 0.3) * np.cos(1.7 * X[..., 1])
-    u[..., 1] = X[..., 1] + amp[1] * np.cos(1.3 * X[..., 0]) * np.sin(1.9 * X[..., 1] + 0.5)
-    J = np.stack(
-        [np.stack([chart.deriv(u[..., m], nu) for nu in range(2)], axis=-1) for m in range(2)],
-        axis=-2,
-    )
-    return J, u
-
-
-def smooth_connection(chart, amp=0.3):
-    X = chart.nodes
-    vals = np.zeros(chart.res + (2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                vals[..., a, b, c] = amp * np.sin((1 + a) * X[..., 0] + 0.5 * (1 + b) * X[..., 1] + 0.2 * c)
-    return connection_field(chart, vals)
 
 
 def flat_disguise_connection(chart):

@@ -198,6 +198,39 @@ def test_jacobian_field_invariants(unit_chart):
         JacobianField(unit_chart, bad)
 
 
+def test_jacobian_field_at_interpolates_samples(unit_chart):
+    rng = np.random.default_rng(12)
+    J = np.eye(2) + 0.1 * rng.standard_normal(unit_chart.res + (2, 2))
+    jf = JacobianField(unit_chart, J)
+    pts = rng.uniform(-0.2, 1.2, size=(50, 2))
+    want = interpolate(GridField(unit_chart, J), pts, clip=True)
+    assert jf.at(pts, clip=True).tobytes() == want.tobytes()
+    assert jf.at(pts[0], clip=True).shape == (2, 2)
+    with pytest.raises(DomainExit):
+        jf.at(np.array([1.2, 0.5]))
+
+
+@pytest.mark.parametrize("res", [(33, 33), (65, 65), (9, 10, 11)], ids=["n=2-33", "n=2-65", "n=3"])
+def test_chart_grad_matches_per_column_stacks(res):
+    chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
+    n = chart.n
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(chart.res + (n,))  # vector components: samples of a map
+    J = rng.standard_normal(chart.res + (n, n))  # matrix components: Jacobian samples
+    # the Jacobian of a map, as the double stack over (component, axis)
+    jac = np.stack(
+        [np.stack([chart.deriv(u[..., mu], nu) for nu in range(n)], axis=-1) for mu in range(n)],
+        axis=-2,
+    )
+    assert chart.grad(u).tobytes() == jac.tobytes()
+    # dJ, one derivative per (row, column, axis)
+    dJ = np.empty(J.shape + (n,))
+    for a, b, rho in np.ndindex(n, n, n):
+        dJ[..., a, b, rho] = chart.deriv(J[..., a, b], rho)
+    assert chart.grad(J).shape == chart.res + (n, n, n)
+    assert chart.grad(J).tobytes() == dJ.tobytes()
+
+
 def test_csv_roundtrip_bit_exact(tmp_path, unit_chart):
     rng = np.random.default_rng(11)
     f = GridField(unit_chart, rng.standard_normal(unit_chart.res + (2, 2)), ("up", "down"))

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from rtgeo import geodesics
-from rtgeo.charts import Chart, ForceField, connection_field, interpolate
-from rtgeo.errors import DomainExit, RtgeoError
+from rtgeo import cli, geodesics, rt_solver
+from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
+from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
 from rtgeo.geodesics import (
     GeodesicProblem,
     convergence_report,
@@ -16,7 +18,9 @@ from rtgeo.geodesics import (
     unit_ball_volume,
     weak_solution_pipeline,
 )
-from rtgeo.harness import sphere_christoffel, sphere_geodesic
+from rtgeo.harness import load_config, sphere_christoffel, sphere_geodesic
+from rtgeo.rt_solver import RTConfig
+from rtgeo.transform import pushforward_curve
 
 from conftest import flat_disguise_connection
 
@@ -255,6 +259,78 @@ def test_pipeline_coordinate_invariance(flat_gen):
     res = weak_solution_pipeline(flat_gen.conn_x, prob)
     direct = solve_geodesic(prob, "rk4")
     assert res.curve.c1_distance(direct) < 1e-6
+
+
+CONFIG_GENS = {"flat_disguise": "flat_gen", "sphere": "sphere_gen", "rough_beta06": "rough_gen"}
+
+
+def force_subchart_retry(monkeypatch, full_chart):
+    """Make the RT solve fail on the full chart, so the sub-chart retry runs."""
+    real = rt_solver._solve_on_chart
+
+    def solve(conn, *args, **kwargs):
+        if conn.chart == full_chart:
+            raise SolverError("forced failure on the full chart")
+        return real(conn, *args, **kwargs)
+
+    monkeypatch.setattr(rt_solver, "_solve_on_chart", solve)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_GENS))
+def test_pipeline_names_initial_data_stage(config, request, monkeypatch):
+    # after a sub-chart retry the config's x0 lies off the half-radius x-chart;
+    # the push of the initial data must fail inside a named stage
+    gen = request.getfixturevalue(CONFIG_GENS[config])
+    scn = gen.scenario
+    _, rt_kwargs = load_config(f"configs/{config}.cfg")
+    force_subchart_retry(monkeypatch, gen.conn_x.chart)
+    prob = GeodesicProblem(gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), interval=scn.interval)
+    with pytest.raises(StageError) as err:
+        weak_solution_pipeline(gen.conn_x, prob, rt_config=RTConfig(**rt_kwargs))
+    assert err.value.stage == "initial_data"
+    assert isinstance(err.value.cause, DomainExit)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_GENS))
+def test_pipeline_subchart_retry_matches_hand_sliced_pass(config, request, monkeypatch, tmp_path, capsys):
+    """Guard for the retry path: the pipeline and ``rtgeo rt-solve`` after a forced
+    sub-chart retry are byte-equal to a pass written out on the hand-sliced sub-chart."""
+    gen = request.getfixturevalue(CONFIG_GENS[config])
+    scn, conn, full = gen.scenario, gen.conn_x, gen.conn_x.chart
+    _, rt_kwargs = load_config(f"configs/{config}.cfg")
+    cfg = RTConfig(**rt_kwargs)
+    force_subchart_retry(monkeypatch, full)
+    x0, v0 = 0.5 * (full.lo + full.hi), np.asarray(scn.v0)
+    prob = GeodesicProblem(conn, scn.t0, x0, v0, interval=scn.interval)
+    res = weak_solution_pipeline(conn, prob, rt_config=cfg)
+
+    sub, slc = full.sub_chart(0.5)
+    sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
+
+    def hand_pass(rt_cfg):
+        state = rt_solver.solve_reduced_rt(sub_conn, rt_cfg)  # the sub-chart is let through
+        bundle = rt_solver.rt_bundle(state)
+        tilde = rt_solver.assemble_gamma_tilde(sub_conn, state)
+        return state, bundle, rt_solver.optimal_connection(tilde, bundle)
+
+    state, bundle, conn_y = hand_pass(cfg)
+    y0 = bundle.map.forward_at(x0)
+    w0 = interpolate(GridField(bundle.x_chart, bundle.jac.J), x0) @ v0
+    curve_y = solve_geodesic(GeodesicProblem(conn_y, scn.t0, y0, w0, interval=scn.interval), "rk4")
+    curve = pushforward_curve(curve_y, bundle, direction="backward")
+
+    assert res.provenance["rt"] == {**state.summary(), "used_subchart": True}
+    assert res.bundle.x_chart == sub
+    assert res.conn_y.chart == conn_y.chart
+    assert res.conn_y.values.tobytes() == conn_y.values.tobytes()
+    for name in ("times", "positions", "velocities"):
+        assert getattr(res.curve, name).tobytes() == getattr(curve, name).tobytes()
+
+    field = tmp_path / "gamma_x.csv"
+    dump_field(conn, field)
+    assert cli.main(["rt-solve", str(field)]) == 0
+    state, _, _ = hand_pass(RTConfig())
+    assert capsys.readouterr().out == json.dumps({**state.summary(), "used_subchart": True}, sort_keys=True) + "\n"
 
 
 # -- mollified family ---------------------------------------------------------

@@ -1,5 +1,5 @@
 """Kernel checks: the Hölder offset sweep against an all-pairs reference,
-and the jitted mollification kernel against its numpy fallback."""
+and mollification against a direct normalized convolution."""
 
 import os
 import subprocess
@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rtgeo import _kernels
-from rtgeo.calculus import bump_kernel
-from rtgeo.charts import Chart
+from rtgeo.calculus import bump_kernel, mollify
+from rtgeo.charts import Chart, GridField
 from rtgeo.errors import ShapeError
 
 
@@ -91,14 +91,23 @@ def test_holder_rejects_scattered_nodes():
 
 
 def test_mollify_paths_agree():
-    chart = Chart((0.0, 0.0), (1.0, 1.0), (33, 33))
+    # calculus.mollify (the ndimage path, or the jitted n = 2 loop when numba
+    # is installed) against a direct normalized zero-fill convolution, n = 2, 3
     rng = np.random.default_rng(2)
-    field = np.ascontiguousarray(rng.standard_normal(chart.res + (2,)))
-    kern = bump_kernel(chart, 1 / 8)
-    a = _kernels._mollify2_numpy(field, kern)
-    if _kernels.HAVE_NUMBA:
-        b = _kernels._mollify2_jit(field, kern)
-        assert np.abs(a - b).max() < 1e-12
+    for res in ((33, 33), (17, 18, 19)):
+        chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
+        fld = GridField(chart, rng.standard_normal(chart.res + (2,)))
+        kern = bump_kernel(chart, 1 / 8)
+        rad = [k // 2 for k in kern.shape]
+        padded = np.pad(fld.values, [(r, r) for r in rad] + [(0, 0)])
+        ones = np.pad(np.ones(chart.res), [(r, r) for r in rad])
+        num, den = np.zeros(fld.values.shape), np.zeros(chart.res)
+        for off in np.ndindex(kern.shape):  # the bump is symmetric: no kernel flip needed
+            window = tuple(slice(o, o + m) for o, m in zip(off, chart.res))
+            num += kern[off] * padded[window]
+            den += kern[off] * ones[window]
+        got = mollify(fld, 1 / 8).values
+        assert np.abs(got - num / den[..., None]).max() < 1e-12
 
 
 def test_env_flag_disables_numba():
