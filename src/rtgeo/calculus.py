@@ -12,7 +12,7 @@ Sign conventions (fixed once, asserted by tests):
                       Delta[(x1)^2 + (x2)^2] = -4 at n = 2)
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 
 import numpy as np
@@ -105,18 +105,11 @@ def exterior_derivative(w):
 
 def coderivative(w):
     """delta, the Euclidean codifferential: minus-divergence over the form index."""
-    chart, n = w.chart, w.chart.n
     if w.degree == 1:
-        return MatrixForm(chart, 0, delta_one_form(chart, w.values))
+        return MatrixForm(w.chart, 0, delta_one_form(w.chart, w.values))
     if w.degree == 2:
-        full = full_antisymmetric(w)
-        out = np.zeros(w.values.shape[:-1] + (n,))
-        for j in range(n):
-            acc = np.zeros(w.values.shape[:-1])
-            for i in range(n):
-                acc -= chart.deriv(full[..., i, j], i)
-            out[..., j] = acc
-        return MatrixForm(chart, 1, out)
+        # -sum_i D_i w_{ij} = sum_i D_i w_{ji} by antisymmetry
+        return form_divergence(w)
     raise DegreeError("coderivative supports degrees 1 and 2 only")
 
 
@@ -246,18 +239,7 @@ class NormReport:
     pair_floor: float
 
     def to_json(self):
-        return json.dumps(
-            {
-                "p": self.p,
-                "alpha": self.alpha,
-                "lp": self.lp,
-                "w1p": self.w1p,
-                "c0": self.c0,
-                "c0alpha": self.c0alpha,
-                "pair_floor": self.pair_floor,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def lp_norm(fld, p, weights=None):

@@ -154,9 +154,9 @@ class Chart:
         pts = np.atleast_2d(points)
         return np.all((pts >= self.lo + margin) & (pts <= self.hi - margin), axis=-1)
 
-    def sub_chart(self, shrink=0.5):
-        """Centered sub-chart at a fraction of the radius, grid-aligned."""
-        cut = [int(round(r * (1 - shrink) / 2)) for r in self.res]
+    def sub_chart(self):
+        """Centered sub-chart at half the radius, grid-aligned."""
+        cut = [int(round(r * 0.25)) for r in self.res]
         lo = self.lo + np.array([c * self.h[k] for k, c in enumerate(cut)])
         hi = self.hi - np.array([c * self.h[k] for k, c in enumerate(cut)])
         res = tuple(self.res[k] - 2 * cut[k] for k in range(self.n))
@@ -218,7 +218,7 @@ class GridField:
         return GridField(self.chart, self.values.copy() if values is None else values, self.variance)
 
 
-def sample_field(chart, evaluator, comp_shape, variance=()):
+def sample_field(chart, evaluator, comp_shape):
     """Pointwise evaluation of a closed-form evaluator at grid nodes.
 
     ``evaluator(points)`` receives an (N, n) array and must return
@@ -233,7 +233,7 @@ def sample_field(chart, evaluator, comp_shape, variance=()):
         bad = ~np.isfinite(vals.reshape(vals.shape[0], -1)).all(axis=-1)
         first_bad = int(np.where(bad)[0][0])
         raise SamplingError(f"evaluator produced non-finite value at node {pts[first_bad]}")
-    return GridField(chart, vals.reshape(chart.res + tuple(comp_shape)), variance)
+    return GridField(chart, vals.reshape(chart.res + tuple(comp_shape)))
 
 
 def _corner_sum(flat, i0, frac):

@@ -13,9 +13,9 @@ import json
 import numpy as np
 
 from .calculus import (
+    MatrixForm,
     connection_form,
     exterior_derivative,
-    form_pairs,
     full_antisymmetric,
     lp_norm,
     mollify,
@@ -60,8 +60,9 @@ class TestFunction:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
 
-    def check_support(self, chart, margin_cells=1):
-        margin = margin_cells * chart.h.max()
+    def check_support(self, chart):
+        """The support ball must clear the chart boundary by one cell."""
+        margin = chart.h.max()
         lo_ok = np.all(self.center - self.radius >= chart.lo + margin)
         hi_ok = np.all(self.center + self.radius <= chart.hi - margin)
         if not (lo_ok and hi_ok):
@@ -95,12 +96,14 @@ class TestFunction:
         return out
 
 
-def bump_basis(chart, per_axis=5, margin=0.14, overlap=1.6):
+def bump_basis(chart, per_axis=5):
     """Grid of localized bumps covering the chart interior.
 
-    The common radius is capped so every support ball clears the boundary by
-    two cells regardless of resolution.
+    Centers sit inside a 14% inset of each span and neighbouring supports
+    overlap by 60%; the common radius is capped so every support ball clears
+    the boundary by two cells regardless of resolution.
     """
+    margin, overlap = 0.14, 1.6
     spans = chart.hi - chart.lo
     centers_1d = [
         np.linspace(chart.lo[k] + margin * spans[k], chart.hi[k] - margin * spans[k], per_axis)
@@ -123,12 +126,8 @@ def riemann(conn):
     """Strong curvature: Riem = d Gamma + Gamma ^ Gamma (FD evaluation)."""
     w = connection_form(conn)
     two = exterior_derivative(w).values + wedge(w, w).values
-    n = conn.chart.n
-    full = np.zeros(conn.chart.res + (n, n, n, n))
-    for k, (i, j) in enumerate(form_pairs(n)):
-        full[..., i, j] = two[..., k]
-        full[..., j, i] = -two[..., k]
     # axes already ordered [tau=row, mu=col, nu, rho]
+    full = full_antisymmetric(MatrixForm(conn.chart, 2, two))
     return CurvatureField(conn.chart, full, "strong")
 
 
@@ -190,14 +189,13 @@ def represent_weak(conn, basis):
     return CurvatureField(chart, fitted, "weak"), residual
 
 
-def transform_curvature(R, J, Jinv=None):
+def transform_curvature(R, J):
     """Tensor transformation: contraction with undifferentiated Jacobians.
 
     R_x[t,m,n,r] = Jinv[t,d] J[a,m] J[b,n] J[c,r] R_y[d,a,b,c], pointwise on a
     shared grid (point correspondence is the caller's concern).
     """
-    if Jinv is None:
-        Jinv = np.linalg.inv(J)
+    Jinv = np.linalg.inv(J)
     if J.shape[:-2] != R.values.shape[: R.chart.n] and J.ndim != 2:
         raise ShapeError("jacobian samples do not match the curvature grid")
     out = np.einsum("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
@@ -225,7 +223,7 @@ class LemmaReport:
         )
 
 
-def lemma_b1_check(conn_x, bundle, conn_y, basis_per_axis=5, p=4.0, drop_jacobian_factor=False):
+def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     """Tensoriality of the weak curvature under the bundle's coordinate change.
 
     The x-side curvature is first represented over a bump basis (the
@@ -241,7 +239,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, basis_per_axis=5, p=4.0, drop_jacobia
     """
     chart_x = conn_x.chart
     chart_y = conn_y.chart
-    basis_x = bump_basis(chart_x, basis_per_axis)
+    basis_x = bump_basis(chart_x)
     _, res_x = represent_weak(conn_x, basis_x)
     hmax_x = float(chart_x.h.max())
     eps = max(2.05 * hmax_x, min(4.0 * hmax_x, 0.075))

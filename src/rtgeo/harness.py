@@ -9,7 +9,7 @@ import configparser
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +79,13 @@ def sphere_geodesic(x0, v0, times):
     return np.stack([th, ph], axis=1), np.stack([dth, dph], axis=1)
 
 
-def trig_gradient_jacobian(chart, amp=(0.04, 0.05)):
+def trig_gradient_jacobian(chart):
     """Gradient rows of a trigonometric potential u (n = 2), exactly curl-free
     samples; returns (J, u)."""
     X = chart.nodes
     u = X.copy()
-    u[..., 0] = X[..., 0] + amp[0] * np.sin(2.1 * X[..., 0] + 0.3) * np.cos(1.7 * X[..., 1])
-    u[..., 1] = X[..., 1] + amp[1] * np.cos(1.3 * X[..., 0]) * np.sin(1.9 * X[..., 1] + 0.5)
+    u[..., 0] = X[..., 0] + 0.04 * np.sin(2.1 * X[..., 0] + 0.3) * np.cos(1.7 * X[..., 1])
+    u[..., 1] = X[..., 1] + 0.05 * np.cos(1.3 * X[..., 0]) * np.sin(1.9 * X[..., 1] + 0.5)
     return chart.grad(u), u
 
 
@@ -126,10 +126,11 @@ class KinkMap:
         J[..., 1, 1] = 1
         return J
 
-    def inverse(self, pts, iters=80):
+    def inverse(self, pts):
+        """Newton on the first coordinate, 80 iterations."""
         pts = np.atleast_2d(pts)
         x1 = pts[..., 0].copy()
-        for _ in range(iters):
+        for _ in range(80):
             s = x1 - self.a
             f = x1 + self.c * np.abs(s) ** (1 + self.beta) - pts[..., 0]
             df = 1 + self.c * (1 + self.beta) * np.abs(s) ** self.beta
@@ -268,7 +269,7 @@ def generate_scenario(scn):
         cover_inverse = cover_chart.nodes.copy()
     else:
         cover_inverse, _ = invert_map(
-            GridField(chart, forward), cover_chart, J, tau_map=1e-9, max_iter=80, strict=False
+            GridField(chart, forward), cover_chart, J, max_iter=80, strict=False
         )
     cover_map = CoordinateMap(
         x_chart=chart,
@@ -331,7 +332,31 @@ def _ints(s):
     return tuple(int(tok.strip()) for tok in s.split(",") if tok.strip())
 
 
+# (section, key) -> (field, parser); a key absent from the file keeps the
+# dataclass default.  [rt] p sets both Scenario.p and RTConfig.p.
+_SCENARIO_KEYS = {
+    ("scenario", "hidden"): ("hidden", str),
+    ("scenario", "map"): ("map_kind", str),
+    ("scenario", "beta"): ("beta", float),
+    ("scenario", "amplitude"): ("amplitude", float),
+    ("scenario", "shear"): ("shear", float),
+    ("scenario", "kink_position"): ("kink_position", float),
+    ("scenario", "seed"): ("seed", int),
+    ("chart", "lo"): ("chart_lo", _floats),
+    ("chart", "hi"): ("chart_hi", _floats),
+    ("chart", "resolution"): ("resolution", _ints),
+    ("rt", "p"): ("p", float),
+    ("mollify", "epsilons"): ("epsilons", _floats),
+    ("ivp", "t0"): ("t0", float),
+    ("ivp", "x0"): ("x0", _floats),
+    ("ivp", "v0"): ("v0", _floats),
+    ("ivp", "interval"): ("interval", float),
+}
+_RT_KEYS = {"p": float, "max_iters": int, "fixed_point_tol": float, "damping": float}
+
+
 def load_config(path):
+    """Read a scenario config; returns (Scenario, RTConfig keyword arguments)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = cp.read(path)
@@ -339,46 +364,20 @@ def load_config(path):
         raise ConfigurationError(f"malformed config {path}: {e}") from e
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
+    missing = [s for s in ("scenario", "chart", "ivp") if not cp.has_section(s)]
+    if missing:
+        raise ConfigurationError(f"malformed config {path}: missing section(s) {missing}")
     try:
-        sc = cp["scenario"]
-        ch = cp["chart"]
-        ivp = cp["ivp"]
-        scn = Scenario(
-            name=sc.get("name"),
-            hidden=sc.get("hidden", "zero"),
-            map_kind=sc.get("map", "identity"),
-            beta=sc.getfloat("beta", 0.6),
-            amplitude=sc.getfloat("amplitude", 0.3),
-            shear=sc.getfloat("shear", 1.0),
-            kink_position=sc.getfloat("kink_position", 23.0 / 48.0),
-            chart_lo=_floats(ch.get("lo", "0, 0")),
-            chart_hi=_floats(ch.get("hi", "1, 1")),
-            resolution=_ints(ch.get("resolution", "65, 65")),
-            p=cp.getfloat("rt", "p", fallback=2.2),
-            epsilons=_floats(cp.get("mollify", "epsilons", fallback="0.125, 0.0625, 0.03125")),
-            t0=ivp.getfloat("t0", 0.0),
-            x0=_floats(ivp.get("x0", "0.25, 0.35")),
-            v0=_floats(ivp.get("v0", "0.55, 0.30")),
-            interval=ivp.getfloat("interval", 1.0),
-            seed=sc.getint("seed", 7),
-        )
-    except (KeyError, ValueError, configparser.Error) as e:
+        fields = {
+            name: parse(cp[section][key])
+            for (section, key), (name, parse) in _SCENARIO_KEYS.items()
+            if cp.has_option(section, key)
+        }
+        rt_kwargs = {key: parse(cp["rt"][key]) for key, parse in _RT_KEYS.items() if cp.has_option("rt", key)}
+    except (ValueError, configparser.Error) as e:
         raise ConfigurationError(f"malformed config {path}: {e}") from e
-    checks = {}
-    if cp.has_section("checks"):
-        for key, val in cp["checks"].items():
-            checks[key] = val
-    scn.checks = checks
-    rt_kwargs = {}
-    if cp.has_section("rt"):
-        rt = cp["rt"]
-        rt_kwargs = dict(
-            max_iters=rt.getint("max_iters", 200),
-            fixed_point_tol=rt.getfloat("fixed_point_tol", 1e-9),
-            damping=rt.getfloat("damping", 0.6),
-            p=rt.getfloat("p", 2.2),
-        )
-    return scn, rt_kwargs
+    checks = dict(cp["checks"]) if cp.has_section("checks") else {}
+    return Scenario(name=cp["scenario"].get("name"), checks=checks, **fields), rt_kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +449,17 @@ def _identity_stage(gen, scn):
     }
 
 
-def _regularity_ladder(scn, rt_kwargs, grids):
+def _regularity_ladder(scn, rtcfg, grids):
     out = {"grids": list(grids), "w1p_x": [], "w1p_y": []}
     for m in grids:
-        s = Scenario(**{**scn.__dict__, "resolution": (m, m), "checks": {}})
+        s = replace(scn, resolution=(m, m), checks={})
         gen = generate_scenario(s)
         res = weak_solution_pipeline(
             gen.conn_x,
             GeodesicProblem(
                 connection=gen.conn_x, t0=s.t0, x0=np.asarray(s.x0), v0=np.asarray(s.v0), interval=s.interval
             ),
-            rt_config=RTConfig(**rt_kwargs) if rt_kwargs else None,
+            rt_config=rtcfg,
         )
         out["w1p_x"].append(w1p_norm(gen.conn_x, s.p))
         out["w1p_y"].append(w1p_norm(res.conn_y, s.p))
@@ -481,8 +480,8 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(scenario={k: _jsonify_val(v) for k, v in scn.__dict__.items()})
-    rtcfg = RTConfig(**rt_kwargs) if rt_kwargs else RTConfig()
+    report = ExperimentReport(scenario=asdict(scn))
+    rtcfg = RTConfig(**rt_kwargs)
 
     def log(msg):
         if not quiet:
@@ -583,7 +582,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
 
         if scn.checks.get("ladder"):
             grids = _ints(scn.checks["ladder"])
-            lad = timed("regularity_ladder", lambda: _regularity_ladder(scn, rt_kwargs, grids))
+            lad = timed("regularity_ladder", lambda: _regularity_ladder(scn, rtcfg, grids))
             report.stages["regularity_ladder"] = lad
             report.flags["regularity_gain"] = (
                 lad["x_growth"] >= 2.0 and lad["y_variation"] < 0.25
@@ -601,21 +600,9 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             dump_field(gen.conn_x, out / f"{scn.name}_gamma_x.csv")
             dump_field(pipe.conn_y, out / f"{scn.name}_gamma_y.csv")
             dump_curve(pipe.curve, out / f"{scn.name}_curve.csv")
-            (out / f"{scn.name}_report.json").write_text(report.to_json())
-    except StageError as e:
-        report.timings["total"] = time.perf_counter() - t_start
-        if out:
-            (out / f"{scn.name}_report.json").write_text(report.to_json())
-        return report, 1
+    except StageError:
+        pass  # timed() recorded the failed stage, so all_passed() is False
     report.timings["total"] = time.perf_counter() - t_start
     if out:
         (out / f"{scn.name}_report.json").write_text(report.to_json())
     return report, 0 if report.all_passed() else 1
-
-
-def _jsonify_val(v):
-    if isinstance(v, tuple):
-        return list(v)
-    if isinstance(v, dict):
-        return dict(v)
-    return v

@@ -109,7 +109,7 @@ def solve_reduced_rt(conn, cfg=None):
     except (SolverError, JacobianError):
         if not cfg.retry_subchart:
             raise
-        sub, slc = conn.chart.sub_chart(0.5)
+        sub, slc = conn.chart.sub_chart()
         sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
         return _solve_on_chart(sub_conn, cfg, used_subchart=True)
 
@@ -196,7 +196,7 @@ def regularize(conn, cfg, suffix=""):
     return state, bundle, conn_y
 
 
-def optimal_connection(tilde, bundle, y_res=None):
+def optimal_connection(tilde, bundle):
     """Contract Gamma~ with (J, Jinv) and resample onto the y-chart (Eq. 16 push)."""
     chart_x = bundle.x_chart
     y_chart = bundle.y_chart
@@ -210,7 +210,7 @@ def optimal_connection(tilde, bundle, y_res=None):
     return connection_field(y_chart, vals.reshape(y_chart.res + Gt.shape[1:]))
 
 
-def first_rt_residual(tilde, conn, J, B, eps_ladder=None, p=2.2):
+def first_rt_residual(conn, J, B, eps_ladder=None, p=2.2):
     """Residual of the gauge-transformed equation for Gamma~ across a
     mollification ladder.
 

@@ -38,11 +38,10 @@ TAU_MAP = 1e-9    # Newton inversion residual
 
 @dataclass
 class TransformBundle:
-    """Coordinate map plus Jacobian samples and integrability diagnostics."""
+    """Coordinate map plus Jacobian samples."""
 
     map: CoordinateMap
     jac: JacobianField
-    curl_residual: float = 0.0
 
     @property
     def x_chart(self):
@@ -101,26 +100,26 @@ def transform_connection(conn_y, bundle, clip_tolerance=0.0):
     return out, coverage
 
 
-def integrate_jacobian(J_field, basepoint_index=None, tau_curl=TAU_CURL, y_of_q=None):
-    """Integrate J = dy/dx to a forward map by staircase trapezoid paths.
+def integrate_jacobian(J_field):
+    """Integrate J = dy/dx to a forward map by staircase trapezoid paths from
+    the central node Q, with y(Q) = Q.
 
     Two axis orders are integrated; the first is kept, their discrepancy is
-    the path-independence diagnostic.  Raises NonIntegrableError when the row
-    curl exceeds tolerance (the field is not a gradient).
+    the path-independence diagnostic.  Returns (forward, discrepancy).
+    Raises NonIntegrableError when the row curl exceeds TAU_CURL (the field
+    is not a gradient).
     """
     chart = J_field.chart
     J = J_field.J if isinstance(J_field, JacobianField) else J_field.values
     curl = row_curl_residual(chart, J)
     scale = max(float(np.abs(J).max()), 1.0)
-    if curl > tau_curl * scale:
+    if curl > TAU_CURL * scale:
         raise NonIntegrableError(
-            f"row curl residual {curl:.3e} exceeds tau_curl={tau_curl:g} (scale {scale:g})"
+            f"row curl residual {curl:.3e} exceeds tau_curl={TAU_CURL:g} (scale {scale:g})"
         )
     n = chart.n
-    if basepoint_index is None:
-        basepoint_index = tuple(r // 2 for r in chart.res)
-    Q = chart.nodes[tuple(basepoint_index)]
-    yQ = Q.copy() if y_of_q is None else np.asarray(y_of_q, dtype=float)
+    basepoint_index = tuple(r // 2 for r in chart.res)
+    yQ = chart.nodes[basepoint_index]
 
     def cumtrap(f, ax, start):
         out = np.zeros_like(f)
@@ -158,11 +157,11 @@ def integrate_jacobian(J_field, basepoint_index=None, tau_curl=TAU_CURL, y_of_q=
     fwd = staircase(list(range(n)))
     rev = staircase(list(range(n - 1, -1, -1)))
     discrepancy = float(np.abs(fwd - rev).max())
-    return fwd, discrepancy, Q
+    return fwd, discrepancy
 
 
-def invert_map(forward_field, y_chart, J=None, max_iter=60, tau_map=TAU_MAP, damping=1.0, strict=True):
-    """Per-node damped Newton solve of y(x) = target with multilinear interpolation.
+def invert_map(forward_field, y_chart, J, max_iter=60, strict=True):
+    """Per-node Newton solve of y(x) = target with multilinear interpolation.
 
     ``strict=False`` tolerates unreachable targets (y-nodes outside the image
     of the x-chart); those entries are boundary-clamped and only usable when
@@ -173,30 +172,28 @@ def invert_map(forward_field, y_chart, J=None, max_iter=60, tau_map=TAU_MAP, dam
     x = np.clip(targets, chart_x.lo, chart_x.hi)
     for _ in range(max_iter):
         F = interpolate(forward_field, x, clip=True) - targets
-        if np.abs(F).max() < tau_map:
+        if np.abs(F).max() < TAU_MAP:
             break
-        if J is not None:
-            Ji = interpolate(GridField(chart_x, J), x, clip=True)
-            step = np.linalg.solve(Ji, F[..., None])[..., 0]
-        else:
-            step = F
-        x = np.clip(x - damping * step, chart_x.lo, chart_x.hi)
+        Ji = interpolate(GridField(chart_x, J), x, clip=True)
+        step = np.linalg.solve(Ji, F[..., None])[..., 0]
+        x = np.clip(x - step, chart_x.lo, chart_x.hi)
     resid = np.abs(interpolate(forward_field, x, clip=True) - targets)
     worst = float(resid.max())
-    if strict and worst > tau_map * 100:
+    if strict and worst > TAU_MAP * 100:
         node = targets[int(np.argmax(resid.max(axis=-1)))]
         raise InversionError(f"Newton stagnated at residual {worst:.2e} (worst node {node})")
     return x.reshape(y_chart.res + (chart_x.n,)), worst
 
 
-def inscribed_y_chart(chart_x, forward, res=None, inset_frac=0.125, min_cells=4):
-    """Largest axis-aligned rectangle safely inside the image of the inset x-chart.
+def inscribed_y_chart(chart_x, forward):
+    """Largest axis-aligned rectangle safely inside the image of the inset
+    x-chart, on a grid of the x-chart's resolution.
 
-    The inset is a fixed fraction of each span (never below ``min_cells``),
-    so the working neighborhood does not drift with grid resolution.
+    The inset is an eighth of each span (never below 4 cells), so the
+    working neighborhood does not drift with grid resolution.
     """
     n = chart_x.n
-    cells = [max(min_cells, int(round(inset_frac * (chart_x.res[k] - 1)))) for k in range(n)]
+    cells = [max(4, int(round(0.125 * (chart_x.res[k] - 1)))) for k in range(n)]
     sl = tuple(slice(c, -c) for c in cells)
     img = forward[sl]
     lo, hi = [], []
@@ -207,12 +204,10 @@ def inscribed_y_chart(chart_x, forward, res=None, inset_frac=0.125, min_cells=4)
         hi.append(float(high_face.min()))
     if any(h <= l for l, h in zip(lo, hi)):
         raise JacobianError("image of the chart has empty inscribed rectangle")
-    if res is None:
-        res = chart_x.res
-    return Chart(lo, hi, res)
+    return Chart(lo, hi, chart_x.res)
 
 
-def build_bundle(chart_x, J, forward=None, y_chart=None, basepoint_index=None, tau_curl=TAU_CURL):
+def build_bundle(chart_x, J, forward=None, y_chart=None):
     """Assemble a TransformBundle from Jacobian samples (integrating if needed).
 
     With no ``y_chart`` an inscribed rectangle is used and the inverse must
@@ -221,13 +216,11 @@ def build_bundle(chart_x, J, forward=None, y_chart=None, basepoint_index=None, t
     """
     jac = JacobianField(chart_x, J)
     if forward is None:
-        forward, disc, _ = integrate_jacobian(jac, basepoint_index, tau_curl)
-    else:
-        disc = row_curl_residual(chart_x, J)
+        forward, _ = integrate_jacobian(jac)
     strict = y_chart is None
     if y_chart is None:
         y_chart = inscribed_y_chart(chart_x, forward)
-    inverse, inv_resid = invert_map(GridField(chart_x, forward), y_chart, J, strict=strict)
+    inverse, _ = invert_map(GridField(chart_x, forward), y_chart, J, strict=strict)
     # round trip x(y(x)) on interior nodes
     interior = chart_x.nodes[(slice(4, -4),) * chart_x.n].reshape(-1, chart_x.n)
     ypts = interpolate(GridField(chart_x, forward), interior)
@@ -243,7 +236,7 @@ def build_bundle(chart_x, J, forward=None, y_chart=None, basepoint_index=None, t
         inverse=inverse,
         roundtrip_error=rt,
     )
-    return TransformBundle(map=cmap, jac=jac, curl_residual=disc)
+    return TransformBundle(map=cmap, jac=jac)
 
 
 def identity_bundle(chart):
@@ -256,16 +249,16 @@ def identity_bundle(chart):
 # ---------------------------------------------------------------------------
 
 
-def _interior_weights(chart, frac=0.08):
-    """Mask off a fixed physical fraction at the rim (the identities are
-    interior statements; composed one-sided closures lose an order there)."""
+def _interior_weights(chart):
+    """Mask off 8% of each span at the rim (the identities are interior
+    statements; composed one-sided closures lose an order there)."""
     w = np.zeros(chart.res)
-    cells = [max(2, int(round(frac * (chart.res[k] - 1)))) for k in range(chart.n)]
+    cells = [max(2, int(round(0.08 * (chart.res[k] - 1)))) for k in range(chart.n)]
     w[tuple(slice(c, -c) for c in cells)] = 1.0
     return w
 
 
-def coderivative_identity_residual(conn, J, p=4.0, interior_frac=0.08):
+def coderivative_identity_residual(conn, J, p=4.0):
     """L^p residual of: delta Gamma_x = delta Gamma~ - <dJinv; dJ> + Jinv Delta J.
 
     The sign of the inner-product term is forced by the package's pinned
@@ -286,10 +279,10 @@ def coderivative_identity_residual(conn, J, p=4.0, interior_frac=0.08):
         - matrix_inner(dJinv, dJ).values
         + np.einsum("...ma,...an->...mn", Jinv, laplacian(MatrixForm(chart, 0, J)).values)
     )
-    return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart, interior_frac))
+    return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 
-def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False, interior_frac=0.08):
+def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False):
     """L^p residual of: d Gamma_x = d Gamma~ + dJinv ^ dJ  (exact since d dJ = 0)."""
     chart = conn.chart
     Jinv = np.linalg.inv(J)
@@ -300,7 +293,7 @@ def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False, interior_frac=0.0
     rhs = exterior_derivative(wt).values
     if not drop_wedge:
         rhs = rhs + wedge(jacobian_grad(chart, Jinv), jacobian_grad(chart, J)).values
-    return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart, interior_frac))
+    return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 
 def identity_refinement_study(make_case, residual_fn, grids=(33, 65, 129), p=4.0):

@@ -304,7 +304,7 @@ def test_pipeline_subchart_retry_matches_hand_sliced_pass(config, request, monke
     prob = GeodesicProblem(conn, scn.t0, x0, v0, interval=scn.interval)
     res = weak_solution_pipeline(conn, prob, rt_config=cfg)
 
-    sub, slc = full.sub_chart(0.5)
+    sub, slc = full.sub_chart()
     sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
 
     def hand_pass(rt_cfg):

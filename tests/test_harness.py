@@ -8,6 +8,7 @@ import pytest
 from rtgeo.charts import GridField, dump_field
 from rtgeo.errors import ConfigurationError
 from rtgeo.harness import Scenario, generate_scenario, load_config, run_experiment
+from rtgeo.rt_solver import RTConfig
 
 
 def test_generate_flat_disguise_closed_form(flat_gen):
@@ -53,6 +54,19 @@ def test_config_parse_all_fields(tmp_path):
     assert scn.checks.get("ladder") == "33, 65, 129"
 
 
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    minimal = tmp_path / "minimal.cfg"
+    minimal.write_text("[scenario]\nname = bare\n[chart]\n[ivp]\n")
+    scn, rtk = load_config(minimal)
+    assert scn == Scenario(name="bare")
+    assert RTConfig(**rtk) == RTConfig()
+    only_p = tmp_path / "only_p.cfg"
+    only_p.write_text("[scenario]\nname = bare\n[chart]\n[ivp]\n[rt]\np = 3.5\n")
+    scn, rtk = load_config(only_p)
+    assert scn.p == 3.5
+    assert RTConfig(**rtk) == RTConfig(p=3.5)
+
+
 def test_config_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario\nname = oops\n")
@@ -95,7 +109,9 @@ def test_run_experiment_artifacts(tmp_path):
     assert (tmp_path / "flat_disguise_gamma_x.csv").exists()
     assert (tmp_path / "flat_disguise_gamma_y.csv").exists()
     assert (tmp_path / "flat_disguise_curve.csv").exists()
-    payload = json.loads((tmp_path / "flat_disguise_report.json").read_text())
+    text = (tmp_path / "flat_disguise_report.json").read_text()
+    assert text == rep.to_json()
+    payload = json.loads(text)
     assert payload["failed_stage"] == ""
     assert all(payload["flags"].values())
 

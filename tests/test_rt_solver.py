@@ -62,7 +62,7 @@ def test_rt_jacobian_integrable(rough_rt_state):
     assert state.curl_residual < 1e-9
     from rtgeo.charts import JacobianField
 
-    fwd, disc, _ = integrate_jacobian(JacobianField(state.chart, state.J))
+    fwd, disc = integrate_jacobian(JacobianField(state.chart, state.J))
     # path discrepancy is trapezoid-quadrature level even for exact gradients
     assert disc < 10 * float(state.chart.h.max()) ** 2
     # staircase reintegration reproduces the solver's own potentials up to
@@ -124,8 +124,7 @@ def test_rt_flat_disguise_pushes_to_near_zero(unit_chart_65):
 def test_first_rt_residual_zero_state(unit_chart):
     conn = connection_field(unit_chart, np.zeros(unit_chart.res + (2, 2, 2)))
     state = solve_reduced_rt(conn, RTConfig())
-    tilde = assemble_gamma_tilde(conn, state)
-    rows = first_rt_residual(tilde, conn, state.J, state.B, p=2.2)
+    rows = first_rt_residual(conn, state.J, state.B, p=2.2)
     assert rows[0]["residual"] < 1e-8
 
 
@@ -137,17 +136,15 @@ def test_first_rt_residual_flat_refinement():
         chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
         conn = flat_disguise_connection(chart)
         state = solve_reduced_rt(conn, RTConfig())
-        tilde = assemble_gamma_tilde(conn, state)
-        res[m] = first_rt_residual(tilde, conn, state.J, state.B, p=2.2)[0]["residual"]
+        res[m] = first_rt_residual(conn, state.J, state.B, p=2.2)[0]["residual"]
     # smooth data: residual is discretization level and does not grow
     assert res[65] <= res[33] + 1e-9
 
 
 def test_first_rt_residual_cancellation_witness(rough_gen, rough_rt_state):
     state = rough_rt_state
-    tilde = assemble_gamma_tilde(rough_gen.conn_x, state)
     rows = first_rt_residual(
-        tilde, rough_gen.conn_x, state.J, state.B, eps_ladder=[1 / 8, 1 / 16, 1 / 32], p=2.2
+        rough_gen.conn_x, state.J, state.B, eps_ladder=[1 / 8, 1 / 16, 1 / 32], p=2.2
     )
     residuals = [r["residual"] for r in rows]
     growth = [r["delta_gamma_lp"] for r in rows]

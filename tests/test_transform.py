@@ -138,14 +138,14 @@ def test_dgamma_negative_control(unit_chart_65):
 
 def test_integrate_identity(unit_chart):
     eye = np.broadcast_to(np.eye(2), unit_chart.res + (2, 2)).copy()
-    fwd, disc, Q = integrate_jacobian(JacobianField(unit_chart, eye))
+    fwd, disc = integrate_jacobian(JacobianField(unit_chart, eye))
     assert np.abs(fwd - unit_chart.nodes).max() < 1e-12
     assert disc < 1e-12
 
 
 def test_integrate_quadratic_exact(unit_chart_65):
     J = quadratic_jacobian(unit_chart_65)
-    fwd, disc, Q = integrate_jacobian(JacobianField(unit_chart_65, J))
+    fwd, disc = integrate_jacobian(JacobianField(unit_chart_65, J))
     X = unit_chart_65.nodes
     want1 = X[..., 0]
     # basepoint-anchored antiderivative of x1 dx1 along the staircase
@@ -176,7 +176,8 @@ def test_row_curl_zero_for_gradients(unit_chart_65):
 
 def test_invert_identity(unit_chart):
     fwd = GridField(unit_chart, unit_chart.nodes.copy())
-    inv, resid = invert_map(fwd, unit_chart)
+    eye = np.broadcast_to(np.eye(2), unit_chart.res + (2, 2))
+    inv, resid = invert_map(fwd, unit_chart, eye)
     assert np.abs(inv - unit_chart.nodes).max() < 1e-9
     assert resid < 1e-9
 
