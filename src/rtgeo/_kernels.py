@@ -35,12 +35,14 @@ except ImportError:
 # pairwise Hölder quotient: max over node pairs with |u-v| >= floor of
 # |f(u)-f(v)|_2 / |u-v|^alpha, on the nodes of a product grid.  All pairs
 # with the same index offset share one slice difference, so the sweep runs
-# over offsets: a cheap per-offset upper bound first, then the exact pair
-# arithmetic on the few offsets whose bound can still win.
+# over offsets, each bound tighter and dearer than the last: a leg bound
+# from one table of axis-aligned differences, then the per-offset bound on
+# the offsets the leg bound cannot rule out, then the exact pair arithmetic
+# on the few offsets whose per-offset bound can still win.
 # ---------------------------------------------------------------------------
 
-# Relative slack between an offset's bound and its exact pair quotients; it
-# covers only the rounding of the two differently ordered computations.
+# Relative slack between a bound and the exact pair quotients it bounds; it
+# covers only the rounding of the differently ordered computations.
 _BOUND_SLACK = 1e-9
 
 
@@ -91,27 +93,56 @@ def holder_pair_max(coords, vals, alpha, floor):
         return 0.0
     axes = _grid_axes(coords)
     res = tuple(len(x) for x in axes)
+    n = len(res)
     f2 = floor * floor
     offs = _half_space_offsets(res)
     # extreme per-axis squared separations at each |d_k|, summed in the pair
     # arithmetic's order: the offset's smallest and largest pair distances
     ext = []
     for x in axes:
-        sq = [(x[j:] - x[: len(x) - j]) ** 2 for j in range(len(x))]
-        ext.append((np.array([v.min() for v in sq]), np.array([v.max() for v in sq])))
+        ends = np.add.outer(np.arange(len(x)), np.arange(len(x)))  # [|d_k|, p]: p + |d_k|
+        sq = (x[np.minimum(ends, len(x) - 1)] - x) ** 2
+        on = ends < len(x)
+        ext.append((np.where(on, sq, np.inf).min(axis=1), np.where(on, sq, -np.inf).max(axis=1)))
     span = np.abs(offs)
     d2_lo = np.stack([lo[span[:, k]] for k, (lo, _) in enumerate(ext)], axis=-1).sum(-1)
     d2_hi = np.stack([hi[span[:, k]] for k, (_, hi) in enumerate(ext)], axis=-1).sum(-1)
+    scale = np.maximum(d2_lo, f2) ** (0.5 * alpha)
 
-    # pass 1: max_p |F[p+d] - F[p]| per offset, on component-major slices
+    # legs: leg2[k][j] = max_p |F[p + j e_k] - F[p]|^2, on component-major
+    # slices.  A staircase path from p to p + d inside their box gives
+    # |F[p+d] - F[p]| <= sum_k leg(|d_k|), which bounds every offset at once.
     F = np.moveaxis(vals.reshape(res + (-1,)), -1, 0).copy()
     every = (slice(None),)
-    bound = np.zeros(len(offs))
-    for i in np.flatnonzero(d2_hi >= f2):  # offsets with no pair above the floor add 0
-        far, near = _pair_slices(offs[i])
+
+    def offset_max2(d):
+        far, near = _pair_slices(d)
         diff = F[every + far] - F[every + near]
-        bound[i] = np.einsum("c...,c...->...", diff, diff).max()
-    bound = np.sqrt(bound) / np.maximum(d2_lo, f2) ** (0.5 * alpha)
+        return np.einsum("c...,c...->...", diff, diff).max()
+
+    leg2 = [
+        np.array([0.0] + [offset_max2((0,) * k + (j,) + (0,) * (n - 1 - k)) for j in range(1, r)])
+        for k, r in enumerate(res)
+    ]
+    legs = [leg2[k][span[:, k]] for k in range(n)]
+    leg_bound = sum(np.sqrt(g) for g in legs) / scale
+
+    # pass 1: the per-offset bound max_p |F[p+d] - F[p]| / max(d2_lo, f2)^(a/2);
+    # an axis-aligned offset's maximum is its leg.  An offset whose pairs all
+    # clear the floor proves the result is at least its maximum over its
+    # largest pair distance (``reach`` is that factor): ``low``.  The other
+    # offsets go best leg bound first, until no leg bound reaches ``low``.
+    aligned = (span != 0).sum(axis=1) == 1
+    m2 = np.where(aligned, sum(legs), 0.0)
+    reach = np.where(d2_lo >= f2, (1.0 - _BOUND_SLACK) / d2_hi ** (0.5 * alpha), 0.0)
+    low = float((np.sqrt(m2) * reach).max())
+    walk = np.flatnonzero(~aligned & (d2_hi >= f2))  # offsets with no pair above the floor add 0
+    for i in walk[np.argsort(-leg_bound[walk], kind="stable")]:
+        if leg_bound[i] == 0.0 or leg_bound[i] * (1.0 + _BOUND_SLACK) < low:
+            break
+        m2[i] = offset_max2(offs[i].tolist())
+        low = max(low, float(np.sqrt(m2[i]) * reach[i]))
+    bound = np.where(d2_hi >= f2, np.sqrt(m2) / scale, 0.0)
 
     # pass 2: exact pair quotients, best bound first, until no bound can win
     V = vals.reshape(res + (-1,))

@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import lp_norm, mollify, norm_report, w1p_norm
-from .charts import (
-    Chart,
-    CoordinateMap,
-    GridField,
-    JacobianField,
-    connection_field,
-    dump_curve,
-    dump_field,
-)
+from .charts import Chart, GridField, connection_field, dump_curve, dump_field
 from .curvature import lemma_b1_check
 from .errors import ConfigurationError, RtgeoError, StageError
 from .geodesics import (
@@ -36,7 +28,7 @@ from .geodesics import (
     weak_solution_pipeline,
 )
 from .rt_solver import RTConfig
-from .transform import TransformBundle, build_bundle, invert_map, transform_connection
+from .transform import TransformBundle, build_bundle, transform_connection
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +247,12 @@ def generate_scenario(scn):
     forward = mp.forward(pts).reshape(chart.res + (chart.n,))
     J = mp.jacobian(pts).reshape(chart.res + (chart.n, chart.n))
 
-    # covering y-chart for the pullback direction; the identity map reuses
-    # the chart itself so pullback interpolation lands on grid nodes
+    # checker-facing bundle with an inscribed y-chart (for tensoriality checks)
+    hidden_bundle = build_bundle(chart, J, forward=forward)
+    conn_y_true = _hidden_connection(scn, hidden_bundle.y_chart)
+
+    # covering y-chart for the pullback, which needs y(x) and J only; the
+    # identity map reuses the chart itself so interpolation lands on nodes
     if scn.map_kind == "identity":
         cover_chart = chart
     else:
@@ -264,25 +260,7 @@ def generate_scenario(scn):
         ylo = forward.reshape(-1, chart.n).min(axis=0) - margin
         yhi = forward.reshape(-1, chart.n).max(axis=0) + margin
         cover_chart = Chart(ylo, yhi, chart.res)
-    conn_y_cover = _hidden_connection(scn, cover_chart)
-    if scn.map_kind == "identity":
-        cover_inverse = cover_chart.nodes.copy()
-    else:
-        cover_inverse, _ = invert_map(
-            GridField(chart, forward), cover_chart, J, max_iter=80, strict=False
-        )
-    cover_map = CoordinateMap(
-        x_chart=chart,
-        y_chart=cover_chart,
-        forward=forward,
-        inverse=cover_inverse,
-    )
-    cover_bundle = TransformBundle(map=cover_map, jac=JacobianField(chart, J))
-    conn_x, _ = transform_connection(conn_y_cover, cover_bundle)
-
-    # checker-facing bundle with an inscribed y-chart (for tensoriality checks)
-    hidden_bundle = build_bundle(chart, J, forward=forward)
-    conn_y_true = _hidden_connection(scn, hidden_bundle.y_chart)
+    conn_x, _ = transform_connection(_hidden_connection(scn, cover_chart), forward, hidden_bundle.jac)
 
     x0 = np.asarray(scn.x0, dtype=float)
     v0 = np.asarray(scn.v0, dtype=float)
@@ -367,6 +345,9 @@ def load_config(path):
     missing = [s for s in ("scenario", "chart", "ivp") if not cp.has_section(s)]
     if missing:
         raise ConfigurationError(f"malformed config {path}: missing section(s) {missing}")
+    name = cp["scenario"].get("name", "").strip()
+    if not name:
+        raise ConfigurationError(f"malformed config {path}: [scenario] has no 'name' (it names every artifact)")
     try:
         fields = {
             name: parse(cp[section][key])
@@ -377,7 +358,7 @@ def load_config(path):
     except (ValueError, configparser.Error) as e:
         raise ConfigurationError(f"malformed config {path}: {e}") from e
     checks = dict(cp["checks"]) if cp.has_section("checks") else {}
-    return Scenario(name=cp["scenario"].get("name"), checks=checks, **fields), rt_kwargs
+    return Scenario(name=name, checks=checks, **fields), rt_kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +430,22 @@ def _identity_stage(gen, scn):
     }
 
 
-def _regularity_ladder(scn, rtcfg, grids):
+def _regularity_ladder(scn, rtcfg, grids, own):
+    """W^{1,p} of Gamma_x and Gamma_y across the grid ladder; ``own`` is the
+    run's (Gamma_x, Gamma_y), which the rung at the run's resolution reads."""
     out = {"grids": list(grids), "w1p_x": [], "w1p_y": []}
     for m in grids:
-        s = replace(scn, resolution=(m, m), checks={})
-        gen = generate_scenario(s)
-        res = weak_solution_pipeline(
-            gen.conn_x,
-            GeodesicProblem(
-                connection=gen.conn_x, t0=s.t0, x0=np.asarray(s.x0), v0=np.asarray(s.v0), interval=s.interval
-            ),
-            rt_config=rtcfg,
-        )
-        out["w1p_x"].append(w1p_norm(gen.conn_x, s.p))
-        out["w1p_y"].append(w1p_norm(res.conn_y, s.p))
+        if (m, m) == tuple(scn.resolution):
+            conn_x, conn_y = own
+        else:
+            s = replace(scn, resolution=(m, m), checks={})
+            conn_x = generate_scenario(s).conn_x
+            problem = GeodesicProblem(
+                connection=conn_x, t0=s.t0, x0=np.asarray(s.x0), v0=np.asarray(s.v0), interval=s.interval
+            )
+            conn_y = weak_solution_pipeline(conn_x, problem, rt_config=rtcfg).conn_y
+        out["w1p_x"].append(w1p_norm(conn_x, scn.p))
+        out["w1p_y"].append(w1p_norm(conn_y, scn.p))
     out["x_growth"] = out["w1p_x"][-1] / out["w1p_x"][0]
     ys = out["w1p_y"]
     out["y_variation"] = max(ys) / min(ys) - 1.0
@@ -582,7 +565,10 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
 
         if scn.checks.get("ladder"):
             grids = _ints(scn.checks["ladder"])
-            lad = timed("regularity_ladder", lambda: _regularity_ladder(scn, rtcfg, grids))
+            lad = timed(
+                "regularity_ladder",
+                lambda: _regularity_ladder(scn, rtcfg, grids, (gen.conn_x, pipe.conn_y)),
+            )
             report.stages["regularity_ladder"] = lad
             report.flags["regularity_gain"] = (
                 lad["x_growth"] >= 2.0 and lad["y_variation"] < 0.25

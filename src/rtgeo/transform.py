@@ -34,6 +34,7 @@ from .errors import InversionError, JacobianError, NonIntegrableError, ShapeErro
 
 TAU_CURL = 1e-6   # C0 bound on row curls for integrability
 TAU_MAP = 1e-9    # Newton inversion residual
+NEWTON_MAX_ITERS = 60  # Newton steps per map inversion
 
 
 @dataclass
@@ -73,24 +74,26 @@ def split_transform(conn, J, Jinv=None):
     return form_to_connection(MatrixForm(chart, 1, tilde)), inhom
 
 
-def transform_connection(conn_y, bundle, clip_tolerance=0.0):
+def transform_connection(conn_y, forward, jac, clip_tolerance=0.0):
     """Pull a y-connection back to the x-chart by the connection law.
 
-    Values of Gamma_y are interpolated at y(x); the inhomogeneous term is the
-    FD gradient of the bundle's Jacobian on the x-chart.
+    The law reads y(x) and J only, never x(y): ``forward`` holds the samples
+    y(x) on the x-chart ``jac.chart``, where Gamma_y (on ``conn_y.chart``) is
+    interpolated; the inhomogeneous term is the FD gradient of ``jac.J`` on
+    the x-chart.  Returns (Gamma_x, share of y(x) inside the y-chart).
     """
-    chart_x = bundle.x_chart
-    ypts = bundle.map.forward.reshape(-1, chart_x.n)
-    inside = bundle.y_chart.contains(ypts)
+    chart_x, chart_y = jac.chart, conn_y.chart
+    ypts = forward.reshape(-1, chart_x.n)
+    inside = chart_y.contains(ypts)
     coverage = float(inside.mean())
     if coverage < 1.0 - clip_tolerance:
         raise ShapeError(
             f"forward map leaves the y-chart at {np.count_nonzero(~inside)} nodes "
             f"(coverage {coverage:.3f})"
         )
-    gy = interpolate(GridField(bundle.y_chart, conn_y.values), ypts, clip=True)
+    gy = interpolate(GridField(chart_y, conn_y.values), ypts, clip=True)
     gy = gy.reshape(chart_x.res + conn_y.values.shape[chart_x.n :])
-    J, Jinv = bundle.jac.J, bundle.jac.Jinv
+    J, Jinv = jac.J, jac.Jinv
     dJ = jacobian_grad(chart_x, J)
     # homogeneous part: Jinv[m,a] J[b,r] J[g,n] Gy[a,b,g]  (storage [mu, rho, nu]);
     # inhomogeneous: Jinv[m,a] D_rho J[a,nu], dJ stored [a, nu, rho]
@@ -160,8 +163,10 @@ def integrate_jacobian(J_field):
     return fwd, discrepancy
 
 
-def invert_map(forward_field, y_chart, J, max_iter=60, strict=True):
-    """Per-node Newton solve of y(x) = target with multilinear interpolation.
+def invert_map(forward_field, y_chart, J, strict=True):
+    """Per-node Newton solve of y(x) = target with multilinear interpolation,
+    at most NEWTON_MAX_ITERS steps; returns (x at the y-chart's nodes, worst
+    residual).
 
     ``strict=False`` tolerates unreachable targets (y-nodes outside the image
     of the x-chart); those entries are boundary-clamped and only usable when
@@ -170,7 +175,7 @@ def invert_map(forward_field, y_chart, J, max_iter=60, strict=True):
     chart_x = forward_field.chart
     targets = y_chart.nodes.reshape(-1, chart_x.n)
     x = np.clip(targets, chart_x.lo, chart_x.hi)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITERS):
         F = interpolate(forward_field, x, clip=True) - targets
         if np.abs(F).max() < TAU_MAP:
             break

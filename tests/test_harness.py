@@ -76,6 +76,42 @@ def test_config_malformed(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_config_without_name_exits_2(tmp_path):
+    # every artifact is named after the scenario, so a nameless one is refused
+    # before any stage runs
+    nameless = tmp_path / "nameless.cfg"
+    nameless.write_text("[scenario]\nhidden = zero\n[chart]\n[ivp]\n")
+    with pytest.raises(ConfigurationError, match=r"\[scenario\].*'name'"):
+        load_config(nameless)
+    out = _cli("--out", str(tmp_path / "out"), "run", str(nameless))
+    assert out.returncode == 2
+    assert "name" in out.stderr
+    assert not list(tmp_path.rglob("*_report.json"))
+
+
+def test_generate_inverts_only_the_inscribed_chart(monkeypatch):
+    # the pullback reads y(x) and J only: the one Newton inversion left is the
+    # checker's strict inscribed y-chart, and it converges
+    from rtgeo import transform
+
+    residuals = []
+    invert = transform.invert_map
+
+    def counted(*args, **kwargs):
+        out = invert(*args, **kwargs)
+        residuals.append(out[1])
+        return out
+
+    for name, module in list(sys.modules.items()):  # wherever the name was bound
+        if name.startswith("rtgeo") and getattr(module, "invert_map", None) is invert:
+            monkeypatch.setattr(module, "invert_map", counted)
+    for map_kind in ("quadratic", "kink", "identity"):
+        residuals.clear()
+        generate_scenario(Scenario(name=map_kind, map_kind=map_kind, resolution=(33, 33)))
+        assert len(residuals) == 1, map_kind
+        assert max(residuals) < 100 * transform.TAU_MAP, map_kind
+
+
 def test_blinding_tamper(rough_gen):
     # the pipeline consumes only the sampled components; corrupting the
     # hidden bundle must not change its output

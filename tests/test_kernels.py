@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rtgeo import _kernels
-from rtgeo.calculus import bump_kernel, mollify
+from rtgeo.calculus import bump_kernel, mollify, norm_report
 from rtgeo.charts import Chart, GridField
 from rtgeo.errors import ShapeError
 
@@ -26,9 +26,23 @@ def brute_holder(coords, vals, alpha, floor):
     return float(q.max(initial=0.0))
 
 
-def grid_nodes(lo, hi, res):
+def grid_nodes(lo, hi, res, uneven=None):
+    """Product-grid nodes in C order; with a generator ``uneven`` each axis
+    keeps its ends but draws its inner nodes at random."""
     axes = [np.linspace(a, b, r) for a, b, r in zip(lo, hi, res)]
+    if uneven is not None:
+        axes = [np.sort(np.concatenate([x[[0, -1]], uneven.uniform(x[0], x[-1], len(x) - 2)])) for x in axes]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(res))
+
+
+def smooth_values(kind, coords, ncmp, rng):
+    """Affine or trigonometric samples: fields whose maximum the leg bound
+    and the lower-bound certificate settle before most offsets are formed."""
+    n = coords.shape[1]
+    if kind == "affine":
+        return coords @ rng.standard_normal((n, ncmp)) + rng.standard_normal(ncmp)
+    freq = rng.uniform(0.3, 4.0, (n, ncmp))
+    return np.sin(coords @ freq + rng.uniform(0.0, np.pi, ncmp))
 
 
 def test_holder_paths_agree():
@@ -56,17 +70,42 @@ def test_holder_paths_agree():
         assert _kernels.holder_pair_max(coords, vals, alpha, floor) == want
         if kind == 2:
             assert want == 0.0
+    # n = 1..3, smooth fields too, on even and on uneven product grids:
+    # offsets whose pairs straddle the floor, and certificates from pairs
+    # far apart from the ones that hold the maximum
+    rng = np.random.default_rng(1)
+    for trial in range(90):
+        n = 1 + trial % 3
+        res = tuple(int(r) for r in rng.integers(2, (60, 17, 8)[n - 1], size=n))
+        lo = rng.uniform(-2.0, 1.0, n)
+        hi = lo + rng.uniform(0.1, 3.0, n)
+        coords = grid_nodes(lo, hi, res, uneven=rng if trial % 2 else None)
+        ncmp = int(rng.integers(1, 9))
+        kind = ("noise", "affine", "trig")[trial // 3 % 3]
+        if kind == "noise":
+            vals = rng.standard_normal((len(coords), ncmp))
+        else:
+            vals = smooth_values(kind, coords, ncmp, rng)
+        alpha = 1.0 if trial % 4 == 0 else float(rng.uniform(1e-3, 1.0))
+        h = float(((hi - lo) / np.maximum(np.asarray(res) - 1, 1)).max())
+        floor = float(rng.choice([0.5, 1.0, 2.0, 4.0, rng.uniform(0.1, 5.0)])) * h
+        want = brute_holder(coords, vals, alpha, floor)
+        assert _kernels.holder_pair_max(coords, vals, alpha, floor) == want, (trial, kind, res)
 
 
 @st.composite
 def grid_samples(draw):
-    n = draw(st.integers(1, 2))
-    res = tuple(draw(st.lists(st.integers(1, 24 if n == 1 else 7), min_size=n, max_size=n)))
+    n = draw(st.integers(1, 3))
+    res = tuple(draw(st.lists(st.integers(1, (24, 7, 4)[n - 1]), min_size=n, max_size=n)))
     lo = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
     hi = lo + np.array(draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n)))
     coords = grid_nodes(lo, hi, res)
     ncmp = draw(st.integers(1, 4))
-    vals = draw(arrays(np.float64, (len(coords), ncmp), elements=st.floats(-1e3, 1e3)))
+    kind = draw(st.sampled_from(["any", "affine", "trig"]))
+    if kind == "any":
+        vals = draw(arrays(np.float64, (len(coords), ncmp), elements=st.floats(-1e3, 1e3)))
+    else:
+        vals = smooth_values(kind, coords, ncmp, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     alpha = draw(st.floats(1e-3, 1.0))
     floor = draw(st.floats(1e-3, 2.0)) * float((hi - lo).max())
     return coords, vals, alpha, floor
@@ -79,6 +118,26 @@ def test_holder_sweep_matches_all_pairs(sample):
     assert _kernels.holder_pair_max(coords, vals, alpha, floor) == brute_holder(coords, vals, alpha, floor)
 
 
+@pytest.mark.parametrize("config", ["flat_disguise", "sphere", "rough_beta06"])
+def test_holder_sweep_forms_few_offsets(config, monkeypatch):
+    # on each shipped Gamma_x at 65^2 the leg table (128 axis-aligned slices)
+    # and its certificate settle the maximum; the offset sweep alone forms
+    # one slice per offset, about 8,300
+    from rtgeo.harness import generate_scenario, load_config
+
+    scn, _ = load_config(f"configs/{config}.cfg")
+    assert scn.resolution == (65, 65)
+    conn_x = generate_scenario(scn).conn_x
+    formed = []
+    pair_slices = _kernels._pair_slices
+
+    def counted(d):
+        formed.append(d)
+        return pair_slices(d)
+
+    monkeypatch.setattr(_kernels, "_pair_slices", counted)
+    norm_report(conn_x, scn.p, 1 - 2 / scn.p)
+    assert len(formed) <= 200
 def test_holder_rejects_scattered_nodes():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((400, 3))

@@ -46,7 +46,7 @@ def quadratic_bundle(chart, cover=False):
 def test_transform_identity_map(unit_chart_65):
     conn_y = smooth_connection(unit_chart_65)
     bundle = identity_bundle(unit_chart_65)
-    out, coverage = transform_connection(conn_y, bundle)
+    out, coverage = transform_connection(conn_y, bundle.map.forward, bundle.jac)
     assert coverage == 1.0
     assert np.abs(out.values - conn_y.values).max() < 1e-10
 
@@ -63,7 +63,7 @@ def test_transform_zero_linear_map(unit_chart):
     J = np.broadcast_to(A, chart.res + (2, 2)).copy()
     bundle = build_bundle(chart, J, forward=forward, y_chart=y_chart)
     conn_y = connection_field(y_chart, np.zeros(y_chart.res + (2, 2, 2)))
-    out, _ = transform_connection(conn_y, bundle)
+    out, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
     assert np.abs(out.values).max() < 1e-12
 
 
@@ -72,7 +72,7 @@ def test_transform_quadratic_produces_flat_disguise(unit_chart_65):
     # constant component, exactly (FD is exact on the linear jacobian)
     bundle = quadratic_bundle(unit_chart_65, cover=True)
     conn_y = connection_field(bundle.y_chart, np.zeros(bundle.y_chart.res + (2, 2, 2)))
-    out, _ = transform_connection(conn_y, bundle)
+    out, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
     want = flat_disguise_connection(unit_chart_65)
     assert np.abs(out.values - want.values).max() < 1e-11
 
@@ -275,7 +275,7 @@ def test_riemann_commutes_with_transform(unit_chart_65):
     # curvature of the pulled-back connection == tensor-transformed curvature
     bundle = quadratic_bundle(unit_chart_65, cover=True)
     conn_y = smooth_connection(bundle.y_chart, amp=0.2)
-    conn_x, _ = transform_connection(conn_y, bundle)
+    conn_x, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
     R_x = riemann(conn_x)
     R_y = riemann(conn_y)
     ypts = bundle.map.forward.reshape(-1, 2)
@@ -293,7 +293,7 @@ def test_riemann_commutes_with_transform(unit_chart_65):
 def test_transform_group_property(unit_chart_65):
     bundle = quadratic_bundle(unit_chart_65, cover=True)
     conn_y = smooth_connection(bundle.y_chart, amp=0.2)
-    conn_x, _ = transform_connection(conn_y, bundle)
+    conn_x, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
     # analytic inverse bundle on the y-chart (closed-form map and jacobian)
     Y = bundle.y_chart.nodes
     inv_fwd = Y.copy()
@@ -303,7 +303,9 @@ def test_transform_group_property(unit_chart_65):
     Jy[..., 1, 1] = 1.0
     Jy[..., 1, 0] = -Y[..., 0]
     inv_bundle = build_bundle(bundle.y_chart, Jy, forward=inv_fwd, y_chart=bundle.x_chart)
-    conn_back, coverage = transform_connection(conn_x, inv_bundle, clip_tolerance=0.75)
+    conn_back, coverage = transform_connection(
+        conn_x, inv_bundle.map.forward, inv_bundle.jac, clip_tolerance=0.75
+    )
     assert coverage > 0.5
     # compare only where the round trip stays inside the x-chart
     ok = bundle.x_chart.contains(inv_fwd.reshape(-1, 2), margin=0.05).reshape(bundle.y_chart.res)
