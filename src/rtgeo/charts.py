@@ -12,6 +12,7 @@ Index conventions used throughout the package:
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -236,23 +237,40 @@ def sample_field(chart, evaluator, comp_shape):
     return GridField(chart, vals.reshape(chart.res + tuple(comp_shape)))
 
 
+def _corners(pairs, combine, start):
+    """Fold one (lower, upper) pair per axis into one value per grid-cell corner.
+
+    Corner c takes axis k's upper entry when bit k of c is set, so axis 0
+    varies fastest, and its value is ``combine`` applied left to right over
+    the axes from ``start``.
+    """
+    out = [start]
+    for pair in pairs:
+        out = [combine(p, e) for e in pair for p in out]
+    return out
+
+
+def _corner_nodes(i0):
+    """Node index of each corner of the cell whose lower node is ``i0``."""
+    return _corners([(i, i + 1) for i in i0], lambda idx, j: idx + (j,), ())
+
+
+def _corner_weights(frac):
+    """Multilinear weight of each corner at the offsets ``frac`` into the cell:
+    a left-to-right product over the axes (1.0 times the first factor is that factor)."""
+    return _corners([(1 - f, f) for f in frac], operator.mul, 1.0)
+
+
 def _corner_sum(flat, i0, frac):
     """Multilinear corner sum over a grid cell; one entry of ``i0``/``frac`` per axis.
 
-    For one point the entries are ints and floats and ``flat[idx]`` is a
-    (C,) row; for a batch they are index arrays and (N, 1) fraction columns.
-    Corner c takes axis k's upper node when bit k of c is set, each weight is
-    a left-to-right product over the axes (1.0 times the first factor is that
-    factor), and the sum starts from the first corner's term, so a -0.0
-    survives: n = 2 reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
+    For a batch the entries are index arrays and (N, 1) fraction columns.
+    The sum starts from the first corner's term, so a -0.0 survives: n = 2
+    reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
     """
-    corners = [((), 1.0)]  # (index, weight) over the axes so far, axis 0 varying fastest
-    for i, f in zip(i0, frac):
-        ends = ((i, 1 - f), (i + 1, f))
-        corners = [(idx + (j,), w * wj) for j, wj in ends for idx, w in corners]
-    (idx, w), *rest = corners
+    (idx, *nodes), (w, *weights) = _corner_nodes(i0), _corner_weights(frac)
     out = w * flat[idx]
-    for idx, w in rest:
+    for idx, w in zip(nodes, weights):
         out = out + w * flat[idx]
     return out
 
@@ -293,29 +311,40 @@ def point_inside(chart):
 
 
 def point_interpolator(fld):
-    """``x -> interpolate(fld, x).ravel()`` for one point (a 1-D array), bit for bit.
+    """``x -> interpolate(fld, x).ravel().tolist()`` for one point given as a list, bit for bit.
 
-    The chart's geometry is held as Python floats and the values as one
-    contiguous (*res, C) view, so a call pays only the bounds test, the cell
-    index and the corner sum over (C,) rows, not the batch set-up.  The
-    result is the flat (C,) row of components.
+    The chart's geometry is held as Python floats, the bounds test is
+    :func:`point_inside`'s, and the corner sum runs on Python floats over the
+    batch path's :func:`_corner_nodes` and :func:`_corner_weights`, term by
+    term in :func:`_corner_sum`'s order.  A call returns the flat list of the
+    C components.  Each cell's 2^n corner rows are fetched as lists on its
+    first visit and kept for the life of the evaluator, so build a new one
+    after writing to ``fld.values``.
     """
     chart = fld.chart
-    inside = point_inside(chart)
-    geom = list(zip(chart.lo.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
-    flat = np.ascontiguousarray(fld.values.reshape(chart.res + (-1,)))
+    geom = list(zip(chart.lo.tolist(), chart.hi.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
+    flat = fld.values.reshape(chart.res + (-1,))
+    cells = {}
 
     def at(x):
-        xs = x.tolist()
-        if not inside(xs):
-            raise DomainExit(x)
         i0, frac = [], []
-        for xk, (lo, h, top) in zip(xs, geom):
+        for xk, (lo, hi, h, top) in zip(x, geom):
+            if not lo <= xk <= hi:  # point_inside's test
+                raise DomainExit(x)
             t = (xk - lo) / h
             i = min(int(t), top)
             i0.append(i)
             frac.append(t - i)
-        return _corner_sum(flat, i0, frac)
+        key = tuple(i0)
+        rows = cells.get(key)
+        if rows is None:
+            rows = cells[key] = [flat[idx].tolist() for idx in _corner_nodes(i0)]
+        w = _corner_weights(frac)
+        out = [w[0] * a + w[1] * b for a, b in zip(rows[0], rows[1])]
+        for k in range(2, len(w), 2):  # two corners a pass, still one left-to-right sum
+            wa, wb = w[k], w[k + 1]
+            out = [o + wa * a + wb * b for o, a, b in zip(out, rows[k], rows[k + 1])]
+        return out
 
     return at
 

@@ -23,6 +23,7 @@ from .rt_solver import RTConfig, regularize
 from .transform import pushforward_curve
 
 VELOCITY_BALL = 1.0
+_BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
 DEFAULT_INTERVAL = 1.0
 PICARD_MAX_SWEEPS = 400
 
@@ -57,7 +58,6 @@ class Curve:
     method: str = "rk4"
     dt: float = 0.0
     picard_sweeps: int = 0
-    non_uniqueness_candidate: bool = False
 
     @property
     def interval(self):
@@ -71,24 +71,43 @@ class Curve:
         return float(dp + dv)
 
 
-def _gamma_evaluator(problem):
-    """Gamma at one point: the closed form, or the sampled field's point interpolator."""
-    conn = problem.connection
+def _contract(G, v):
+    """``-np.einsum("mrn,r,n->m", G, v, v)`` on Python floats, bit for bit.
+
+    ``G`` is the flat list of the n^3 components and ``v`` a list of n.  Each
+    row is summed in einsum's own order: from 0.0, r outer and n inner, each
+    term (G[m][r][n] * v[r]) * v[n].
+    """
+    out = []
+    i = 0
+    for _ in v:
+        s = 0.0
+        for a in v:
+            for b in v:
+                s = s + G[i] * a * b
+                i += 1
+        out.append(-s)
+    return out
+
+
+def _rhs(problem):
+    """(t, x, v) -> gamma'' on lists of floats.
+
+    Gamma comes from the sampled field's point interpolator; a closed-form
+    connection and a force are called on arrays and their outputs flattened.
+    """
+    conn, force = problem.connection, problem.force
     if callable(conn) and not isinstance(conn, GridField):
-        return conn
-    return point_interpolator(conn)
-
-
-def _rhs(problem, gamma_at):
-    force = problem.force
-    n = len(problem.x0)
+        def gamma_at(x):
+            return np.ravel(conn(np.array(x))).tolist()
+    else:
+        gamma_at = point_interpolator(conn)
+    if force is None:
+        return lambda t, x, v: _contract(gamma_at(x), v)
 
     def F(t, x, v):
-        G = np.asarray(gamma_at(x)).reshape(n, n, n)
-        a = -np.einsum("mrn,r,n->m", G, v, v)
-        if force is not None:
-            a = a + force(t, x, v)
-        return a
+        K = np.ravel(force(t, np.array(x), np.array(v))).tolist()
+        return [a + k for a, k in zip(_contract(gamma_at(x), v), K)]
 
     return F
 
@@ -115,38 +134,66 @@ def solve_forced(problem, method="rk4", dt=None):
     return solve_geodesic(problem, method=method, dt=dt)
 
 
+def _outside_ball(v, v0):
+    """``np.linalg.norm(v - v0) > VELOCITY_BALL`` for lists of floats.
+
+    A Python sum of squares settles the points clearly inside; the rest, and
+    NaN, go to the norm itself, whose BLAS rounding draws the boundary.
+    """
+    d2 = sum((a - b) * (a - b) for a, b in zip(v, v0))
+    if d2 <= _BALL_INSIDE:
+        return False
+    return bool(np.linalg.norm(np.array(v) - np.array(v0)) > VELOCITY_BALL)
+
+
 def _solve_rk4(problem, dt):
+    """Classical fixed-step RK4 on u = (gamma, v).
+
+    The step runs on lists of Python floats, element by element in the
+    order numpy gives the array expressions: stages ``x + (0.5*dt)*k`` and
+    the update ``x + (dt/6) * (((k1 + 2k2) + 2k3) + k4)``, so the curve is
+    bit for bit the array loop's.  A DomainExit in a stage, or a step that
+    ends off the chart or outside the velocity ball, truncates the interval
+    before that step.
+    """
     dt = dt or default_dt(problem)
-    F = _rhs(problem, _gamma_evaluator(problem))
+    F = _rhs(problem)
     inside = (lambda x: True) if problem.chart is None else point_inside(problem.chart)
     steps = int(round(problem.interval / dt))
+    half, sixth = 0.5 * dt, dt / 6
+
+    def axpy(x, a, y):
+        return [p + a * q for p, q in zip(x, y)]
+
+    def advance(x, k1, k2, k3, k4):
+        return [p + sixth * (((a + 2 * b) + 2 * c) + d) for p, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
     t = problem.t0
-    x = problem.x0.copy()
-    v = problem.v0.copy()
-    ts, xs, vs = [t], [x.copy()], [v.copy()]
+    x = problem.x0.tolist()
+    v = v0 = problem.v0.tolist()
+    ts, xs, vs = [t], [x], [v]
     truncated = False
     for _ in range(steps):
         try:
-            k1x, k1v = v, F(t, x, v)
-            k2x = v + 0.5 * dt * k1v
-            k2v = F(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-            k3x = v + 0.5 * dt * k2v
-            k3v = F(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = F(t + dt, x + dt * k3x, k4x)
+            k1v = F(t, x, v)
+            k2x = axpy(v, half, k1v)
+            k2v = F(t + half, axpy(x, half, v), k2x)
+            k3x = axpy(v, half, k2v)
+            k3v = F(t + half, axpy(x, half, k2x), k3x)
+            k4x = axpy(v, dt, k3v)
+            k4v = F(t + dt, axpy(x, dt, k3x), k4x)
         except DomainExit:
             truncated = True
             break
-        xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vn = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        # _last_inside's rule at one node; this 1-D norm rounds through BLAS dot, as before
-        if not inside(xn.tolist()) or np.linalg.norm(vn - problem.v0) > VELOCITY_BALL:
+        xn = advance(x, v, k2x, k3x, k4x)
+        vn = advance(v, k1v, k2v, k3v, k4v)
+        if not inside(xn) or _outside_ball(vn, v0):
             truncated = True
             break
         t, x, v = t + dt, xn, vn
         ts.append(t)
-        xs.append(x.copy())
-        vs.append(v.copy())
+        xs.append(x)
+        vs.append(v)
     if len(ts) == 1 and truncated:
         raise DomainExit(problem.x0)
     return Curve(
@@ -213,8 +260,6 @@ def _solve_picard(problem, dt, tol_ode):
         else:
             grow = 0
         inc_prev = inc
-    lip = 0.0 if closed_form else _grad_max(conn)
-    flag = lip * problem.interval > 50.0
     return Curve(
         times=ts,
         positions=pos,
@@ -223,7 +268,6 @@ def _solve_picard(problem, dt, tol_ode):
         method="picard",
         dt=dt,
         picard_sweeps=sweeps,
-        non_uniqueness_candidate=bool(flag),
     )
 
 

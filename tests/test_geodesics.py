@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtgeo import cli, geodesics, rt_solver
 from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
@@ -456,27 +457,29 @@ def test_gronwall_flat_disguise_envelope(unit_chart_65):
 
 
 def rk4_reference(problem, dt):
-    """The RK4 loop with batch ``interpolate``, ``chart.contains`` and
-    ``np.linalg.norm`` at every step; returns the curve arrays, the truncation
-    flag and which rule stopped it."""
-    fld = problem.connection
+    """The RK4 loop on arrays, with batch ``interpolate`` (or the closed form),
+    ``einsum``, ``chart.contains`` and ``np.linalg.norm`` at every step;
+    returns the curve arrays, the truncation flag and which rule stopped it."""
+    conn, force = problem.connection, problem.force
     n = len(problem.x0)
 
-    def F(x, v):
-        return -np.einsum("mrn,r,n->m", interpolate(fld, x).reshape(n, n, n), v, v)
+    def F(t, x, v):
+        G = conn(x) if callable(conn) else interpolate(conn, x)
+        a = -np.einsum("mrn,r,n->m", np.reshape(G, (n, n, n)), v, v)
+        return a if force is None else a + force(t, x, v)
 
     x, v = problem.x0.copy(), problem.v0.copy()
     ts, xs, vs = [problem.t0], [x.copy()], [v.copy()]
     t, cause = problem.t0, None
     for _ in range(int(round(problem.interval / dt))):
         try:
-            k1x, k1v = v, F(x, v)
+            k1x, k1v = v, F(t, x, v)
             k2x = v + 0.5 * dt * k1v
-            k2v = F(x + 0.5 * dt * k1x, k2x)
+            k2v = F(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
             k3x = v + 0.5 * dt * k2v
-            k3v = F(x + 0.5 * dt * k2x, k3x)
+            k3v = F(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
             k4x = v + dt * k3v
-            k4v = F(x + dt * k3x, k4x)
+            k4v = F(t + dt, x + dt * k3x, k4x)
         except DomainExit:
             cause = "stage"
             break
@@ -521,14 +524,32 @@ SPHERE_IVPS = {
 }
 
 
-@pytest.mark.parametrize("cause", list(SPHERE_IVPS))
-def test_rk4_and_picard_match_reference_on_sphere(cause, monkeypatch):
+def reference_case(case):
+    """The problem and its stopping cause: the sampled sphere per SPHERE_IVPS
+    cause, or one more kind of right-hand side."""
     chart = Chart((np.pi / 4, -0.15), (3 * np.pi / 4, 1.15), (65, 65))
     conn = connection_field(
         chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2))
     )
-    x0, v0 = SPHERE_IVPS[cause]
-    prob = GeodesicProblem(conn, 0.0, x0, v0, interval=1.0)
+    if case in SPHERE_IVPS:
+        return GeodesicProblem(conn, 0.0, *SPHERE_IVPS[case], interval=1.0), case
+    if case == "closed_form":
+        prob = GeodesicProblem(sphere_christoffel, 0.0, [1.726, 0.788], [-2.106, -1.81], chart=chart)
+        return prob, "ball"
+    if case == "forced":
+        drag = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
+        return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=drag), None
+    # n = 3: a smooth sampled field with every component nonzero, on uneven axes
+    chart = Chart((-1.0, -0.5, -0.8), (1.0, 1.2, 0.9), (9, 10, 11))
+    pts = chart.nodes.reshape(-1, 3)
+    waves = np.random.default_rng(3).normal(size=(3, 27))
+    vals = 0.8 * np.sin(pts @ waves + np.arange(27)).reshape(chart.res + (3, 3, 3))
+    return GeodesicProblem(connection_field(chart, vals), 0.0, [0.1, 0.2, 0.0], [1.5, -0.9, 0.5]), "stage"
+
+
+@pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "closed_form", "forced"])
+def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
+    prob, cause = reference_case(case)
     ts, xs, vs, truncated, got_cause = rk4_reference(prob, 1 / 32)
     assert got_cause == cause
     c = solve_geodesic(prob, "rk4", dt=1 / 32)
@@ -543,3 +564,78 @@ def test_rk4_and_picard_match_reference_on_sphere(cause, monkeypatch):
     for a, b in ((p.times, q.times), (p.positions, q.positions), (p.velocities, q.velocities)):
         assert a.tobytes() == b.tobytes()
     assert p.truncated == (cause is not None)
+
+
+# -- the step's scalar pieces against their numpy definitions -----------------
+
+
+def spread_floats():
+    """Signed magnitudes spread over 1e-3 .. 1e3, zeros of either sign included."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1, 1), st.floats(-3, 3))
+
+
+@st.composite
+def contraction_inputs(draw):
+    n = draw(st.integers(1, 4))
+    G = draw(st.lists(spread_floats(), min_size=n ** 3, max_size=n ** 3))
+    v = draw(st.lists(spread_floats(), min_size=n, max_size=n))
+    return G, v
+
+
+def matches_einsum(contract, G, v):
+    n = len(v)
+    want = -np.einsum("mrn,r,n->m", np.reshape(G, (n, n, n)), v, v)
+    got = np.array(contract(G, v))
+    return got.tobytes() == want.tobytes() and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(contraction_inputs())
+def test_contract_matches_einsum(inputs):
+    assert matches_einsum(geodesics._contract, *inputs)
+
+
+def test_contract_check_rejects_other_order():
+    """Negative control: the same sum with n outer and r inner fails the check."""
+
+    def n_outer(G, v):
+        n = len(v)
+        out = []
+        for m in range(n):
+            s = 0.0
+            for b in range(n):
+                for a in range(n):
+                    s = s + G[(m * n + a) * n + b] * v[a] * v[b]
+            out.append(-s)
+        return out
+
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        draws = [
+            [(rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)).tolist() for k in (n ** 3, n)]
+            for _ in range(50)
+        ]
+        assert all(matches_einsum(geodesics._contract, G, v) for G, v in draws)
+        assert not all(matches_einsum(n_outer, G, v) for G, v in draws)
+
+
+def test_velocity_ball_guard_matches_norm():
+    """The step's ball test against ``np.linalg.norm(vn - v0) > 1`` where the
+    two can part: |vn - v0| within a few ulps of 1, NaN and inf, and a spread
+    of radii through the Python sum of squares' fast path."""
+    rng = np.random.default_rng(9)
+    ulp = np.finfo(float).eps
+    cases = []
+    for n in (1, 2, 3):
+        radii = np.concatenate([1 + rng.integers(-4, 5, 4000) * ulp, rng.uniform(0, 1.5, 1000)])
+        for radius in radii:
+            v0 = rng.uniform(-2, 2, n)
+            d = rng.standard_normal(n)
+            cases.append((v0 + radius * (d / np.linalg.norm(d)), v0))
+    cases += [(np.array([np.nan, 0.2]), np.zeros(2)), (np.array([0.1, np.inf]), np.zeros(2))]
+    parted = 0
+    for vn, v0 in cases:
+        want = np.linalg.norm(vn - v0) > 1.0
+        assert geodesics._outside_ball(vn.tolist(), v0.tolist()) == want
+        parted += (sum((a - b) ** 2 for a, b in zip(vn, v0)) > 1.0) != want
+    assert parted > 0  # the sum of squares alone would decide some of these wrongly
