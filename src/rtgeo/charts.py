@@ -317,28 +317,28 @@ def point_interpolator(fld):
     :func:`point_inside`'s, and the corner sum runs on Python floats over the
     batch path's :func:`_corner_nodes` and :func:`_corner_weights`, term by
     term in :func:`_corner_sum`'s order.  A call returns the flat list of the
-    C components.  Each cell's 2^n corner rows are fetched as lists on its
-    first visit and kept for the life of the evaluator, so build a new one
-    after writing to ``fld.values``.
+    C components.  The 2^n corner rows of the last cell visited are kept as
+    lists, since an RK4 step's stages mostly stay in one cell; build a new
+    evaluator after writing to ``fld.values``.
     """
     chart = fld.chart
-    geom = list(zip(chart.lo.tolist(), chart.hi.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
+    inside = point_inside(chart)
+    geom = list(zip(chart.lo.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
     flat = fld.values.reshape(chart.res + (-1,))
-    cells = {}
+    cell = rows = None
 
     def at(x):
+        nonlocal cell, rows
+        if not inside(x):
+            raise DomainExit(x)
         i0, frac = [], []
-        for xk, (lo, hi, h, top) in zip(x, geom):
-            if not lo <= xk <= hi:  # point_inside's test
-                raise DomainExit(x)
+        for xk, (lo, h, top) in zip(x, geom):
             t = (xk - lo) / h
             i = min(int(t), top)
             i0.append(i)
             frac.append(t - i)
-        key = tuple(i0)
-        rows = cells.get(key)
-        if rows is None:
-            rows = cells[key] = [flat[idx].tolist() for idx in _corner_nodes(i0)]
+        if i0 != cell:
+            cell, rows = i0, [flat[idx].tolist() for idx in _corner_nodes(i0)]
         w = _corner_weights(frac)
         out = [w[0] * a + w[1] * b for a, b in zip(rows[0], rows[1])]
         for k in range(2, len(w), 2):  # two corners a pass, still one left-to-right sum

@@ -58,6 +58,7 @@ class Curve:
     method: str = "rk4"
     dt: float = 0.0
     picard_sweeps: int = 0
+    non_uniqueness_candidate: bool = False
 
     @property
     def interval(self):
@@ -260,6 +261,8 @@ def _solve_picard(problem, dt, tol_ode):
         else:
             grow = 0
         inc_prev = inc
+    lip = 0.0 if closed_form else _grad_max(conn)
+    flag = lip * problem.interval > 50.0
     return Curve(
         times=ts,
         positions=pos,
@@ -268,6 +271,7 @@ def _solve_picard(problem, dt, tol_ode):
         method="picard",
         dt=dt,
         picard_sweeps=sweeps,
+        non_uniqueness_candidate=bool(flag),
     )
 
 

@@ -160,9 +160,14 @@ def test_point_interpolator_matches_interpolate(res):
     fld = GridField(chart, vals)
     pts = probe_points(chart, rng)
     batch = interpolate(fld, pts).reshape(len(pts), -1)
+    cells = np.minimum(((pts - chart.lo) / chart.h).astype(int), np.array(res) - 2)
     at = point_interpolator(fld)
-    for _ in range(2):  # the second pass reads every cell's corner rows from the evaluator's memo
-        for x, row in zip(pts, batch):
+    for ax in range(n):
+        # ordered by cell with axis ax slowest: runs of points share the
+        # evaluator's kept cell, and neighbouring runs share axis ax's index
+        order = np.lexsort([*np.delete(cells, ax, axis=1).T, cells[:, ax]])
+        assert (np.diff(cells[order], axis=0) == 0).all(axis=1).any()
+        for x, row in zip(pts[order], batch[order]):
             assert np.array(at(x.tolist())).tobytes() == row.tobytes()
             assert interpolate(fld, x).ravel().tobytes() == row.tobytes()
 
