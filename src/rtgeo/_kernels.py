@@ -118,7 +118,11 @@ def holder_pair_max(coords, vals, alpha, floor):
     def offset_max2(d):
         far, near = _pair_slices(d)
         diff = F[every + far] - F[every + near]
-        return np.einsum("c...,c...->...", diff, diff).max()
+        # in place: a second slice-sized temporary costs more than the sum.
+        # The squares are >= +0 (or NaN), so summing from the first row, not
+        # from 0.0, leaves every bit as the zero-started sum has it
+        np.square(diff, out=diff)
+        return diff.sum(0).max()
 
     leg2 = [
         np.array([0.0] + [offset_max2((0,) * k + (j,) + (0,) * (n - 1 - k)) for j in range(1, r)])

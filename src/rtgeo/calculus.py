@@ -13,6 +13,7 @@ Sign conventions (fixed once, asserted by tests):
 """
 
 from dataclasses import asdict, dataclass
+import functools
 import json
 
 import numpy as np
@@ -22,6 +23,112 @@ from .charts import Chart, GridField
 from .errors import DegreeError, ResolutionError, ShapeError, SolverError, ConfigurationError
 
 HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
+
+
+# ---------------------------------------------------------------------------
+# pointwise contraction
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(subscripts):
+    """Parse ``"...ab,...bc->...ac"`` once into per-operand layouts and a product schedule.
+
+    Per operand: the axis permutation (output labels it carries, in output
+    order, then its contracted labels), the indexing that inserts a unit
+    axis for each output label it lacks, and the positions of its
+    contracted labels in the contracted-label order.  ``steps[l]`` lists the
+    operands whose factor joins the running product once the first ``l``
+    contracted labels are fixed.
+    """
+    inputs, out = subscripts.split("->")
+    inputs = inputs.split(",")
+    if not out.startswith("...") or not all(s.startswith("...") for s in inputs):
+        raise ShapeError(f"contract needs node-batched subscripts ('...' first), got {subscripts!r}")
+    inputs, out = [s[3:] for s in inputs], out[3:]
+    summed = []
+    for s in inputs:
+        if len(set(s)) != len(s):
+            raise ShapeError(f"repeated label within one operand of {subscripts!r}")
+        summed += [c for c in s if c not in out and c not in summed]
+    if len(set(out)) != len(out) or not set(out) <= set("".join(inputs)):
+        raise ShapeError(f"bad output labels in {subscripts!r}")
+    layouts, keys, levels = [], [], []
+    for s in inputs:
+        free = [s.index(c) for c in out if c in s]
+        contracted = [c for c in s if c not in out]
+        expand = tuple(slice(None) if c in s else None for c in out) + (slice(None),) * len(contracted)
+        layouts.append((tuple(free + [s.index(c) for c in contracted]), expand))
+        keys.append(tuple(summed.index(c) for c in contracted))
+        levels.append(max([levels[-1] if levels else 0] + [k + 1 for k in keys[-1]]))
+    steps = tuple(tuple(k for k, lv in enumerate(levels) if lv == step) for step in range(len(summed) + 1))
+    return tuple(layouts), tuple(keys), steps
+
+
+def contract(subscripts, *operands):
+    """``np.einsum(subscripts, *operands)`` on node-batched operands, bit for bit.
+
+    Every subscript starts with ``...`` (the node axes, broadcast as einsum
+    broadcasts them); the small labels are contracted with unoptimized
+    einsum's arithmetic:
+
+    - the output starts as zeros, so a sum of -0.0 terms reads +0.0;
+    - the contracted labels are taken in order of first appearance across
+      the operands, the last one varying fastest;
+    - for each assignment of them, the operands' slices are multiplied left
+      to right and the product is added to the output.
+
+    Each numpy op here covers every node and every output label at once, so
+    a call costs about n^k array ops for k contracted labels instead of
+    einsum's generic per-element loop.  Because products run left to right,
+    the product of the leading operands is formed once per assignment of the
+    labels they carry and reused across the inner labels: the same value.
+
+    einsum sums in this order when the last memory axis of the operands is
+    an output label, as on every chart field here; where a contracted label
+    is the last memory axis of every operand carrying it, einsum reduces it
+    in SIMD lanes instead, whose grouping no per-label loop reproduces.
+
+    Kept ``np.einsum`` sites, each for the stated reason:
+
+    - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``) and
+      ``transform.pushforward_curve`` (``tmn,tn->tm``): batches of 17-257
+      time nodes, where this helper's per-call overhead loses (Picard's
+      contraction at 33 rows: 56 us here against einsum's 10 us); they are
+      the only einsum calls of a geodesic fan.
+    - ``curvature._weak_functional``: its two sums run over 1,365-2,025
+      nodes, not over small labels.
+    - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index
+      j is the last memory axis of both forms, the SIMD-lane case above.
+    """
+    layouts, keys, steps = _contraction_plan(subscripts)
+    if len(operands) != len(layouts):
+        raise ShapeError(f"{subscripts!r} names {len(layouts)} operands, got {len(operands)}")
+    views, sizes = [], [None] * (len(steps) - 1)
+    for a, (perm, expand), key in zip(operands, layouts, keys):
+        nb = a.ndim - len(perm)
+        v = a.transpose(tuple(range(nb)) + tuple(nb + p for p in perm))[(Ellipsis,) + expand]
+        views.append(v)
+        for lab, size in zip(key, v.shape[v.ndim - len(key):]):
+            if sizes[lab] not in (None, size):
+                raise ShapeError(f"contracted label sizes disagree in {subscripts!r}")
+            sizes[lab] = size
+    shape = np.broadcast_shapes(*[v.shape[: v.ndim - len(key)] for v, key in zip(views, keys)])
+    out = np.zeros(shape, dtype=np.result_type(*operands))
+    _accumulate(out, views, keys, steps, sizes, 0, None, ())
+    return out
+
+
+def _accumulate(out, views, keys, steps, sizes, level, prod, idx):
+    """Add to ``out`` every term under the first ``level`` contracted labels fixed at ``idx``."""
+    for k in steps[level]:
+        factor = views[k][(Ellipsis,) + tuple(idx[lab] for lab in keys[k])]
+        prod = factor if prod is None else prod * factor
+    if level == len(sizes):
+        np.add(prod, out, out=out)  # einsum's operand order, temp + out: it decides which NaN survives
+        return
+    for i in range(sizes[level]):
+        _accumulate(out, views, keys, steps, sizes, level + 1, prod, idx + (i,))
 
 
 def form_pairs(n):
@@ -139,9 +246,9 @@ def wedge(a, b):
     pairs = form_pairs(a.chart.n)
     out = np.empty(a.values.shape[:-1] + (len(pairs),))
     for k, (i, j) in enumerate(pairs):
-        out[..., k] = np.einsum(
-            "...ms,...sn->...mn", a.values[..., i], b.values[..., j]
-        ) - np.einsum("...ms,...sn->...mn", a.values[..., j], b.values[..., i])
+        out[..., k] = contract("...ms,...sn->...mn", a.values[..., i], b.values[..., j]) - contract(
+            "...ms,...sn->...mn", a.values[..., j], b.values[..., i]
+        )
     return MatrixForm(a.chart, 2, out)
 
 
@@ -150,7 +257,7 @@ def matrix_inner(a, b):
     if a.degree != 1 or b.degree != 1:
         raise DegreeError("matrix inner product is defined for pairs of 1-forms")
     a.same_layout(b)
-    out = np.einsum("...msj,...snj->...mn", a.values, b.values)
+    out = np.einsum("...msj,...snj->...mn", a.values, b.values)  # not contract: see its kept sites
     return MatrixForm(a.chart, 0, out)
 
 
@@ -158,9 +265,9 @@ def matmul(A, w):
     """Left matrix multiplication of a form by a matrix 0-form (or raw array)."""
     Av = A.values if isinstance(A, MatrixForm) else A
     if w.degree == 0:
-        return MatrixForm(w.chart, 0, np.einsum("...ms,...sn->...mn", Av, w.values))
+        return MatrixForm(w.chart, 0, contract("...ms,...sn->...mn", Av, w.values))
     return MatrixForm(
-        w.chart, w.degree, np.einsum("...ms,...snk->...mnk", Av, w.values)
+        w.chart, w.degree, contract("...ms,...snk->...mnk", Av, w.values)
     )
 
 

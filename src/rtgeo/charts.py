@@ -381,8 +381,10 @@ class JacobianField:
             )
         if self.Jinv is None:
             self.Jinv = np.linalg.inv(self.J)
+        from .calculus import contract  # calculus imports this module
+
         eye = np.eye(n)
-        err = np.abs(np.einsum("...ij,...jk->...ik", self.J, self.Jinv) - eye).max()
+        err = np.abs(contract("...ij,...jk->...ik", self.J, self.Jinv) - eye).max()
         if err > TAU_INV:
             raise JacobianError(f"J @ Jinv deviates from identity by {err:.2e}")
 

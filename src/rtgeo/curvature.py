@@ -15,6 +15,7 @@ import numpy as np
 from .calculus import (
     MatrixForm,
     connection_form,
+    contract,
     exterior_derivative,
     full_antisymmetric,
     lp_norm,
@@ -198,7 +199,7 @@ def transform_curvature(R, J):
     Jinv = np.linalg.inv(J)
     if J.shape[:-2] != R.values.shape[: R.chart.n] and J.ndim != 2:
         raise ShapeError("jacobian samples do not match the curvature grid")
-    out = np.einsum("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
+    out = contract("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
     return CurvatureField(R.chart, out, "transformed")
 
 
@@ -259,9 +260,9 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     Jinv_at = np.linalg.inv(J_at)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     if drop_jacobian_factor:
-        pushed = np.einsum("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)
+        pushed = contract("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)
     else:
-        pushed = np.einsum(
+        pushed = contract(
             "...dt,...ma,...nb,...rc,...tmnr->...dabc", J_at, Jinv_at, Jinv_at, Jinv_at, Rx_at
         )
     pushed = pushed.reshape(chart_y.res + Rx_at.shape[1:])

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .calculus import gradient_field, lp_norm, mollify
+from .calculus import contract, gradient_field, lp_norm, mollify
 from .charts import Chart, GridField, connection_field, interpolate, point_inside, point_interpolator
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
@@ -396,8 +396,8 @@ def mollified_family(conn_y, bundle, eps_list):
         gy_at = interpolate(gy_e, ypts, clip=True).reshape(chart_x.res + (n, n, n))
         dJ_e = chart_x.grad(J_e)
         # connection law with mollified ingredients; storage [mu, rho(form), nu(col)]
-        vals = np.einsum("...ma,...br,...gn,...abg->...mrn", dxdy_at, J_e, J_e, gy_at)
-        vals += np.einsum("...ma,...anr->...mrn", dxdy_at, dJ_e)
+        vals = contract("...ma,...br,...gn,...abg->...mrn", dxdy_at, J_e, J_e, gy_at)
+        vals += contract("...ma,...anr->...mrn", dxdy_at, dJ_e)
         out_eps.append(eps)
         out_conn.append(connection_field(chart_x, vals))
         out_masks.append(mask)

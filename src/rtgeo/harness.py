@@ -28,7 +28,7 @@ from .geodesics import (
     weak_solution_pipeline,
 )
 from .rt_solver import RTConfig
-from .transform import TransformBundle, build_bundle, transform_connection
+from .transform import MIN_INSCRIBED_RES, TransformBundle, build_bundle, inscribed_inset, transform_connection
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +460,12 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         scn.resolution = (grid, grid)
     if seed is not None:
         scn.seed = seed
+    for axis, r in enumerate(scn.resolution):  # refused before any stage runs
+        if r < MIN_INSCRIBED_RES:
+            raise ConfigurationError(
+                f"chart axis {axis} has resolution {r}, below {MIN_INSCRIBED_RES}: the inscribed "
+                f"y-chart insets {inscribed_inset(r)} cells per side and keeps fewer than 2 nodes"
+            )
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)

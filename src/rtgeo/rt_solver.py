@@ -31,6 +31,7 @@ from .calculus import (
     MatrixForm,
     coderivative,
     connection_form,
+    contract,
     d_one_form,
     delta_one_form,
     exterior_derivative,
@@ -91,9 +92,9 @@ class RTState:
 def _split_coderivative(chart, J, conn_form_vals, delta_gamma):
     """delta(J . Gamma) via the discrete Leibniz split J delta(G) - <dJ; G>."""
     dJ = chart.grad(J)
-    S = np.einsum("...ms,...sn->...mn", J, delta_gamma)
+    S = contract("...ms,...sn->...mn", J, delta_gamma)
     for j in range(chart.n):
-        S -= np.einsum("...ms,...sn->...mn", dJ[..., j], conn_form_vals[..., j])
+        S -= contract("...ms,...sn->...mn", dJ[..., j], conn_form_vals[..., j])
     return S
 
 
@@ -206,7 +207,7 @@ def optimal_connection(tilde, bundle):
     J = bundle.jac.at(xpts, clip=True)
     Jinv = np.linalg.inv(J)
     # conn storage [k, i(form), j(col)] -> [g, a(form), b(col)]
-    vals = np.einsum("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
+    vals = contract("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
     return connection_field(y_chart, vals.reshape(y_chart.res + Gt.shape[1:]))
 
 
@@ -245,7 +246,7 @@ def first_rt_residual(conn, J, B, eps_ladder=None, p=2.2):
             coderivative(exterior_derivative(w_e)).values
             - coderivative(wedge(dJinv_form, dJ_form)).values
             + exterior_derivative(
-                MatrixForm(chart, 0, np.einsum("...ma,...an->...mn", Jinv, A))
+                MatrixForm(chart, 0, contract("...ma,...an->...mn", Jinv, A))
             ).values
         )
         resid = lp_norm(GridField(chart, lhs - rhs), p)

@@ -13,6 +13,7 @@ from .calculus import (
     MatrixForm,
     coderivative,
     connection_form,
+    contract,
     d_one_form,
     exterior_derivative,
     form_to_connection,
@@ -97,8 +98,8 @@ def transform_connection(conn_y, forward, jac, clip_tolerance=0.0):
     dJ = jacobian_grad(chart_x, J)
     # homogeneous part: Jinv[m,a] J[b,r] J[g,n] Gy[a,b,g]  (storage [mu, rho, nu]);
     # inhomogeneous: Jinv[m,a] D_rho J[a,nu], dJ stored [a, nu, rho]
-    hom = np.einsum("...ma,...br,...gn,...abg->...mrn", Jinv, J, J, gy)
-    inhom = np.einsum("...ma,...anr->...mrn", Jinv, dJ.values)
+    hom = contract("...ma,...br,...gn,...abg->...mrn", Jinv, J, J, gy)
+    inhom = contract("...ma,...anr->...mrn", Jinv, dJ.values)
     out = connection_field(chart_x, hom + inhom)
     return out, coverage
 
@@ -190,15 +191,22 @@ def invert_map(forward_field, y_chart, J, strict=True):
     return x.reshape(y_chart.res + (chart_x.n,)), worst
 
 
+def inscribed_inset(res):
+    """Cells cut from each end of an axis of ``res`` nodes before the image
+    rectangle is taken: an eighth of the span, never below 4 cells, so the
+    working neighborhood does not drift with grid resolution."""
+    return max(4, int(round(0.125 * (res - 1))))
+
+
+# fewest nodes per axis that leave the inset chart at least 2 nodes wide
+MIN_INSCRIBED_RES = next(r for r in range(2, 64) if r - 2 * inscribed_inset(r) >= 2)
+
+
 def inscribed_y_chart(chart_x, forward):
     """Largest axis-aligned rectangle safely inside the image of the inset
-    x-chart, on a grid of the x-chart's resolution.
-
-    The inset is an eighth of each span (never below 4 cells), so the
-    working neighborhood does not drift with grid resolution.
-    """
+    x-chart (:func:`inscribed_inset`), on a grid of the x-chart's resolution."""
     n = chart_x.n
-    cells = [max(4, int(round(0.125 * (chart_x.res[k] - 1)))) for k in range(n)]
+    cells = [inscribed_inset(r) for r in chart_x.res]
     sl = tuple(slice(c, -c) for c in cells)
     img = forward[sl]
     lo, hi = [], []
@@ -282,7 +290,7 @@ def coderivative_identity_residual(conn, J, p=4.0):
     rhs = (
         coderivative(wt).values
         - matrix_inner(dJinv, dJ).values
-        + np.einsum("...ma,...an->...mn", Jinv, laplacian(MatrixForm(chart, 0, J)).values)
+        + contract("...ma,...an->...mn", Jinv, laplacian(MatrixForm(chart, 0, J)).values)
     )
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 

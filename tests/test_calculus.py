@@ -1,10 +1,18 @@
+import ast
+import functools
+from pathlib import Path
+import re
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import rtgeo
 from rtgeo.calculus import (
     MatrixForm,
     bump_kernel,
     coderivative,
+    contract,
     exterior_derivative,
     form_divergence,
     form_pairs,
@@ -18,7 +26,7 @@ from rtgeo.calculus import (
     wedge,
 )
 from rtgeo.charts import Chart, GridField
-from rtgeo.errors import ConfigurationError, DegreeError, ResolutionError
+from rtgeo.errors import ConfigurationError, DegreeError, ResolutionError, ShapeError
 
 from conftest import smooth_connection
 
@@ -351,3 +359,144 @@ def test_dd_and_deltadelta_smooth_lp(unit_chart_65):
     w = connection_form(conn)
     dd = exterior_derivative(exterior_derivative(coderivative(w)))
     assert lp_norm(GridField(unit_chart_65, dd.values), 4.0) < 1e-9
+
+
+# -- pointwise contraction ------------------------------------------------------
+
+PACKAGE = Path(rtgeo.__file__).parent
+
+
+def _calls(name):
+    """(module, innermost enclosing function, call node) for every call of ``name`` in src/rtgeo."""
+
+    def visit(node, module, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+                yield module, fn, child
+            yield from visit(child, module, fn)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield from visit(ast.parse(path.read_text()), path.stem, "<module>")
+
+
+# every subscript string the package passes to contract, so a new site is
+# covered as soon as it exists
+CONTRACT_SUBSCRIPTS = sorted({ast.literal_eval(call.args[0]) for _, _, call in _calls("contract")})
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _operands(subscripts, n, batch, layouts, seed):
+    """Operands for ``subscripts`` at size n: spread magnitudes, about a fifth of
+    the entries +-0.0, +-inf or NaN, in the layout each operand draws:
+    contiguous, a ``big[..., j]`` slice, every other node, or one node
+    broadcast over the batch."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for labels, layout in zip(subscripts.split("->")[0].split(","), layouts):
+        shape = (() if layout == "broadcast" else batch) + (n,) * (len(labels) - 3)
+        big = {"slice": shape + (n,), "strided": (2 * shape[0],) + shape[1:] if batch else shape}.get(layout, shape)
+        vals = rng.standard_normal(big) * 10.0 ** rng.integers(-3, 4, big)
+        special = rng.random(big) < 0.2
+        vals[special] = rng.choice(SPECIALS, special.sum())
+        if layout == "slice":
+            vals = vals[..., rng.integers(n)]
+        elif layout == "strided" and batch:
+            vals = vals[::2]
+        ops.append(vals)
+    return ops
+
+
+def _matches_einsum(fn, subscripts, ops):
+    """Same bytes as np.einsum (so the sign of every zero and infinity too);
+    NaN where einsum has NaN, whatever its payload bits."""
+    with np.errstate(all="ignore"):
+        want = np.einsum(subscripts, *ops)
+        got = fn(subscripts, *ops)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == want[~nan].tobytes()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    subscripts=st.sampled_from(CONTRACT_SUBSCRIPTS),
+    n=st.integers(1, 4),
+    batch=st.sampled_from([(), (1,), (5,), (3, 4), (4, 1)]),
+    layouts=st.lists(st.sampled_from(["contiguous", "slice", "strided", "broadcast"]), min_size=5, max_size=5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_contract_matches_einsum(subscripts, n, batch, layouts, seed):
+    ops = _operands(subscripts, n, batch, layouts, seed)
+    assert _matches_einsum(contract, subscripts, ops)
+
+
+@pytest.mark.parametrize(
+    "subscripts, shapes",
+    [
+        ("ms,sn->mn", [(2, 2), (2, 2)]),  # no node axes
+        ("...ss,...sn->...n", [(3, 2, 2), (3, 2, 2)]),  # a diagonal
+        ("...ms,...sn->...mk", [(3, 2, 2), (3, 2, 2)]),  # k on no operand
+        ("...ms,...sn->...mn", [(3, 2, 2)]),  # one operand short
+        ("...ms,...sn->...mn", [(3, 2, 3), (3, 2, 2)]),  # s is 3 and 2
+    ],
+)
+def test_contract_rejects_what_it_cannot_reproduce(subscripts, shapes):
+    with pytest.raises(ShapeError):
+        contract(subscripts, *[np.ones(s) for s in shapes])
+
+
+def _loop_contract(subscripts, *ops, reverse=False, from_first_term=False):
+    """The documented rule as a plain loop, with the two ways to get it wrong."""
+    inputs, out = subscripts.split("->")
+    inputs, out = [s[3:] for s in inputs.split(",")], out[3:]
+    summed = list(dict.fromkeys(c for s in inputs for c in s if c not in out))
+    if reverse:
+        summed.reverse()
+    size = {c: a.shape[a.ndim - len(s) + i] for s, a in zip(inputs, ops) for i, c in enumerate(s)}
+    batch = np.broadcast_shapes(*(a.shape[: a.ndim - len(s)] for s, a in zip(inputs, ops)))
+    res = np.zeros(batch + tuple(size[c] for c in out))
+    for o in np.ndindex(*(size[c] for c in out)):
+        acc = None if from_first_term else np.zeros(batch)
+        for k in np.ndindex(*(size[c] for c in summed)):
+            at = dict(zip(out, o)) | dict(zip(summed, k))
+            prod = None
+            for s, a in zip(inputs, ops):
+                factor = a[(...,) + tuple(at[c] for c in s)]
+                prod = factor if prod is None else prod * factor
+            acc = prod if acc is None else acc + prod
+        res[(...,) + o] = acc
+    return res
+
+
+def test_contract_check_rejects_other_orders():
+    """Negative controls: the plain loop passes the check, and fails it once
+    its contracted labels run in reverse or its sum starts from the first term."""
+    draws = [
+        (s, n, _operands(s, n, (3,), ["contiguous"] * 5, seed))
+        for s in CONTRACT_SUBSCRIPTS
+        for n in (1, 2, 3)
+        for seed in range(4)
+    ]
+    for s, _, ops in draws:
+        assert _matches_einsum(_loop_contract, s, ops)
+    reverse = functools.partial(_loop_contract, reverse=True)
+    first = functools.partial(_loop_contract, from_first_term=True)
+    assert not all(_matches_einsum(reverse, s, ops) for s, n, ops in draws if n > 1)
+    # starting from the first term differs only where the sum is -0.0
+    zeros = [(s, [np.where(a < 0, -0.0, 1.0) for a in ops]) for s, _, ops in draws]
+    assert all(_matches_einsum(_loop_contract, s, ops) for s, ops in zeros)
+    assert not all(_matches_einsum(first, s, ops) for s, ops in zeros)
+
+
+def test_einsum_only_at_the_kept_sites():
+    """np.einsum is called only at the sites contract's docstring names."""
+    section = contract.__doc__.split("Kept ``np.einsum`` sites")[1]
+    named = set(re.findall(r"``(\w+)\.(\w+)``", section))
+    called = {(module, fn) for module, fn, _ in _calls("np.einsum")}
+    assert called == named

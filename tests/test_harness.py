@@ -89,6 +89,36 @@ def test_config_without_name_exits_2(tmp_path):
     assert not list(tmp_path.rglob("*_report.json"))
 
 
+def test_too_coarse_grid_exits_2_before_any_stage(monkeypatch):
+    # at 9 nodes the 4-cell inset leaves 1 node per axis, so generate would
+    # fail on an empty inscribed rectangle; the run is refused first
+    from rtgeo import harness
+
+    def no_stage(scn):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(harness, "generate_scenario", no_stage)
+    with pytest.raises(ConfigurationError, match=r"chart axis 0 has resolution 9, below 10"):
+        run_experiment("configs/flat_disguise.cfg", grid=9)
+    out = _cli("--grid", "9", "run", "configs/flat_disguise.cfg")
+    assert out.returncode == 2
+    assert "resolution 9, below 10" in out.stderr
+
+
+def test_inscribed_limit_is_the_inset_rule():
+    from rtgeo.charts import Chart
+    from rtgeo.errors import JacobianError
+    from rtgeo.transform import MIN_INSCRIBED_RES, inscribed_inset, inscribed_y_chart
+
+    assert MIN_INSCRIBED_RES == 10
+    for r in range(2, 300):
+        assert (r >= MIN_INSCRIBED_RES) == (r - 2 * inscribed_inset(r) >= 2), r
+    coarse, fine = (Chart((0.0, 0.0), (1.0, 1.0), (r, r)) for r in (9, 10))
+    with pytest.raises(JacobianError, match="empty inscribed rectangle"):
+        inscribed_y_chart(coarse, coarse.nodes)
+    assert inscribed_y_chart(fine, fine.nodes).res == (10, 10)
+
+
 def test_generate_inverts_only_the_inscribed_chart(monkeypatch):
     # the pullback reads y(x) and J only: the one Newton inversion left is the
     # checker's strict inscribed y-chart, and it converges
