@@ -114,14 +114,14 @@ class Chart:
             L = T if L is None else L + T
         return (-L).tocsr()
 
+    def _dirichlet_matrix(self):
+        """The Laplacian's rows at interior nodes, identity rows on the rim (CSC)."""
+        interior = self.interior_mask.ravel().astype(float)
+        return (sp.diags(1.0 - interior) + sp.diags(interior) @ self.lap_op).tocsc()
+
     @cached_property
     def _dirichlet_lu(self):
-        A = sp.eye(self.npoints, format="csr").tolil()
-        L = self.lap_op
-        for i in np.where(self.interior_mask.ravel())[0]:
-            A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
-            A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
-        return spla.splu(A.tocsc())
+        return spla.splu(self._dirichlet_matrix())
 
     # -- operator application on (*res, *comp) arrays --------------------
 
@@ -298,7 +298,7 @@ def interpolate(fld, points, clip=False):
 
 
 def point_inside(chart):
-    """``chart.contains`` for one point given as a list of floats, as a fast predicate."""
+    """``chart.contains`` for one point given as a sequence of floats, as a fast predicate."""
     lo, hi = chart.lo.tolist(), chart.hi.tolist()
 
     def inside(x):
@@ -308,45 +308,6 @@ def point_inside(chart):
         return True
 
     return inside
-
-
-def point_interpolator(fld):
-    """``x -> interpolate(fld, x).ravel().tolist()`` for one point given as a list, bit for bit.
-
-    The chart's geometry is held as Python floats, the bounds test is
-    :func:`point_inside`'s, and the corner sum runs on Python floats over the
-    batch path's :func:`_corner_nodes` and :func:`_corner_weights`, term by
-    term in :func:`_corner_sum`'s order.  A call returns the flat list of the
-    C components.  The 2^n corner rows of the last cell visited are kept as
-    lists, since an RK4 step's stages mostly stay in one cell; build a new
-    evaluator after writing to ``fld.values``.
-    """
-    chart = fld.chart
-    inside = point_inside(chart)
-    geom = list(zip(chart.lo.tolist(), chart.h.tolist(), [r - 2 for r in chart.res]))
-    flat = fld.values.reshape(chart.res + (-1,))
-    cell = rows = None
-
-    def at(x):
-        nonlocal cell, rows
-        if not inside(x):
-            raise DomainExit(x)
-        i0, frac = [], []
-        for xk, (lo, h, top) in zip(x, geom):
-            t = (xk - lo) / h
-            i = min(int(t), top)
-            i0.append(i)
-            frac.append(t - i)
-        if i0 != cell:
-            cell, rows = i0, [flat[idx].tolist() for idx in _corner_nodes(i0)]
-        w = _corner_weights(frac)
-        out = [w[0] * a + w[1] * b for a, b in zip(rows[0], rows[1])]
-        for k in range(2, len(w), 2):  # two corners a pass, still one left-to-right sum
-            wa, wb = w[k], w[k + 1]
-            out = [o + wa * a + wb * b for o, a, b in zip(out, rows[k], rows[k + 1])]
-        return out
-
-    return at
 
 
 # -- specialized field wrappers ----------------------------------------------

@@ -9,14 +9,14 @@ evaluators; intervals truncate at chart exit and at the velocity ball
 """
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 import math
 
 import numpy as np
 
 from . import _kernels
 from .calculus import contract, gradient_field, lp_norm, mollify
-from .charts import Chart, GridField, connection_field, interpolate, point_inside, point_interpolator
+from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, point_inside
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
@@ -72,43 +72,169 @@ class Curve:
         return float(dp + dv)
 
 
-def _contract(G, v):
-    """``-np.einsum("mrn,r,n->m", G, v, v)`` on Python floats, bit for bit.
+def _contraction_rows(G, v):
+    """Source of ``-np.einsum("mrn,r,n->m", G, v, v)`` row by row, bit for bit.
 
-    ``G`` is the flat list of the n^3 components and ``v`` a list of n.  Each
+    ``G`` names the n^3 components and ``v`` the n velocity entries.  Each
     row is summed in einsum's own order: from 0.0, r outer and n inner, each
     term (G[m][r][n] * v[r]) * v[n].
     """
-    out = []
-    i = 0
-    for _ in v:
-        s = 0.0
-        for a in v:
-            for b in v:
-                s = s + G[i] * a * b
-                i += 1
-        out.append(-s)
-    return out
+    n = len(v)
+    rows = []
+    for m in range(n):
+        terms = [f"{G[(m * n + r) * n + q]} * {v[r]} * {v[q]}" for r in range(n) for q in range(n)]
+        rows.append(f"-(0.0 + {' + '.join(terms)})")
+    return rows
+
+
+def _names(stem, count):
+    return [f"{stem}{i}" for i in range(count)]
+
+
+def _tuple(items):
+    return f"({', '.join(items)},)"
+
+
+def _sampled_source(n):
+    """``sampled(lo, h, hi, top, rows)`` binds a chart's geometry and a field's
+    (*res, n^3) rows and returns ``(t, x, v) -> -Gamma(x) v v``:
+    :func:`charts.point_inside`'s bounds test, then :func:`charts.interpolate`'s
+    cell, fractions, weights and corner sum, term by term on Python floats.
+    The 2^n corner rows of the last cell visited stay in closure cells.
+    """
+    ax = range(n)
+    C = n ** 3
+    # corner order and weight products as the batch path states them; a
+    # product starts from its first factor, which 1.0 times it is
+    offsets = _corner_nodes((0,) * n)
+    weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
+    rows = [_names(f"r{c}_", C) for c in range(len(offsets))]
+    kept = [r for row in rows for r in row]
+    cell, xs, vs, gs = _names("c", n), _names("x", n), _names("v", n), _names("g", C)
+    src = [
+        "def sampled(lo, h, hi, top, rows):",
+        *(f"    {', '.join(_names(a, n))}, = {a}" for a in ("lo", "h", "hi", "top")),
+        f"    {', '.join(cell)}, = {_tuple(['-1'] * n)}",
+        f"    {' = '.join(kept)} = 0.0",
+        "",
+        "    def rhs(t, x, v):",
+        f"        nonlocal {', '.join(cell + kept)}",
+        f"        {', '.join(xs)}, = x",
+        f"        if not ({' and '.join(f'lo{k} <= x{k} <= hi{k}' for k in ax)}):",
+        "            raise DomainExit(list(x))",
+    ]
+    for k in ax:
+        src += [
+            f"        t{k} = (x{k} - lo{k}) / h{k}",
+            f"        i{k} = int(t{k})",
+            f"        if i{k} > top{k}:",
+            f"            i{k} = top{k}",
+            f"        f{k} = t{k} - i{k}",
+        ]
+    src.append(f"        if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
+    src.append(f"            {', '.join(cell)}, = {_tuple(_names('i', n))}")
+    for row, off in zip(rows, offsets):
+        idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
+        src.append(f"            {', '.join(row)}, = rows[{idx}].tolist()")
+    src += [f"        e{k} = 1 - f{k}" for k in ax]
+    src += [f"        w{c} = {w}" for c, w in enumerate(weights)]
+    for j, g in enumerate(gs):
+        src.append(f"        {g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(rows))}")
+    src += [
+        f"        {', '.join(vs)}, = v",
+        f"        return {_tuple(_contraction_rows(gs, vs))}",
+        "",
+        "    return rhs",
+    ]
+    return src
+
+
+def _step_source(n):
+    """``step(F, t, x, v, half, dt, sixth)``: one RK4 step on tuples, with the
+    stages ``x + half*k`` and the update ``x + sixth*(((k1 + 2k2) + 2k3) + k4)``
+    element by element in the order numpy gives the array expressions."""
+    xs, vs = _names("x", n), _names("v", n)
+    k1v, k2x, k2v, k3x, k3v, k4x, k4v = (
+        _names(f"{k}_", n) for k in ("k1v", "k2x", "k2v", "k3x", "k3v", "k4x", "k4v")
+    )
+
+    def axpy(y, a, z):
+        return [f"{p} + {a} * {q}" for p, q in zip(y, z)]
+
+    def assign(names, exprs):
+        return [f"    {a} = {e}" for a, e in zip(names, exprs)]
+
+    def advance(y, k1, k2, k3, k4):
+        terms = zip(y, k1, k2, k3, k4)
+        return _tuple([f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in terms])
+
+    return [
+        "def step(F, t, x, v, half, dt, sixth):",
+        f"    {', '.join(xs)}, = x",
+        f"    {', '.join(vs)}, = v",
+        f"    {', '.join(k1v)}, = F(t, x, v)",
+        *assign(k2x, axpy(vs, "half", k1v)),
+        f"    {', '.join(k2v)}, = F(t + half, {_tuple(axpy(xs, 'half', vs))}, {_tuple(k2x)})",
+        *assign(k3x, axpy(vs, "half", k2v)),
+        f"    {', '.join(k3v)}, = F(t + half, {_tuple(axpy(xs, 'half', k2x))}, {_tuple(k3x)})",
+        *assign(k4x, axpy(vs, "dt", k3v)),
+        f"    {', '.join(k4v)}, = F(t + dt, {_tuple(axpy(xs, 'dt', k3x))}, {_tuple(k4x)})",
+        f"    return {advance(xs, vs, k2x, k3x, k4x)}, {advance(vs, k1v, k2v, k3v, k4v)}",
+    ]
+
+
+def _kernel_source(n):
+    """Python source of the straight-line RK4 kernels for dimension ``n``:
+    ``contraction(G, v)`` on a flat component list, ``sampled`` and ``step``.
+    Every expression keeps the array code's operation order, so the results
+    are its bits."""
+    gs, vs = _names("g", n ** 3), _names("v", n)
+    contraction = [
+        "def contraction(G, v):",
+        f"    {', '.join(gs)}, = G",
+        f"    {', '.join(vs)}, = v",
+        f"    return {_tuple(_contraction_rows(gs, vs))}",
+    ]
+    return "\n\n".join("\n".join(part) for part in (contraction, _sampled_source(n), _step_source(n))) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _rk4_kernels(n):
+    """``(step, contraction, sampled)`` for dimension ``n``, compiled once per n."""
+    ns = {"DomainExit": DomainExit}
+    exec(compile(_kernel_source(n), f"<rk4 kernels n={n}>", "exec"), ns)
+    return ns["step"], ns["contraction"], ns["sampled"]
+
+
+def _sampled_rhs(fld):
+    """``(t, x, v) -> -Gamma(x) v v`` on tuples of floats for a sampled connection."""
+    chart = fld.chart
+    sampled = _rk4_kernels(chart.n)[2]
+    top = [r - 2 for r in chart.res]
+    rows = fld.values.reshape(chart.res + (-1,))
+    return sampled(chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), top, rows)
 
 
 def _rhs(problem):
-    """(t, x, v) -> gamma'' on lists of floats.
+    """(t, x, v) -> gamma'' on tuples of floats.
 
-    Gamma comes from the sampled field's point interpolator; a closed-form
+    A sampled field runs the generated right-hand side; a closed-form
     connection and a force are called on arrays and their outputs flattened.
     """
     conn, force = problem.connection, problem.force
     if callable(conn) and not isinstance(conn, GridField):
-        def gamma_at(x):
-            return np.ravel(conn(np.array(x))).tolist()
+        contraction = _rk4_kernels(len(problem.x0))[1]
+
+        def gamma_vv(t, x, v):
+            return contraction(np.ravel(conn(np.array(x))).tolist(), v)
     else:
-        gamma_at = point_interpolator(conn)
+        gamma_vv = _sampled_rhs(conn)
     if force is None:
-        return lambda t, x, v: _contract(gamma_at(x), v)
+        return gamma_vv
 
     def F(t, x, v):
         K = np.ravel(force(t, np.array(x), np.array(v))).tolist()
-        return [a + k for a, k in zip(_contract(gamma_at(x), v), K)]
+        return [a + k for a, k in zip(gamma_vv(t, x, v), K)]
 
     return F
 
@@ -136,7 +262,7 @@ def solve_forced(problem, method="rk4", dt=None):
 
 
 def _outside_ball(v, v0):
-    """``np.linalg.norm(v - v0) > VELOCITY_BALL`` for lists of floats.
+    """``np.linalg.norm(v - v0) > VELOCITY_BALL`` for sequences of floats.
 
     A Python sum of squares settles the points clearly inside; the rest, and
     NaN, go to the norm itself, whose BLAS rounding draws the boundary.
@@ -150,44 +276,30 @@ def _outside_ball(v, v0):
 def _solve_rk4(problem, dt):
     """Classical fixed-step RK4 on u = (gamma, v).
 
-    The step runs on lists of Python floats, element by element in the
-    order numpy gives the array expressions: stages ``x + (0.5*dt)*k`` and
-    the update ``x + (dt/6) * (((k1 + 2k2) + 2k3) + k4)``, so the curve is
-    bit for bit the array loop's.  A DomainExit in a stage, or a step that
-    ends off the chart or outside the velocity ball, truncates the interval
-    before that step.
+    The step is the generated straight-line :func:`_step_source` on tuples
+    of Python floats, element by element in the order numpy gives the array
+    expressions, so the curve is bit for bit the array loop's.  A DomainExit
+    in a stage, or a step that ends off the chart or outside the velocity
+    ball, truncates the interval before that step.
     """
     dt = dt or default_dt(problem)
     F = _rhs(problem)
+    step = _rk4_kernels(len(problem.x0))[0]
     inside = (lambda x: True) if problem.chart is None else point_inside(problem.chart)
     steps = int(round(problem.interval / dt))
     half, sixth = 0.5 * dt, dt / 6
 
-    def axpy(x, a, y):
-        return [p + a * q for p, q in zip(x, y)]
-
-    def advance(x, k1, k2, k3, k4):
-        return [p + sixth * (((a + 2 * b) + 2 * c) + d) for p, a, b, c, d in zip(x, k1, k2, k3, k4)]
-
     t = problem.t0
-    x = problem.x0.tolist()
-    v = v0 = problem.v0.tolist()
+    x = tuple(problem.x0.tolist())
+    v = v0 = tuple(problem.v0.tolist())
     ts, xs, vs = [t], [x], [v]
     truncated = False
     for _ in range(steps):
         try:
-            k1v = F(t, x, v)
-            k2x = axpy(v, half, k1v)
-            k2v = F(t + half, axpy(x, half, v), k2x)
-            k3x = axpy(v, half, k2v)
-            k3v = F(t + half, axpy(x, half, k2x), k3x)
-            k4x = axpy(v, dt, k3v)
-            k4v = F(t + dt, axpy(x, dt, k3x), k4x)
+            xn, vn = step(F, t, x, v, half, dt, sixth)
         except DomainExit:
             truncated = True
             break
-        xn = advance(x, v, k2x, k3x, k4x)
-        vn = advance(v, k1v, k2v, k3v, k4v)
         if not inside(xn) or _outside_ball(vn, v0):
             truncated = True
             break

@@ -460,12 +460,15 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         scn.resolution = (grid, grid)
     if seed is not None:
         scn.seed = seed
-    for axis, r in enumerate(scn.resolution):  # refused before any stage runs
-        if r < MIN_INSCRIBED_RES:
-            raise ConfigurationError(
-                f"chart axis {axis} has resolution {r}, below {MIN_INSCRIBED_RES}: the inscribed "
-                f"y-chart insets {inscribed_inset(r)} cells per side and keeps fewer than 2 nodes"
-            )
+    # the run's chart and every ladder rung's (m, m) chart, refused before any stage runs
+    ladder = _ints(scn.checks.get("ladder", ""))
+    for what, res in [("chart", scn.resolution), *((f"ladder rung {m}: chart", (m, m)) for m in ladder)]:
+        for axis, r in enumerate(res):
+            if r < MIN_INSCRIBED_RES:
+                raise ConfigurationError(
+                    f"{what} axis {axis} has resolution {r}, below {MIN_INSCRIBED_RES}: the inscribed "
+                    f"y-chart insets {inscribed_inset(r)} cells per side and keeps fewer than 2 nodes"
+                )
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -569,11 +572,10 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         report.stages["lemma_b1"] = json.loads(rep.to_json())
         report.flags["lemma_b1"] = rep.passed
 
-        if scn.checks.get("ladder"):
-            grids = _ints(scn.checks["ladder"])
+        if ladder:
             lad = timed(
                 "regularity_ladder",
-                lambda: _regularity_ladder(scn, rtcfg, grids, (gen.conn_x, pipe.conn_y)),
+                lambda: _regularity_ladder(scn, rtcfg, ladder, (gen.conn_x, pipe.conn_y)),
             )
             report.stages["regularity_ladder"] = lad
             report.flags["regularity_gain"] = (

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rtgeo.charts import Chart, connection_field
 from rtgeo.harness import Scenario, generate_scenario, load_config
 from rtgeo.harness import smooth_connection, trig_gradient_jacobian  # noqa: F401  (tests import them from here)
+
+# property tests draw the same examples on every run; each keeps its own max_examples
+settings.register_profile("rtgeo", derandomize=True, deadline=None)
+settings.load_profile("rtgeo")
 
 
 @pytest.fixture(scope="session")

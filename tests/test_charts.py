@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rtgeo.charts import (
     Chart,
@@ -10,10 +12,10 @@ from rtgeo.charts import (
     interpolate,
     load_field,
     make_chart,
-    point_interpolator,
     sample_field,
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError
+from rtgeo.geodesics import _sampled_rhs
 
 
 def test_make_chart_spacing():
@@ -150,34 +152,50 @@ def test_interpolate_matches_bilinear_formula():
     assert (np.signbit(at_nodes) & (at_nodes == 0)).any()  # the -0.0 case occurs
 
 
+def gamma_vv_reference(fld, x, v):
+    """The sampled right-hand side as the array code has it."""
+    return -np.einsum("mrn,r,n->m", interpolate(fld, x), v, v)
+
+
 @pytest.mark.parametrize("res", [(17, 23), (9, 10, 11)])
-def test_point_interpolator_matches_interpolate(res):
+def test_sampled_rhs_matches_interpolate(res):
     rng = np.random.default_rng(len(res))
     n = len(res)
     chart = Chart(rng.uniform(-1, 0, n), rng.uniform(0.5, 2, n), res)
-    vals = rng.standard_normal(chart.res + (n, n))
+    vals = rng.standard_normal(chart.res + (n, n, n))
     vals[rng.random(vals.shape) < 0.2] = -0.0
-    fld = GridField(chart, vals)
+    fld = connection_field(chart, vals)
     pts = probe_points(chart, rng)
-    batch = interpolate(fld, pts).reshape(len(pts), -1)
+    for x, row in zip(pts, interpolate(fld, pts)):  # the one-point reference is the batch's
+        assert interpolate(fld, x).tobytes() == row.tobytes()
+    # a random velocity, each axis alone (a row then reads one interpolated
+    # component, G[m, a, a]), and a velocity with a -0.0 entry
+    signed_zero = np.where(np.arange(n) == 0, -0.0, rng.standard_normal(n))
+    velocities = [rng.standard_normal(n), *np.eye(n), signed_zero]
+    want = {i: [gamma_vv_reference(fld, x, v) for v in velocities] for i, x in enumerate(pts)}
+    assert any((w == 0).any() for rows in want.values() for w in rows)  # zero rows occur
     cells = np.minimum(((pts - chart.lo) / chart.h).astype(int), np.array(res) - 2)
-    at = point_interpolator(fld)
+    rhs = _sampled_rhs(fld)
     for ax in range(n):
         # ordered by cell with axis ax slowest: runs of points share the
-        # evaluator's kept cell, and neighbouring runs share axis ax's index
+        # right-hand side's kept cell, and neighbouring runs share axis ax's index
         order = np.lexsort([*np.delete(cells, ax, axis=1).T, cells[:, ax]])
         assert (np.diff(cells[order], axis=0) == 0).all(axis=1).any()
-        for x, row in zip(pts[order], batch[order]):
-            assert np.array(at(x.tolist())).tobytes() == row.tobytes()
-            assert interpolate(fld, x).ravel().tobytes() == row.tobytes()
+        for i in order:
+            x = tuple(pts[i].tolist())
+            for v, w in zip(velocities, want[i]):
+                got = np.array(rhs(0.0, x, tuple(v.tolist())))
+                assert got.tobytes() == w.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(w))
 
 
 @pytest.mark.parametrize("res", [(17, 23), (9, 10, 11)])
 def test_interpolators_raise_domain_exit(res):
     n = len(res)
     chart = Chart(np.linspace(-0.5, 0.2, n), np.linspace(0.7, 1.9, n), res)
-    fld = GridField(chart, np.ones(chart.res + (2,)))
-    at = point_interpolator(fld)
+    fld = connection_field(chart, np.ones(chart.res + (n, n, n)))
+    rhs = _sampled_rhs(fld)
+    v = np.linspace(-1.0, 0.5, n)
     mid = 0.5 * (chart.lo + chart.hi)
     for ax in range(n):
         for face, away in ((chart.lo[ax], -np.inf), (chart.hi[ax], np.inf)):
@@ -185,9 +203,10 @@ def test_interpolators_raise_domain_exit(res):
             on[ax] = face
             off = on.copy()
             off[ax] = np.nextafter(face, away)
-            assert at(on.tolist()) == [1.0, 1.0]
+            got = np.array(rhs(0.0, tuple(on.tolist()), tuple(v.tolist())))
+            assert got.tobytes() == gamma_vv_reference(fld, on, v).tobytes()
             with pytest.raises(DomainExit):
-                at(off.tolist())
+                rhs(0.0, tuple(off.tolist()), tuple(v.tolist()))
             with pytest.raises(DomainExit):
                 interpolate(fld, off)
             with pytest.raises(DomainExit):
@@ -235,6 +254,28 @@ def test_chart_grad_matches_per_column_stacks(res):
         dJ[..., a, b, rho] = chart.deriv(J[..., a, b], rho)
     assert chart.grad(J).shape == chart.res + (n, n, n)
     assert chart.grad(J).tobytes() == dJ.tobytes()
+
+
+def dirichlet_matrix_by_rows(chart):
+    """The Dirichlet matrix built row by row: identity, then each interior
+    row replaced by the Laplacian's."""
+    A = sp.eye(chart.npoints, format="csr").tolil()
+    L = chart.lap_op
+    for i in np.where(chart.interior_mask.ravel())[0]:
+        A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
+        A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
+    return A.tocsc()
+
+
+@pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11)])
+def test_dirichlet_matrix_matches_row_construction(res):
+    chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
+    want, got = dirichlet_matrix_by_rows(chart), chart._dirichlet_matrix()
+    assert got.format == "csc"
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    rhs = np.random.default_rng(len(res)).standard_normal((chart.npoints, 3))
+    assert chart._dirichlet_lu.solve(rhs).tobytes() == spla.splu(want).solve(rhs).tobytes()
 
 
 def test_csv_roundtrip_bit_exact(tmp_path, unit_chart):

@@ -582,6 +582,10 @@ def contraction_inputs(draw):
     return G, v
 
 
+def generated_contraction(G, v):
+    return geodesics._rk4_kernels(len(v))[1](G, v)
+
+
 def matches_einsum(contract, G, v):
     n = len(v)
     want = -np.einsum("mrn,r,n->m", np.reshape(G, (n, n, n)), v, v)
@@ -592,7 +596,7 @@ def matches_einsum(contract, G, v):
 @settings(max_examples=400, deadline=None)
 @given(contraction_inputs())
 def test_contract_matches_einsum(inputs):
-    assert matches_einsum(geodesics._contract, *inputs)
+    assert matches_einsum(generated_contraction, *inputs)
 
 
 def test_contract_check_rejects_other_order():
@@ -615,8 +619,28 @@ def test_contract_check_rejects_other_order():
             [(rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)).tolist() for k in (n ** 3, n)]
             for _ in range(50)
         ]
-        assert all(matches_einsum(geodesics._contract, G, v) for G, v in draws)
+        assert all(matches_einsum(generated_contraction, G, v) for G, v in draws)
         assert not all(matches_einsum(n_outer, G, v) for G, v in draws)
+
+
+def test_kernels_compile_once_per_dimension():
+    """Solves on different charts of one dimension share the compiled kernels;
+    a new dimension compiles once."""
+    kernels = geodesics._rk4_kernels
+    kernels.cache_clear()
+
+    def solve(lo, hi, res, x0, v0):
+        chart = Chart(lo, hi, res)
+        conn = connection_field(chart, np.zeros(chart.res + (len(res),) * 3))
+        return solve_geodesic(GeodesicProblem(conn, 0.0, x0, v0, interval=0.25), "rk4")
+
+    solve((0.0, 0.0), (1.0, 1.0), (17, 17), [0.5, 0.5], [0.2, 0.1])
+    misses = kernels.cache_info().misses
+    solve((0.0, 0.0), (1.0, 1.0), (33, 33), [0.5, 0.5], [0.2, 0.1])
+    solve((-1.0, 0.5), (2.0, 1.5), (9, 12), [0.1, 1.0], [-0.3, 0.1])
+    assert kernels.cache_info().misses == misses
+    solve((0.0,) * 3, (1.0,) * 3, (9, 9, 9), [0.5] * 3, [0.1, 0.0, 0.2])
+    assert kernels.cache_info().misses == misses + 1
 
 
 def test_velocity_ball_guard_matches_norm():

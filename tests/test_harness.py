@@ -105,6 +105,32 @@ def test_too_coarse_grid_exits_2_before_any_stage(monkeypatch):
     assert "resolution 9, below 10" in out.stderr
 
 
+def test_too_coarse_ladder_rung_exits_2_before_any_stage(monkeypatch, tmp_path):
+    # a rung below the limit would fail in regularity_ladder after every other
+    # stage has run; the run is refused first, naming the rung
+    from rtgeo import harness
+
+    class Started(Exception):
+        pass
+
+    def no_stage(scn):
+        raise Started
+
+    monkeypatch.setattr(harness, "generate_scenario", no_stage)
+    text = open("configs/rough_beta06.cfg").read()
+    assert "ladder = 33, 65, 129" in text
+    coarse, fine = tmp_path / "coarse.cfg", tmp_path / "fine.cfg"
+    coarse.write_text(text.replace("ladder = 33, 65, 129", "ladder = 9, 33"))
+    fine.write_text(text.replace("ladder = 33, 65, 129", "ladder = 33, 65"))
+    with pytest.raises(ConfigurationError, match=r"ladder rung 9: chart axis 0 has resolution 9, below 10"):
+        run_experiment(str(coarse))
+    with pytest.raises(Started):  # control: rungs at or above the limit reach the first stage
+        run_experiment(str(fine))
+    out = _cli("run", str(coarse))
+    assert out.returncode == 2
+    assert "ladder rung 9" in out.stderr
+
+
 def test_inscribed_limit_is_the_inset_rule():
     from rtgeo.charts import Chart
     from rtgeo.errors import JacobianError
