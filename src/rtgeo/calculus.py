@@ -94,8 +94,9 @@ def contract(subscripts, *operands):
     - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``) and
       ``transform.pushforward_curve`` (``tmn,tn->tm``): batches of 17-257
       time nodes, where this helper's per-call overhead loses (Picard's
-      contraction at 33 rows: 56 us here against einsum's 10 us); they are
-      the only einsum calls of a geodesic fan.
+      contraction on a 2-vCPU VM: about 40 us against einsum's 6-9 us at 33
+      rows, 60-75 us against 35-45 us at 257); they are the only einsum
+      calls of a geodesic fan.
     - ``curvature._weak_functional``: its two sums run over 1,365-2,025
       nodes, not over small labels.
     - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index

@@ -12,7 +12,6 @@ Index conventions used throughout the package:
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -151,9 +150,23 @@ class Chart:
     def voxel(self):
         return float(np.prod(self.h))
 
-    def contains(self, points, margin=0.0):
+    def contains(self, points):
         pts = np.atleast_2d(points)
-        return np.all((pts >= self.lo + margin) & (pts <= self.hi - margin), axis=-1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
+
+    def first_outside(self, points):
+        """Index of the first point off the chart, or None; a NaN coordinate is off."""
+        pts = np.atleast_2d(points)
+        if ((pts >= self.lo) & (pts <= self.hi)).all():
+            return None
+        return int(self.contains(pts).argmin())
+
+    @cached_property
+    def corner_offsets(self):
+        """C-order node strides, and each cell corner's flat offset from the
+        cell's lower node in :func:`_corner_nodes` order."""
+        strides = np.array([int(np.prod(self.res[k + 1 :])) for k in range(self.n)])
+        return strides, [int(np.dot(c, strides)) for c in _corner_nodes((0,) * self.n)]
 
     def sub_chart(self):
         """Centered sub-chart at half the radius, grid-aligned."""
@@ -257,57 +270,39 @@ def _corner_nodes(i0):
 
 def _corner_weights(frac):
     """Multilinear weight of each corner at the offsets ``frac`` into the cell:
-    a left-to-right product over the axes (1.0 times the first factor is that factor)."""
-    return _corners([(1 - f, f) for f in frac], operator.mul, 1.0)
-
-
-def _corner_sum(flat, i0, frac):
-    """Multilinear corner sum over a grid cell; one entry of ``i0``/``frac`` per axis.
-
-    For a batch the entries are index arrays and (N, 1) fraction columns.
-    The sum starts from the first corner's term, so a -0.0 survives: n = 2
-    reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
-    """
-    (idx, *nodes), (w, *weights) = _corner_nodes(i0), _corner_weights(frac)
-    out = w * flat[idx]
-    for idx, w in zip(nodes, weights):
-        out = out + w * flat[idx]
-    return out
+    a left-to-right product over the axes, started from the first factor."""
+    return _corners([(1 - f, f) for f in frac], lambda p, e: e if p is None else p * e, None)
 
 
 def interpolate(fld, points, clip=False):
     """Multilinear interpolation; exact on multilinear data.
 
     Raises :class:`DomainExit` for points outside the chart unless ``clip``
-    (then coordinates are clamped to the boundary).
+    (then coordinates are clamped to the boundary).  Each corner's rows are
+    gathered by one ``take`` at the flat node index of the cell plus the
+    corner's offset.  The sum starts from the first corner's term, so a -0.0
+    survives: n = 2 reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
     """
     chart = fld.chart
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     single = np.asarray(points).ndim == 1
-    ok = chart.contains(pts)
-    if not ok.all():
+    off = chart.first_outside(pts)
+    if off is not None:
         if not clip:
-            raise DomainExit(pts[~ok][0])
+            raise DomainExit(pts[off])
         pts = np.clip(pts, chart.lo, chart.hi)
     t = (pts - chart.lo) / chart.h
     i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
     frac = t - i0
-    out = _corner_sum(fld.values.reshape(chart.res + (-1,)), i0.T, frac.T[:, :, None])
+    strides, offsets = chart.corner_offsets
+    base = i0 @ strides
+    flat = fld.values.reshape(chart.npoints, -1)
+    (_, *offsets), (w, *weights) = offsets, _corner_weights(frac.T[:, :, None])
+    out = w * flat.take(base, axis=0)  # the first corner is the cell's lower node
+    for off, w in zip(offsets, weights):
+        out += w * flat.take(base + off, axis=0)
     out = out.reshape(pts.shape[:1] + fld.comp_shape)
     return out[0] if single else out
-
-
-def point_inside(chart):
-    """``chart.contains`` for one point given as a sequence of floats, as a fast predicate."""
-    lo, hi = chart.lo.tolist(), chart.hi.tolist()
-
-    def inside(x):
-        for a, xk, b in zip(lo, x, hi):
-            if not a <= xk <= b:
-                return False
-        return True
-
-    return inside
 
 
 # -- specialized field wrappers ----------------------------------------------

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .calculus import contract, gradient_field, lp_norm, mollify
-from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, point_inside
+from .calculus import contract, lp_norm, mollify
+from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
@@ -43,7 +43,7 @@ class GeodesicProblem:
         self.v0 = np.asarray(self.v0, dtype=float)
         chart = self.chart or getattr(self.connection, "chart", None)
         self.chart = chart
-        if chart is not None and not chart.contains(self.x0, margin=0.0)[0]:
+        if chart is not None and not chart.contains(self.x0)[0]:
             raise DomainExit(self.x0)
         if not np.all(np.isfinite(self.v0)):
             raise RtgeoError("non-finite initial velocity")
@@ -54,11 +54,17 @@ class Curve:
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    truncated: bool = False
+    # the rule that ended the interval: "none" (full length), "chart_exit",
+    # "velocity_ball", or "domain_exit" (an RK stage point left the chart)
+    truncation: str = "none"
     method: str = "rk4"
     dt: float = 0.0
     picard_sweeps: int = 0
     non_uniqueness_candidate: bool = False
+
+    @property
+    def truncated(self):
+        return self.truncation != "none"
 
     @property
     def interval(self):
@@ -98,7 +104,7 @@ def _tuple(items):
 def _sampled_source(n):
     """``sampled(lo, h, hi, top, rows)`` binds a chart's geometry and a field's
     (*res, n^3) rows and returns ``(t, x, v) -> -Gamma(x) v v``:
-    :func:`charts.point_inside`'s bounds test, then :func:`charts.interpolate`'s
+    :meth:`Chart.contains`'s bounds test, then :func:`charts.interpolate`'s
     cell, fractions, weights and corner sum, term by term on Python floats.
     The 2^n corner rows of the last cell visited stay in closure cells.
     """
@@ -149,11 +155,20 @@ def _sampled_source(n):
     return src
 
 
-def _step_source(n):
-    """``step(F, t, x, v, half, dt, sixth)``: one RK4 step on tuples, with the
-    stages ``x + half*k`` and the update ``x + sixth*(((k1 + 2k2) + 2k3) + k4)``
-    element by element in the order numpy gives the array expressions."""
-    xs, vs = _names("x", n), _names("v", n)
+def _march_source(n):
+    """``march(F, t, x, v, steps, half, dt, sixth, lo, hi)``: the fixed-step
+    RK4 loop on Python floats, returning the node lists and the truncation.
+
+    A step is straight-line code: the stages ``x + half*k`` and the update
+    ``x + sixth*(((k1 + 2k2) + 2k3) + k4)`` element by element in the order
+    numpy gives the array expressions.  A DomainExit in a stage, a step that
+    ends off ``[lo, hi]`` (no test when ``lo`` is None), or one that ends
+    outside the velocity ball stops the loop before that step.  The ball's
+    sum of squares settles the points surely inside; the rest go to
+    :func:`_outside_ball`.
+    """
+    ax = range(n)
+    xs, vs, ys, us, bs, ds = (_names(s, n) for s in ("x", "v", "y", "u", "b", "d"))
     k1v, k2x, k2v, k3x, k3v, k4x, k4v = (
         _names(f"{k}_", n) for k in ("k1v", "k2x", "k2v", "k3x", "k3v", "k4x", "k4v")
     )
@@ -161,31 +176,54 @@ def _step_source(n):
     def axpy(y, a, z):
         return [f"{p} + {a} * {q}" for p, q in zip(y, z)]
 
-    def assign(names, exprs):
-        return [f"    {a} = {e}" for a, e in zip(names, exprs)]
+    def assign(names, exprs, indent="            "):
+        return [f"{indent}{a} = {e}" for a, e in zip(names, exprs)]
 
     def advance(y, k1, k2, k3, k4):
-        terms = zip(y, k1, k2, k3, k4)
-        return _tuple([f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in terms])
+        return [f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     return [
-        "def step(F, t, x, v, half, dt, sixth):",
+        "def march(F, t, x, v, steps, half, dt, sixth, lo, hi):",
         f"    {', '.join(xs)}, = x",
         f"    {', '.join(vs)}, = v",
-        f"    {', '.join(k1v)}, = F(t, x, v)",
+        f"    {', '.join(bs)}, = start = v",
+        "    bounded = lo is not None",
+        "    if bounded:",
+        f"        {', '.join(_names('lo', n))}, = lo",
+        f"        {', '.join(_names('hi', n))}, = hi",
+        "    surely_inside, outside = _BALL_INSIDE, _outside_ball",
+        "    ts, xs, vs = [t], [x], [v]",
+        "    for _ in range(steps):",
+        "        try:",
+        f"            {', '.join(k1v)}, = F(t, x, v)",
         *assign(k2x, axpy(vs, "half", k1v)),
-        f"    {', '.join(k2v)}, = F(t + half, {_tuple(axpy(xs, 'half', vs))}, {_tuple(k2x)})",
+        f"            {', '.join(k2v)}, = F(t + half, {_tuple(axpy(xs, 'half', vs))}, {_tuple(k2x)})",
         *assign(k3x, axpy(vs, "half", k2v)),
-        f"    {', '.join(k3v)}, = F(t + half, {_tuple(axpy(xs, 'half', k2x))}, {_tuple(k3x)})",
+        f"            {', '.join(k3v)}, = F(t + half, {_tuple(axpy(xs, 'half', k2x))}, {_tuple(k3x)})",
         *assign(k4x, axpy(vs, "dt", k3v)),
-        f"    {', '.join(k4v)}, = F(t + dt, {_tuple(axpy(xs, 'dt', k3x))}, {_tuple(k4x)})",
-        f"    return {advance(xs, vs, k2x, k3x, k4x)}, {advance(vs, k1v, k2v, k3v, k4v)}",
+        f"            {', '.join(k4v)}, = F(t + dt, {_tuple(axpy(xs, 'dt', k3x))}, {_tuple(k4x)})",
+        "        except DomainExit:",
+        '            return ts, xs, vs, "domain_exit"',
+        *assign(ys, advance(xs, vs, k2x, k3x, k4x), "        "),
+        *assign(us, advance(vs, k1v, k2v, k3v, k4v), "        "),
+        f"        if bounded and not ({' and '.join(f'lo{k} <= y{k} <= hi{k}' for k in ax)}):",
+        '            return ts, xs, vs, "chart_exit"',
+        *assign(ds, [f"u{k} - b{k}" for k in ax], "        "),
+        f"        if not {' + '.join(f'd{k} * d{k}' for k in ax)} <= surely_inside and outside({_tuple(us)}, start):",
+        '            return ts, xs, vs, "velocity_ball"',
+        "        t = t + dt",
+        f"        {', '.join(xs + vs)} = {', '.join(ys + us)}",
+        f"        x, v = {_tuple(xs)}, {_tuple(vs)}",
+        "        ts.append(t)",
+        "        xs.append(x)",
+        "        vs.append(v)",
+        '    return ts, xs, vs, "none"',
     ]
 
 
 def _kernel_source(n):
     """Python source of the straight-line RK4 kernels for dimension ``n``:
-    ``contraction(G, v)`` on a flat component list, ``sampled`` and ``step``.
+    ``contraction(G, v)`` on a flat component list, ``sampled`` and ``march``.
     Every expression keeps the array code's operation order, so the results
     are its bits."""
     gs, vs = _names("g", n ** 3), _names("v", n)
@@ -195,15 +233,15 @@ def _kernel_source(n):
         f"    {', '.join(vs)}, = v",
         f"    return {_tuple(_contraction_rows(gs, vs))}",
     ]
-    return "\n\n".join("\n".join(part) for part in (contraction, _sampled_source(n), _step_source(n))) + "\n"
+    return "\n\n".join("\n".join(part) for part in (contraction, _sampled_source(n), _march_source(n))) + "\n"
 
 
 @lru_cache(maxsize=None)
 def _rk4_kernels(n):
-    """``(step, contraction, sampled)`` for dimension ``n``, compiled once per n."""
-    ns = {"DomainExit": DomainExit}
+    """``(march, contraction, sampled)`` for dimension ``n``, compiled once per n."""
+    ns = {"DomainExit": DomainExit, "_BALL_INSIDE": _BALL_INSIDE, "_outside_ball": _outside_ball}
     exec(compile(_kernel_source(n), f"<rk4 kernels n={n}>", "exec"), ns)
-    return ns["step"], ns["contraction"], ns["sampled"]
+    return ns["march"], ns["contraction"], ns["sampled"]
 
 
 def _sampled_rhs(fld):
@@ -274,54 +312,33 @@ def _outside_ball(v, v0):
 
 
 def _solve_rk4(problem, dt):
-    """Classical fixed-step RK4 on u = (gamma, v).
-
-    The step is the generated straight-line :func:`_step_source` on tuples
-    of Python floats, element by element in the order numpy gives the array
-    expressions, so the curve is bit for bit the array loop's.  A DomainExit
-    in a stage, or a step that ends off the chart or outside the velocity
-    ball, truncates the interval before that step.
-    """
+    """Classical fixed-step RK4 on u = (gamma, v): the generated
+    :func:`_march_source` loop on tuples of Python floats, element by element
+    in the order numpy gives the array expressions, so the curve is bit for
+    bit the array loop's."""
     dt = dt or default_dt(problem)
-    F = _rhs(problem)
-    step = _rk4_kernels(len(problem.x0))[0]
-    inside = (lambda x: True) if problem.chart is None else point_inside(problem.chart)
-    steps = int(round(problem.interval / dt))
-    half, sixth = 0.5 * dt, dt / 6
-
-    t = problem.t0
-    x = tuple(problem.x0.tolist())
-    v = v0 = tuple(problem.v0.tolist())
-    ts, xs, vs = [t], [x], [v]
-    truncated = False
-    for _ in range(steps):
-        try:
-            xn, vn = step(F, t, x, v, half, dt, sixth)
-        except DomainExit:
-            truncated = True
-            break
-        if not inside(xn) or _outside_ball(vn, v0):
-            truncated = True
-            break
-        t, x, v = t + dt, xn, vn
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-    if len(ts) == 1 and truncated:
+    march = _rk4_kernels(len(problem.x0))[0]
+    chart = problem.chart
+    lo, hi = (None, None) if chart is None else (chart.lo.tolist(), chart.hi.tolist())
+    x0, v0, steps = tuple(problem.x0.tolist()), tuple(problem.v0.tolist()), int(round(problem.interval / dt))
+    ts, xs, vs, truncation = march(_rhs(problem), problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, lo, hi)
+    if len(ts) == 1 and truncation != "none":
         raise DomainExit(problem.x0)
     return Curve(
         times=np.asarray(ts),
         positions=np.asarray(xs),
         velocities=np.asarray(vs),
-        truncated=truncated,
+        truncation=truncation,
         method="rk4",
         dt=dt,
     )
 
 
 def _grad_max(conn):
-    """max |grad Gamma| over the nodes of a sampled connection (FD gradient)."""
-    return float(np.abs(gradient_field(conn).values).max())
+    """max |grad Gamma| over the nodes of a sampled connection (FD gradient),
+    one axis derivative at a time."""
+    chart = conn.chart
+    return max(float(np.abs(chart.deriv(conn.values, ax)).max()) for ax in range(chart.n))
 
 
 def _solve_picard(problem, dt, tol_ode):
@@ -330,16 +347,18 @@ def _solve_picard(problem, dt, tol_ode):
     closed_form = callable(conn) and not isinstance(conn, GridField)
     gamma_at = conn if closed_form else partial(interpolate, conn)
     force = problem.force
+    x0, v0 = problem.x0, problem.v0
     K = int(round(problem.interval / dt))
     ts = problem.t0 + dt * np.arange(K + 1)
-    pos = problem.x0 + np.outer(ts - problem.t0, problem.v0)
-    vel = np.tile(problem.v0, (K + 1, 1))
-    truncated = False
+    pos = x0 + np.outer(ts - problem.t0, v0)
+    vel = np.tile(v0, (K + 1, 1))
+    truncation = "none"
     # clip the initial straight guess to the chart
     K = _last_inside(problem, pos, K)
     if K < len(ts) - 1:
-        truncated = True
+        truncation = "chart_exit"
         ts, pos, vel = ts[: K + 1], pos[: K + 1], vel[: K + 1]
+    h = 0.5 * dt  # 0.5 * dt * x evaluates as (0.5 * dt) * x
     inc_prev = np.inf
     grow = 0
     sweeps = 0
@@ -348,18 +367,21 @@ def _solve_picard(problem, dt, tol_ode):
         acc = -np.einsum("tmrn,tr,tn->tm", G, vel, vel)
         if force is not None:
             acc = acc + np.stack([force(ts[i], pos[i], vel[i]) for i in range(len(ts))])
-        new_vel = vel.copy()
-        new_pos = pos.copy()
-        new_vel[0] = problem.v0
-        new_pos[0] = problem.x0
-        # trapezoidal cumulative integrals
-        new_vel[1:] = problem.v0 + np.cumsum(0.5 * dt * (acc[1:] + acc[:-1]), axis=0)
-        new_pos[1:] = problem.x0 + np.cumsum(0.5 * dt * (new_vel[1:] + new_vel[:-1]), axis=0)
+        # trapezoidal cumulative integrals, v0 and x0 at the first node
+        new_vel, new_pos = np.empty_like(vel), np.empty_like(pos)
+        new_vel[0], new_pos[0] = v0, x0
+        for new, rate, start in ((new_vel, acc, v0), (new_pos, new_vel, x0)):
+            step, tail = rate[1:] + rate[:-1], new[1:]
+            step *= h
+            np.cumsum(step, axis=0, out=tail)
+            tail += start
         inc = max(np.abs(new_pos - pos).max(), np.abs(new_vel - vel).max())
         pos, vel = new_pos, new_vel
-        k_in = _last_inside(problem, pos, len(ts) - 1, vel=vel, v0=problem.v0)
+        k_in = _last_inside(problem, pos, len(ts) - 1, vel=vel, v0=v0)
         if k_in < len(ts) - 1:
-            truncated = True
+            # the first node cut is the one the rule stopped at
+            off_chart = problem.chart is not None and problem.chart.first_outside(pos[k_in + 1]) is not None
+            truncation = "chart_exit" if off_chart else "velocity_ball"
             ts, pos, vel = ts[: k_in + 1], pos[: k_in + 1], vel[: k_in + 1]
         if inc < tol_ode:
             break
@@ -379,7 +401,7 @@ def _solve_picard(problem, dt, tol_ode):
         times=ts,
         positions=pos,
         velocities=vel,
-        truncated=truncated,
+        truncation=truncation,
         method="picard",
         dt=dt,
         picard_sweeps=sweeps,
@@ -389,15 +411,21 @@ def _solve_picard(problem, dt, tol_ode):
 
 def _last_inside(problem, pos, kmax, vel=None, v0=None):
     """Last node index up to ``kmax`` before the first node off the chart, else
-    before the first with |v - v0| > VELOCITY_BALL; 0 at the earliest."""
+    before the first with |v - v0| > VELOCITY_BALL; 0 at the earliest.
+
+    A NaN position is off the chart.  The ball test is ``np.linalg.norm``'s
+    own formula for an axis, ``sqrt(add.reduce(d*d))``, so a NaN velocity is
+    not outside it (NaN > 1 is false), as with the norm.
+    """
     if problem.chart is not None:
-        out = np.flatnonzero(~problem.chart.contains(pos[: kmax + 1]))
-        if out.size:
-            return max(int(out[0]) - 1, 0)
+        out = problem.chart.first_outside(pos[: kmax + 1])
+        if out is not None:
+            return max(out - 1, 0)
     if vel is not None:
-        out = np.flatnonzero(np.linalg.norm(vel[: kmax + 1] - v0, axis=1) > VELOCITY_BALL)
-        if out.size:
-            return max(int(out[0]) - 1, 0)
+        d = vel[: kmax + 1] - v0
+        out = np.sqrt(np.add.reduce(d * d, axis=1)) > VELOCITY_BALL
+        if out.any():
+            return max(int(out.argmax()) - 1, 0)
     return kmax
 
 

@@ -337,7 +337,7 @@ def pushforward_curve(curve, bundle, direction="forward"):
         times=curve.times.copy(),
         positions=pos,
         velocities=vel,
-        truncated=curve.truncated,
+        truncation=curve.truncation,
         method=curve.method,
         dt=curve.dt,
     )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -149,6 +151,55 @@ def test_interpolate_matches_bilinear_formula():
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     at_nodes = interpolate(GridField(chart, vals), chart.nodes.reshape(-1, 2))
+    assert (np.signbit(at_nodes) & (at_nodes == 0)).any()  # the -0.0 case occurs
+
+
+def corner_sum_reference(fld, pts):
+    """The multilinear corner sum with tuple-indexed corners: for the 2^n
+    corners, axis 0 fastest, the weight is a left-to-right product of (1 - f)
+    or f over the axes and the sum starts from the first corner's term."""
+    chart = fld.chart
+    t = (pts - chart.lo) / chart.h
+    i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
+    frac = t - i0
+    v = fld.values.reshape(chart.res + (-1,))
+    out = None
+    for bits in itertools.product((0, 1), repeat=chart.n):
+        bits = bits[::-1]
+        w = None
+        for k, b in enumerate(bits):
+            f = frac[:, k : k + 1] if b else 1 - frac[:, k : k + 1]
+            w = f if w is None else w * f
+        term = w * v[tuple(i0[:, k] + b for k, b in enumerate(bits))]
+        out = term if out is None else out + term
+    return out
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes() and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("res", [(17, 23), (9, 10, 11), (8, 9, 8, 10)])
+def test_interpolate_matches_tuple_indexed_corner_sum(res):
+    """The flat-index gathers against tuple indexing, byte for byte: batches,
+    single points, clipped points, -0.0 samples and points on the hi faces."""
+    rng = np.random.default_rng(sum(res))
+    n = len(res)
+    chart = Chart(rng.uniform(-1, 0, n), rng.uniform(0.5, 2, n), res)
+    signed = -np.abs(rng.standard_normal(chart.res + (2,)))
+    signed[rng.random(signed.shape) < 0.3] = -0.0
+    for values in (signed, rng.standard_normal(chart.res + (n, n))):
+        fld = GridField(chart, values)
+        pts = probe_points(chart, rng, m=200)
+        want = corner_sum_reference(fld, pts)
+        assert same_bits(interpolate(fld, pts).reshape(len(pts), -1), want)
+        for i in range(0, len(pts), 17):
+            assert same_bits(interpolate(fld, pts[i]).ravel(), want[i])
+        wide = 0.5 * (chart.lo + chart.hi) + 1.5 * (pts - 0.5 * (chart.lo + chart.hi))
+        assert not chart.contains(wide).all()
+        got = interpolate(fld, wide, clip=True).reshape(len(pts), -1)
+        assert same_bits(got, corner_sum_reference(fld, np.clip(wide, chart.lo, chart.hi)))
+    at_nodes = interpolate(GridField(chart, signed), chart.nodes.reshape(-1, n))
     assert (np.signbit(at_nodes) & (at_nodes == 0)).any()  # the -0.0 case occurs
 
 

@@ -485,7 +485,7 @@ def rk4_reference(problem, dt):
             break
         xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         vn = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not problem.chart.contains(xn)[0]:
+        if problem.chart is not None and not problem.chart.contains(xn)[0]:
             cause = "chart"
             break
         if np.linalg.norm(vn - problem.v0) > 1.0:
@@ -500,7 +500,7 @@ def rk4_reference(problem, dt):
 
 def last_inside_reference(problem, pos, kmax, vel=None, v0=None):
     """Picard's truncation rule as two scans over the nodes."""
-    ok = problem.chart.contains(pos)
+    ok = np.ones(len(pos), bool) if problem.chart is None else problem.chart.contains(pos)
     for k in range(kmax + 1):
         if not ok[k]:
             return max(k - 1, 0)
@@ -524,6 +524,20 @@ SPHERE_IVPS = {
 }
 
 
+# Curve.truncation per reference stopping cause; Picard has no RK stages, so
+# where RK4 leaves the chart inside a stage, Picard's cut is at a node off it
+RK4_TRUNCATION = {None: "none", "stage": "domain_exit", "chart": "chart_exit", "ball": "velocity_ball"}
+PICARD_TRUNCATION = {**RK4_TRUNCATION, "stage": "chart_exit"}
+
+
+def strong_pull(pts):
+    """A constant pull that takes |v - v0| to 1 before any chart edge."""
+    pts = np.atleast_2d(pts)
+    out = np.zeros(pts.shape[:-1] + (2, 2, 2))
+    out[..., 1, 0, 0] = 30.0
+    return out[0] if np.asarray(pts).ndim == 1 else out
+
+
 def reference_case(case):
     """The problem and its stopping cause: the sampled sphere per SPHERE_IVPS
     cause, or one more kind of right-hand side."""
@@ -536,6 +550,8 @@ def reference_case(case):
     if case == "closed_form":
         prob = GeodesicProblem(sphere_christoffel, 0.0, [1.726, 0.788], [-2.106, -1.81], chart=chart)
         return prob, "ball"
+    if case == "unbounded":
+        return GeodesicProblem(strong_pull, 0.0, [0.1, 0.9], [0.2, 0.0], chart=None), "ball"
     if case == "forced":
         drag = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
         return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=drag), None
@@ -547,7 +563,7 @@ def reference_case(case):
     return GeodesicProblem(connection_field(chart, vals), 0.0, [0.1, 0.2, 0.0], [1.5, -0.9, 0.5]), "stage"
 
 
-@pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "closed_form", "forced"])
+@pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "closed_form", "unbounded", "forced"])
 def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
     prob, cause = reference_case(case)
     ts, xs, vs, truncated, got_cause = rk4_reference(prob, 1 / 32)
@@ -556,14 +572,80 @@ def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
     for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert c.truncated == truncated
+    assert c.truncation == RK4_TRUNCATION[cause]
 
     p = solve_geodesic(prob, "picard", dt=1 / 32)
     monkeypatch.setattr(geodesics, "_last_inside", last_inside_reference)
     q = solve_geodesic(prob, "picard", dt=1 / 32)
-    assert (p.picard_sweeps, len(p.times), p.truncated) == (q.picard_sweeps, len(q.times), q.truncated)
+    assert (p.picard_sweeps, len(p.times), p.truncation) == (q.picard_sweeps, len(q.times), q.truncation)
     for a, b in ((p.times, q.times), (p.positions, q.positions), (p.velocities, q.velocities)):
         assert a.tobytes() == b.tobytes()
     assert p.truncated == (cause is not None)
+    assert p.truncation == PICARD_TRUNCATION[cause]
+
+
+def test_unbounded_closed_form_keeps_nan_steps():
+    """With no chart, a step is judged by the velocity ball alone: a NaN
+    position is not an exit and ``norm(NaN) > 1`` is false, so the curve
+    runs its full interval, bit for bit the array loop's."""
+
+    def blows_up(x):
+        out = strong_pull(x) / 30.0
+        return out * np.nan if x[0] > 0.2 else out
+
+    prob = GeodesicProblem(blows_up, 0.0, [0.1, 0.9], [0.4, 0.0], interval=0.5, chart=None)
+    ts, xs, vs, truncated, cause = rk4_reference(prob, 1 / 32)
+    c = solve_geodesic(prob, "rk4", dt=1 / 32)
+    assert not truncated and c.truncation == "none" and np.isnan(c.positions[-1]).all()
+    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_last_inside_matches_reference_scans():
+    """Picard's cut against the two scans: a NaN position is off the chart, a
+    NaN velocity is not outside the ball (``norm`` gives NaN, and NaN > 1 is
+    false) while an infinite one is, and the chart rule wins over the ball."""
+    chart = Chart((0.0, -1.0), (1.0, 2.0), (17, 17))
+    prob = GeodesicProblem(zero_connection(chart), 0.0, [0.5, 0.5], [0.3, -0.2])
+    v0 = prob.v0
+    rng = np.random.default_rng(4)
+    seen = set()
+    for trial in range(400):
+        # straight runs from (x0, v0) that may cross the chart edge, the ball or both
+        m = int(rng.integers(2, 40))
+        s = np.linspace(0.0, 1.0, m)[:, None]
+        pos = prob.x0 + s * rng.uniform(-2.0, 2.0, 2)
+        vel = v0 + s * rng.uniform(-1.5, 1.5, 2)
+        for arr, bad in ((pos, np.nan), (vel, np.nan), (vel, np.inf), (vel, -np.inf)):
+            hit = rng.random((m, 2)) < 0.05
+            hit[0] = False
+            arr[hit] = bad
+        kmax = int(rng.integers(0, m))
+        want = last_inside_reference(prob, pos, kmax, vel=vel, v0=v0)
+        assert geodesics._last_inside(prob, pos, kmax, vel=vel, v0=v0) == want
+        assert geodesics._last_inside(prob, pos, kmax) == last_inside_reference(prob, pos, kmax)
+        seen.add(want < kmax)
+    assert seen == {True, False}
+    pos = np.tile(prob.x0, (6, 1))
+    vel = np.tile(v0, (6, 1))
+    vel[2, 0] = np.nan
+    assert geodesics._last_inside(prob, pos, 5, vel=vel, v0=v0) == 5
+    vel[3, 1] = np.inf
+    assert geodesics._last_inside(prob, pos, 5, vel=vel, v0=v0) == 2
+    pos[4, 0] = np.nan
+    assert geodesics._last_inside(prob, pos, 5, vel=vel, v0=v0) == 3
+    assert geodesics._last_inside(prob, pos, 3, vel=vel, v0=v0) == 2
+
+
+@pytest.mark.parametrize("res", [(17, 23), (9, 10, 11)])
+def test_grad_max_matches_stacked_gradient(res):
+    from rtgeo.calculus import gradient_field
+
+    rng = np.random.default_rng(len(res))
+    n = len(res)
+    chart = Chart(rng.uniform(-1, 0, n), rng.uniform(0.5, 2, n), res)
+    conn = connection_field(chart, rng.standard_normal(chart.res + (n, n, n)) * 10.0 ** rng.uniform(-3, 3))
+    assert geodesics._grad_max(conn) == float(np.abs(gradient_field(conn).values).max())
 
 
 # -- the step's scalar pieces against their numpy definitions -----------------
