@@ -409,7 +409,8 @@ def poisson_solve(source, boundary):
 
     Delta is the same composed operator as :func:`laplacian` (the composition
     collapses to -sum_j D_j^2 per component exactly, by commutation of the
-    axis-difference matrices).  Sparse LU; deterministic.
+    axis-difference matrices).  Solved by :meth:`Chart.dirichlet_solve`'s
+    fast diagonalization; deterministic.
     """
     chart = source.chart
     bvals = boundary.values if isinstance(boundary, (MatrixForm, GridField)) else boundary

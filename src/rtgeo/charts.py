@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigurationError,
@@ -23,6 +22,7 @@ from .errors import (
     JacobianError,
     SamplingError,
     ShapeError,
+    SolverError,
 )
 
 TAU_INV = 1e-9        # pointwise |J @ Jinv - I| bound
@@ -43,9 +43,9 @@ def _d1(m, h):
 class Chart:
     """Rectangular coordinate domain with a uniform tensor-product grid.
 
-    Also owns the discrete differential operators (sparse axis derivatives
-    and the factorized Dirichlet Laplacian); these are cached lazily so that
-    charts stay cheap to construct.
+    Also owns the discrete differential operators (sparse axis derivatives,
+    the Laplacian, and the per-axis eigenbases of the Dirichlet solve); these
+    are cached lazily so that charts stay cheap to construct.
     """
 
     def __init__(self, lo, hi, res):
@@ -113,14 +113,19 @@ class Chart:
             L = T if L is None else L + T
         return (-L).tocsr()
 
-    def _dirichlet_matrix(self):
-        """The Laplacian's rows at interior nodes, identity rows on the rim (CSC)."""
-        interior = self.interior_mask.ravel().astype(float)
-        return (sp.diags(1.0 - interior) + sp.diags(interior) @ self.lap_op).tocsc()
-
     @cached_property
-    def _dirichlet_lu(self):
-        return spla.splu(self._dirichlet_matrix())
+    def _dirichlet_eig(self):
+        """Per axis (V, V^-1) with (D @ D)[1:-1, 1:-1] = V diag(lam) V^-1, and
+        the eigenvalues -sum_j lam_j of Delta's interior block, shape res - 2."""
+        bases, denom = [], 0.0
+        for ax, (m, h) in enumerate(zip(self.res, self.h)):
+            D = _d1(m, h)
+            lam, V = np.linalg.eig((D @ D)[1:-1, 1:-1].toarray())
+            if np.iscomplexobj(lam):
+                raise SolverError(f"axis {ax}, m = {m}: the interior block of D^2 has a non-real eigenpair")
+            bases.append((V, np.linalg.inv(V)))
+            denom = np.subtract.outer(denom, lam)
+        return bases, denom
 
     # -- operator application on (*res, *comp) arrays --------------------
 
@@ -139,13 +144,26 @@ class Chart:
         return out.reshape(shp)
 
     def dirichlet_solve(self, source, boundary):
-        """Solve Delta u = source at interior nodes, u = boundary on the rim."""
-        shp = source.shape
-        rhs = source.reshape(self.npoints, -1).copy()
-        b = np.broadcast_to(boundary, shp).reshape(self.npoints, -1)
-        rim = ~self.interior_mask.ravel()
-        rhs[rim] = b[rim]
-        return self._dirichlet_lu.solve(rhs).reshape(shp)
+        """Solve Delta u = source at interior nodes, u = boundary on the rim.
+
+        Fast diagonalization (Lynch, Rice & Thomas 1964): on interior nodes
+        Delta is the Kronecker sum of the axes' -D_j^2 blocks, and the rim
+        values move into the right-hand side.  Each axis product is one GEMM
+        that moves the axis from first to last (V^-1) or last to first (V).
+        """
+        inner = (slice(1, -1),) * self.n
+        u = np.array(np.broadcast_to(boundary, source.shape), dtype=float)
+        u[inner] = 0.0
+        rhs = (source - self.laplace(u))[inner]
+        bases, denom = self._dirichlet_eig
+        x = rhs
+        for (_, Vinv), p in zip(bases, denom.shape):
+            x = x.reshape(p, -1).T @ Vinv.T
+        x = x.reshape((-1,) + denom.shape) / denom
+        for (V, _), p in zip(bases[::-1], denom.shape[::-1]):
+            x = V @ x.reshape(-1, p).T
+        u[inner] = x.reshape(rhs.shape)
+        return u
 
     def voxel(self):
         return float(np.prod(self.h))

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from rtgeo.charts import (
     make_chart,
     sample_field,
 )
-from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError
+from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError, SolverError
 from rtgeo.geodesics import _sampled_rhs
 
 
@@ -318,15 +320,57 @@ def dirichlet_matrix_by_rows(chart):
     return A.tocsc()
 
 
-@pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11)])
-def test_dirichlet_matrix_matches_row_construction(res):
+@pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11), (17, 17, 17)])
+def test_dirichlet_solve_matches_sparse_lu(res):
     chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
-    want, got = dirichlet_matrix_by_rows(chart), chart._dirichlet_matrix()
-    assert got.format == "csc"
-    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    rhs = np.random.default_rng(len(res)).standard_normal((chart.npoints, 3))
-    assert chart._dirichlet_lu.solve(rhs).tobytes() == spla.splu(want).solve(rhs).tobytes()
+    rng = np.random.default_rng(len(res))
+    source, boundary = rng.standard_normal((2,) + res + (3,))
+    rhs = source.reshape(chart.npoints, -1).copy()
+    rim = ~chart.interior_mask.ravel()
+    rhs[rim] = boundary.reshape(chart.npoints, -1)[rim]
+    want = spla.splu(dirichlet_matrix_by_rows(chart)).solve(rhs).reshape(source.shape)
+    got = chart.dirichlet_solve(source, boundary)
+    assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+    assert got[~chart.interior_mask].tobytes() == boundary[~chart.interior_mask].tobytes()
+
+
+@pytest.mark.parametrize("res", [(33, 33), (40, 57), (33, 33, 33)])
+def test_dirichlet_solve_recovers_quadratic(res):
+    # the stencil differentiates quadratics exactly, so Delta q is exact and
+    # the solve with q on the rim must give q back to round-off
+    n = len(res)
+    chart = Chart((-0.5,) * n, (1.0,) + (0.75,) * (n - 1), res)
+    X = chart.nodes
+    q = np.stack([1.0 + X[..., 0] ** 2 - 0.5 * X[..., 0] * X[..., -1], X[..., 1] * (0.3 - X[..., 1])], axis=-1)
+    u = chart.dirichlet_solve(chart.laplace(q), q)
+    assert np.abs(u - q).max() < 1e-11
+    # a wrong rim value in the middle of a face reaches the interior
+    wrong = q.copy()
+    wrong[(0,) + tuple(r // 2 for r in res[1:])] += 1.0
+    assert np.abs(chart.dirichlet_solve(chart.laplace(q), wrong) - q)[chart.interior_mask].max() > 1e-6
+
+
+def test_dirichlet_solve_rejects_non_real_spectrum(monkeypatch):
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (9, 12))
+    real_eig = np.linalg.eig
+
+    def eig(a):
+        lam, V = real_eig(a)
+        if len(a) == 10:
+            lam = lam + 1j * (np.arange(len(lam)) == 0)
+        return lam, V.astype(lam.dtype)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(SolverError, match="axis 1, m = 12"):
+        chart.dirichlet_solve(np.zeros(chart.res), 0.0)
+
+
+def test_import_skips_sparse_linalg():
+    # no elliptic solve factorizes, so the package never loads scipy.sparse.linalg
+    code = "import sys, rtgeo; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_csv_roundtrip_bit_exact(tmp_path, unit_chart):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rtgeo.calculus import lp_norm, norm_report, w1p_norm
 from rtgeo.charts import GridField, connection_field
 from rtgeo.curvature import bump_basis, represent_weak, riemann
 from rtgeo.errors import SolverError
+from rtgeo.harness import generate_scenario, load_config
 from rtgeo.rt_solver import (
     RTConfig,
     assemble_gamma_tilde,
@@ -181,3 +184,15 @@ def test_rt_residual_history_nonincreasing_tail(rough_rt_state):
     # after burn-in the fixed point contracts monotonically
     tail = inc[5:]
     assert all(b <= a * 1.05 for a, b in zip(tail, tail[1:]))
+
+
+def test_rt_rough_257_stops_by_fixed_point_rule():
+    # at 257^2 the increment must fall below fixed_point_tol itself, not end
+    # at max_iters inside the 100x stagnation slack
+    scn, rtk = load_config("configs/rough_beta06.cfg")
+    scn = replace(scn, resolution=(257, 257), seed=1)
+    cfg = RTConfig(**rtk)
+    state = solve_reduced_rt(generate_scenario(scn).conn_x, cfg)
+    assert not state.used_subchart
+    assert state.increments[-1] < cfg.fixed_point_tol
+    assert state.iterations < cfg.max_iters // 2
