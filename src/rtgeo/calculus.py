@@ -34,11 +34,11 @@ HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units o
 def _contraction_plan(subscripts):
     """Parse ``"...ab,...bc->...ac"`` once into per-operand layouts and a product schedule.
 
-    Per operand: the axis permutation (output labels it carries, in output
-    order, then its contracted labels), the indexing that inserts a unit
-    axis for each output label it lacks, and the positions of its
-    contracted labels in the contracted-label order.  ``steps[l]`` lists the
-    operands whose factor joins the running product once the first ``l``
+    Per operand: the axis permutation of its labels (its contracted labels,
+    then the output labels it carries, in output order), the indexing that
+    inserts a unit axis for each output label it lacks, and the positions of
+    its contracted labels in the contracted-label order.  ``steps[l]`` lists
+    the operands whose factor joins the running product once the first ``l``
     contracted labels are fixed.
     """
     inputs, out = subscripts.split("->")
@@ -57,8 +57,8 @@ def _contraction_plan(subscripts):
     for s in inputs:
         free = [s.index(c) for c in out if c in s]
         contracted = [c for c in s if c not in out]
-        expand = tuple(slice(None) if c in s else None for c in out) + (slice(None),) * len(contracted)
-        layouts.append((tuple(free + [s.index(c) for c in contracted]), expand))
+        expand = (slice(None),) * len(contracted) + tuple(slice(None) if c in s else None for c in out)
+        layouts.append((tuple([s.index(c) for c in contracted] + free), expand))
         keys.append(tuple(summed.index(c) for c in contracted))
         levels.append(max([levels[-1] if levels else 0] + [k + 1 for k in keys[-1]]))
     steps = tuple(tuple(k for k, lv in enumerate(levels) if lv == step) for step in range(len(summed) + 1))
@@ -80,7 +80,10 @@ def contract(subscripts, *operands):
 
     Each numpy op here covers every node and every output label at once, so
     a call costs about n^k array ops for k contracted labels instead of
-    einsum's generic per-element loop.  Because products run left to right,
+    einsum's generic per-element loop.  Each operand is copied once into
+    label-major order (contracted labels, output labels, node axes), so every
+    op runs a long contiguous loop over the nodes; the output labels go back
+    to the end in one C-contiguous copy.  Because products run left to right,
     the product of the leading operands is formed once per assignment of the
     labels they carry and reused across the inner labels: the same value.
 
@@ -105,25 +108,27 @@ def contract(subscripts, *operands):
     layouts, keys, steps = _contraction_plan(subscripts)
     if len(operands) != len(layouts):
         raise ShapeError(f"{subscripts!r} names {len(layouts)} operands, got {len(operands)}")
+    rank = max(a.ndim - len(perm) for a, (perm, _) in zip(operands, layouts))
     views, sizes = [], [None] * (len(steps) - 1)
     for a, (perm, expand), key in zip(operands, layouts, keys):
         nb = a.ndim - len(perm)
-        v = a.transpose(tuple(range(nb)) + tuple(nb + p for p in perm))[(Ellipsis,) + expand]
-        views.append(v)
-        for lab, size in zip(key, v.shape[v.ndim - len(key):]):
+        v = np.ascontiguousarray(a.transpose(tuple(nb + p for p in perm) + tuple(range(nb))))
+        views.append(v[expand + (None,) * (rank - nb)])
+        for lab, size in zip(key, v.shape):
             if sizes[lab] not in (None, size):
                 raise ShapeError(f"contracted label sizes disagree in {subscripts!r}")
             sizes[lab] = size
-    shape = np.broadcast_shapes(*[v.shape[: v.ndim - len(key)] for v, key in zip(views, keys)])
+    shape = np.broadcast_shapes(*[v.shape[len(key):] for v, key in zip(views, keys)])
     out = np.zeros(shape, dtype=np.result_type(*operands))
     _accumulate(out, views, keys, steps, sizes, 0, None, ())
-    return out
+    labels = len(shape) - rank
+    return np.ascontiguousarray(np.moveaxis(out, range(labels), range(rank, rank + labels)))
 
 
 def _accumulate(out, views, keys, steps, sizes, level, prod, idx):
     """Add to ``out`` every term under the first ``level`` contracted labels fixed at ``idx``."""
     for k in steps[level]:
-        factor = views[k][(Ellipsis,) + tuple(idx[lab] for lab in keys[k])]
+        factor = views[k][tuple(idx[lab] for lab in keys[k])]
         prod = factor if prod is None else prod * factor
     if level == len(sizes):
         np.add(prod, out, out=out)  # einsum's operand order, temp + out: it decides which NaN survives
@@ -313,8 +318,13 @@ def mollify(fld, eps):
     """Normalized convolution with the bump kernel; truncated-renormalized at the rim.
 
     Linear, positivity preserving, exact on constants, and leaves affine data
-    unchanged wherever the kernel support is fully interior.  One ``ndimage``
-    path serves every n; with numba installed, n = 2 runs the jitted loop.
+    unchanged wherever the kernel support is fully interior.  One numpy tap
+    loop serves every n and every component, bit for bit
+    ``scipy.ndimage.convolve``'s zero-fill sum: the flipped kernel's taps in
+    C order, taps with |w| <= DBL_EPSILON skipped (ndimage's footprint), each
+    adding ``w * value`` to a sum started at 0.0; the denominator, the same
+    sum over ones, rides along as one more component.  With numba installed,
+    n = 2 runs the jitted loop.
     """
     chart = fld.chart
     K = bump_kernel(chart, eps)
@@ -322,12 +332,16 @@ def mollify(fld, eps):
     if chart.n == 2 and _kernels.HAVE_NUMBA:
         out = _kernels._mollify2_jit(np.ascontiguousarray(comp), np.ascontiguousarray(K))
     else:
-        from scipy import ndimage  # on first use: importing it costs ~0.1 s
-
-        out = np.empty_like(comp)
-        den = ndimage.convolve(np.ones(chart.res), K, mode="constant", cval=0.0)
-        for c in range(comp.shape[-1]):
-            out[..., c] = ndimage.convolve(comp[..., c], K, mode="constant", cval=0.0) / den
+        flipped = K[(slice(None, None, -1),) * chart.n]
+        padded = np.pad(
+            np.concatenate([comp, np.ones(chart.res + (1,))], axis=-1),
+            [(k // 2, k // 2) for k in K.shape] + [(0, 0)],
+        )
+        acc, term = np.zeros(chart.res + padded.shape[-1:]), np.empty(chart.res + padded.shape[-1:])
+        for tap in zip(*np.nonzero(np.abs(flipped) > np.finfo(np.float64).eps)):
+            np.multiply(flipped[tap], padded[tuple(slice(t, t + m) for t, m in zip(tap, chart.res))], out=term)
+            acc += term
+        out = acc[..., :-1] / acc[..., -1:]
     return fld.copy(values=out.reshape(fld.values.shape))
 
 

@@ -31,13 +31,11 @@ DET_FLOOR = 1e-6      # |det J| lower bound
 
 def _d1(m, h):
     """1-D first derivative: centered interior, one-sided second order at ends."""
-    D = sp.lil_matrix((m, m))
-    for i in range(1, m - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[m - 1, m - 1], D[m - 1, m - 2], D[m - 1, m - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D.tocsr()
+    inner = np.arange(1, m - 1, dtype=np.int32)
+    indptr = np.concatenate([[0], 3 + 2 * np.arange(m - 1), [2 * m + 2]]).astype(np.int32)
+    indices = np.concatenate([[0, 1, 2], np.stack([inner - 1, inner + 1], axis=1).ravel(), [m - 3, m - 2, m - 1]])
+    data = np.concatenate([[-1.5 / h, 2.0 / h, -0.5 / h], np.tile([-0.5 / h, 0.5 / h], m - 2), [0.5 / h, -2.0 / h, 1.5 / h]])
+    return sp.csr_matrix((data, indices.astype(np.int32), indptr), shape=(m, m))
 
 
 class Chart:

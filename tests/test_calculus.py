@@ -434,6 +434,10 @@ def _matches_einsum(fn, subscripts, ops):
 def test_contract_matches_einsum(subscripts, n, batch, layouts, seed):
     ops = _operands(subscripts, n, batch, layouts, seed)
     assert _matches_einsum(contract, subscripts, ops)
+    # reductions downstream (lp_norm, sum) take their bits from memory order
+    with np.errstate(all="ignore"):
+        got = contract(subscripts, *ops)
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from rtgeo.charts import (
     Chart,
     GridField,
     JacobianField,
+    _d1,
     connection_field,
     dump_field,
     interpolate,
@@ -318,6 +319,28 @@ def dirichlet_matrix_by_rows(chart):
         A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
         A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
     return A.tocsc()
+
+
+def _d1_by_items(m, h):
+    """The first-derivative matrix set entry by entry in a lil_matrix, then converted."""
+    D = sp.lil_matrix((m, m))
+    for i in range(1, m - 1):
+        D[i, i - 1] = -0.5 / h
+        D[i, i + 1] = 0.5 / h
+    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    D[m - 1, m - 1], D[m - 1, m - 2], D[m - 1, m - 3] = 1.5 / h, -2.0 / h, 0.5 / h
+    return D.tocsr()
+
+
+@pytest.mark.parametrize("m", [8, 9, 17, 33, 65, 129, 257])
+def test_d1_matches_lil_construction(m):
+    # every sparse product built on _d1 (diff_ops, lap_op) inherits its bytes
+    h = 1.0 / (m - 1)
+    got, want = _d1(m, h), _d1_by_items(m, h)
+    assert got.shape == (m, m) and got.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 @pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11), (17, 17, 17)])

@@ -1,5 +1,5 @@
 """Kernel checks: the Hölder offset sweep against an all-pairs reference,
-and mollification against a direct normalized convolution."""
+and mollification against scipy.ndimage's normalized convolution."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from rtgeo import _kernels
 from rtgeo.calculus import bump_kernel, mollify, norm_report
@@ -149,24 +150,81 @@ def test_holder_rejects_scattered_nodes():
         _kernels.holder_pair_max(coords[rng.permutation(400)], vals, 0.5, 0.05)
 
 
-def test_mollify_paths_agree():
-    # calculus.mollify (the ndimage path, or the jitted n = 2 loop when numba
-    # is installed) against a direct normalized zero-fill convolution, n = 2, 3
+def ndimage_mollify(fld, eps):
+    """The normalized zero-fill convolution, one scipy.ndimage.convolve per component."""
+    chart = fld.chart
+    kern = bump_kernel(chart, eps)
+    comp = fld.values.reshape(chart.res + (-1,))
+    den = ndimage.convolve(np.ones(chart.res), kern, mode="constant", cval=0.0)
+    out = np.stack([ndimage.convolve(comp[..., c], kern, mode="constant", cval=0.0) / den for c in range(comp.shape[-1])], -1)
+    return out.reshape(fld.values.shape)
+
+
+def tap_loop_mollify(fld, eps, footprint=True):
+    """mollify's tap loop written out; ``footprint=False`` keeps the taps ndimage drops."""
+    chart = fld.chart
+    kern = bump_kernel(chart, eps)[(slice(None, None, -1),) * chart.n]
+    comp = fld.values.reshape(chart.res + (-1,))
+    rad = [(k // 2, k // 2) for k in kern.shape]
+    padded, ones = np.pad(comp, rad + [(0, 0)]), np.pad(np.ones(chart.res), rad)
+    num, den = np.zeros(comp.shape), np.zeros(chart.res)
+    for tap in np.ndindex(kern.shape):
+        if footprint and not abs(kern[tap]) > np.finfo(np.float64).eps:
+            continue
+        window = tuple(slice(t, t + m) for t, m in zip(tap, chart.res))
+        num += kern[tap] * padded[window]
+        den += kern[tap] * ones[window]
+    return (num / den[..., None]).reshape(fld.values.shape)
+
+
+def test_mollify_paths_agree(monkeypatch):
+    # calculus.mollify's numpy path against scipy.ndimage.convolve, byte for
+    # byte, at n = 2 and 3, on data with signed zeros; with numba installed,
+    # the jitted n = 2 loop within 1e-12 of the same reference
     rng = np.random.default_rng(2)
     for res in ((33, 33), (17, 18, 19)):
         chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
-        fld = GridField(chart, rng.standard_normal(chart.res + (2,)))
-        kern = bump_kernel(chart, 1 / 8)
-        rad = [k // 2 for k in kern.shape]
-        padded = np.pad(fld.values, [(r, r) for r in rad] + [(0, 0)])
-        ones = np.pad(np.ones(chart.res), [(r, r) for r in rad])
-        num, den = np.zeros(fld.values.shape), np.zeros(chart.res)
-        for off in np.ndindex(kern.shape):  # the bump is symmetric: no kernel flip needed
-            window = tuple(slice(o, o + m) for o, m in zip(off, chart.res))
-            num += kern[off] * padded[window]
-            den += kern[off] * ones[window]
-        got = mollify(fld, 1 / 8).values
-        assert np.abs(got - num / den[..., None]).max() < 1e-12
+        for comp in ((1,), (2,), (2, 2, 2)):
+            vals = rng.standard_normal(chart.res + comp)
+            vals[rng.random(vals.shape) < 0.2] = 0.0
+            vals[rng.random(vals.shape) < 0.2] = -0.0
+            fld = GridField(chart, vals)
+            want = ndimage_mollify(fld, 1 / 8)
+            if _kernels.HAVE_NUMBA and chart.n == 2:
+                assert np.abs(mollify(fld, 1 / 8).values - want).max() < 1e-12
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "HAVE_NUMBA", False)
+                assert mollify(fld, 1 / 8).values.tobytes() == want.tobytes()
+
+
+def test_mollify_check_needs_the_footprint(monkeypatch):
+    """Negative control: a unit spike on the 101^2 unit chart at eps = 0.1 puts
+    eight kernel taps of 2.4e-63 in reach; the tap loop matches ndimage only
+    when it skips taps with |w| <= DBL_EPSILON, as ndimage does."""
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (101, 101))
+    kern = bump_kernel(chart, 0.1)
+    assert ((kern > 0) & (kern <= np.finfo(np.float64).eps)).sum() == 8
+    vals = np.zeros(chart.res + (1,))
+    vals[50, 50] = 1.0
+    fld = GridField(chart, vals)
+    want = ndimage_mollify(fld, 0.1).tobytes()
+    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
+    assert mollify(fld, 0.1).values.tobytes() == want
+    assert tap_loop_mollify(fld, 0.1).tobytes() == want
+    assert tap_loop_mollify(fld, 0.1, footprint=False).tobytes() != want
+
+
+def test_mollify_skips_ndimage_import():
+    code = (
+        "import sys, numpy as np, rtgeo\n"
+        "from rtgeo.charts import Chart, GridField\n"
+        "chart = Chart((0., 0.), (1., 1.), (33, 33))\n"
+        "rtgeo.mollify(GridField(chart, np.ones(chart.res)), 1 / 8)\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_env_flag_disables_numba():
