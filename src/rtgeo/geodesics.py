@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .calculus import contract, lp_norm, mollify
+from .calculus import HOLDER_PAIR_FLOOR, contract, lp_norm, mollify
 from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
@@ -697,7 +697,7 @@ def _time_holder_norm(times, values, alpha, dt):
     mag = np.linalg.norm(values, axis=1)
     c0 = float(mag.max())
     coords = times[:, None]
-    quot = _kernels.holder_pair_max(coords, values, alpha, 4 * dt)
+    quot = _kernels.holder_pair_max(coords, values, alpha, HOLDER_PAIR_FLOOR * dt)
     return c0 + quot
 
 

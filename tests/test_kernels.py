@@ -1,6 +1,8 @@
-"""Kernel checks: the Hölder offset sweep against an all-pairs reference,
-and mollification against scipy.ndimage's normalized convolution."""
+"""Kernel checks: the Hölder offset sweep against an all-pairs reference, its
+Gram band bounds against per-offset slice maxima, and mollification against
+scipy.ndimage's normalized convolution."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -12,9 +14,11 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from rtgeo import _kernels
-from rtgeo.calculus import bump_kernel, mollify, norm_report
+from rtgeo.calculus import HOLDER_PAIR_FLOOR, bump_kernel, mollify, norm_report
 from rtgeo.charts import Chart, GridField
-from rtgeo.errors import ShapeError
+from rtgeo.errors import SamplingError, ShapeError
+from rtgeo.harness import generate_scenario, load_config
+from rtgeo.rt_solver import RTConfig, regularize
 
 
 def brute_holder(coords, vals, alpha, floor):
@@ -121,14 +125,25 @@ def test_holder_sweep_matches_all_pairs(sample):
 
 @pytest.mark.parametrize("config", ["flat_disguise", "sphere", "rough_beta06"])
 def test_holder_sweep_forms_few_offsets(config, monkeypatch):
-    # on each shipped Gamma_x at 65^2 the leg table (128 axis-aligned slices)
-    # and its certificate settle the maximum; the offset sweep alone forms
-    # one slice per offset, about 8,300
-    from rtgeo.harness import generate_scenario, load_config
-
+    # on each shipped Gamma_x at 65^2 the leg table (one Gram band per axis)
+    # and its certificate settle the maximum; without them pass 2 would form
+    # one slice per offset, 8,320
     scn, _ = load_config(f"configs/{config}.cfg")
     assert scn.resolution == (65, 65)
-    conn_x = generate_scenario(scn).conn_x
+    assert len(slices_formed(monkeypatch, scn, generate_scenario(scn).conn_x)) <= 200
+
+
+@functools.lru_cache
+def shipped_conn_y(config):
+    """The config's scenario and the Gamma_y its RT pass yields."""
+    scn, rt = load_config(f"configs/{config}.cfg")
+    return scn, regularize(generate_scenario(scn).conn_x, RTConfig(**rt))[2]
+
+
+def slices_formed(monkeypatch, scn, conn):
+    """Offsets whose pair slices norm_report's Hölder sweep forms on ``conn``:
+    one per band (leg bands included) by its leading entries, one per offset
+    of pass 2."""
     formed = []
     pair_slices = _kernels._pair_slices
 
@@ -136,9 +151,99 @@ def test_holder_sweep_forms_few_offsets(config, monkeypatch):
         formed.append(d)
         return pair_slices(d)
 
-    monkeypatch.setattr(_kernels, "_pair_slices", counted)
-    norm_report(conn_x, scn.p, 1 - 2 / scn.p)
-    assert len(formed) <= 200
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_pair_slices", counted)
+        norm_report(conn, scn.p, 1 - 2 / scn.p)
+    return formed
+
+
+@pytest.mark.parametrize("config", ["flat_disguise", "rough_beta06"])
+def test_holder_sweep_forms_few_bands_on_noise(config, monkeypatch):
+    # Gamma_y at 65^2 is noise-like (flat: RT round-off of range ~5e-11), so
+    # the leg bound rules out few offsets: a walk by per-offset slices would
+    # form 2,827 and 6,021 slices, a walk by bands forms at most the 64 bands
+    # plus the few offsets of pass 2
+    scn, conn_y = shipped_conn_y(config)
+    assert conn_y.chart.res == (65, 65)
+    assert len(slices_formed(monkeypatch, scn, conn_y)) <= 2 * 65 + 10
+
+
+def test_holder_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the Gram products feed only bounds, so the result is the exact pair
+    # maximum whatever BLAS's thread count does to their last bits
+    scn, conn_y = shipped_conn_y("flat_disguise")
+    chart = conn_y.chart
+    np.save(tmp_path / "coords.npy", chart.nodes.reshape(-1, chart.n))
+    np.save(tmp_path / "vals.npy", conn_y.values.reshape(chart.npoints, -1))
+    code = (
+        "import sys, numpy as np\n"
+        "from rtgeo import _kernels\n"
+        "c, v = np.load(sys.argv[1]), np.load(sys.argv[2])\n"
+        "print(_kernels.holder_pair_max(c, v, float(sys.argv[3]), float(sys.argv[4])).hex())\n"
+    )
+    alpha, floor = 1 - 2 / scn.p, HOLDER_PAIR_FLOOR * float(chart.h.max())
+    args = [str(tmp_path / "coords.npy"), str(tmp_path / "vals.npy"), repr(alpha), repr(floor)]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout.strip())
+    assert outs[0] == outs[1]
+    assert float.fromhex(outs[0]) > 0.0
+
+
+def band_bracket_misses(vals, res, margin=None):
+    """Offsets d = lead + (j,) whose exact per-offset maximum max_p |F[p+d] - F[p]|^2,
+    by slice arithmetic, lies outside ``_band_bounds``; every lead, both signs."""
+    V = vals.reshape(res + (-1,))
+    X = V - 0.5 * (vals.max(axis=0) + vals.min(axis=0))
+    if margin is None:
+        margin = _kernels._gram_margin(X)
+    R = res[-1]
+    misses = []
+    for lead in np.ndindex(*(2 * r - 1 for r in res[:-1])):
+        lead = tuple(int(e) - (r - 1) for e, r in zip(lead, res))
+        hi, lo = _kernels._band_bounds(X, lead, margin)
+        for j in range(-(R - 1), R):
+            far, near = _kernels._pair_slices(lead + (j,))
+            exact = ((V[near] - V[far]) ** 2).sum(-1).max()
+            if not lo[j + R - 1] <= exact <= hi[j + R - 1]:
+                misses.append(lead + (j,))
+    return misses
+
+
+def test_band_bounds_bracket_every_offset():
+    rng = np.random.default_rng(5)
+    shapes = [(1,), (2,), (40,), (7, 9), (6, 1), (1, 6), (4, 3, 5), (3, 4, 1)]
+    unsafe = dict.fromkeys(("noise", "affine", "trig", "large_mean"), 0)
+    for res in shapes:
+        coords = grid_nodes((-1.0,) * len(res), (2.0,) * len(res), res)
+        for kind in unsafe:
+            ncmp = int(rng.integers(1, 9))
+            if kind == "noise":
+                vals = rng.standard_normal((len(coords), ncmp))
+            elif kind == "large_mean":
+                vals = 1e6 + rng.standard_normal((len(coords), ncmp))
+            else:
+                vals = smooth_values(kind, coords, ncmp, rng)
+            assert band_bracket_misses(vals, res) == [], (res, kind)
+            # negative control: without its margin the Gram form misses the
+            # slice arithmetic's last bits
+            unsafe[kind] += len(band_bracket_misses(vals, res, margin=0.0))
+    assert all(unsafe.values()), unsafe
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("res", [(9,), (9, 9)])
+def test_holder_rejects_non_finite_samples(res, bad):
+    coords = grid_nodes((0.0,) * len(res), (1.0,) * len(res), res)
+    vals = np.random.default_rng(4).standard_normal((len(coords), 3))
+    vals[5, 1] = bad
+    with pytest.raises(SamplingError, match=r"first bad node index 5\b"):
+        _kernels.holder_pair_max(coords, vals, 0.5, 0.25)
+
+
 def test_holder_rejects_scattered_nodes():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((400, 3))
