@@ -1,35 +1,19 @@
-"""Hot numeric kernels.
+"""The Hölder quotient's offset sweep, ``holder_pair_max``.
 
-The Hölder quotient is one numpy offset sweep.  Mollification has one numpy
-path, ``calculus.mollify``; the n = 2 loop below is its numba-jitted
-alternative, which ``calculus.mollify`` calls when numba is installed (the
-``jit`` extra).  Set RTGEO_DISABLE_NUMBA=1 to force the numpy path; the
-choice is made once at import (``HAVE_NUMBA``).
+Mollification is ``calculus.mollify``'s numpy tap loop, the one kernel on
+every machine.
 """
 
 import functools
-import os
+import importlib.util
 
 import numpy as np
 
 from .errors import SamplingError, ShapeError
 
-_DISABLED = os.environ.get("RTGEO_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by RTGEO_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco
+# Read by perfbench only, which records in every benchmark record whether
+# numba is installed; nothing in rtgeo branches on it.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +224,3 @@ def holder_pair_max(coords, vals, alpha, floor):
         best = max(best, float(q.max()))
     return best
 
-
-# ---------------------------------------------------------------------------
-# compact-support bump convolution with boundary-truncated renormalization,
-# n == 2: the normalized zero-fill convolution of calculus.mollify, jitted.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _mollify2_jit(field, kern):
-    r0, r1, ncmp = field.shape
-    k0, k1 = kern.shape
-    c0 = k0 // 2
-    c1 = k1 // 2
-    out = np.empty_like(field)
-    for i in range(r0):
-        for j in range(r1):
-            wsum = 0.0
-            acc = np.zeros(ncmp)
-            for a in range(k0):
-                ii = i + a - c0
-                if ii < 0 or ii >= r0:
-                    continue
-                for b in range(k1):
-                    jj = j + b - c1
-                    if jj < 0 or jj >= r1:
-                        continue
-                    w = kern[a, b]
-                    if w == 0.0:
-                        continue
-                    wsum += w
-                    for c in range(ncmp):
-                        acc[c] += w * field[ii, jj, c]
-            for c in range(ncmp):
-                out[i, j, c] = acc[c] / wsum
-    return out

@@ -301,11 +301,19 @@ def form_divergence(w):
 # ---------------------------------------------------------------------------
 
 
+def mollifier_radius(chart, eps):
+    """The eps bump kernel's radius in nodes per axis, floor(eps / h); below 2
+    nodes on any axis it raises ResolutionError naming that axis and the limit."""
+    rad = [int(np.floor(eps / h)) for h in chart.h]
+    for ax, r in enumerate(rad):
+        if r < 2:
+            raise ResolutionError(f"axis {ax}: mollifier radius {eps:g} below 2h = {2 * chart.h[ax]:g}")
+    return rad
+
+
 def bump_kernel(chart, eps):
     """Discrete (1 - r^2)^4 bump on the grid stencil, radius eps, mass renormalized."""
-    rad = [int(np.floor(eps / chart.h[ax])) for ax in range(chart.n)]
-    if min(rad) < 2:
-        raise ResolutionError(f"mollifier radius {eps:g} below 2h = {2 * chart.h.max():g}")
+    rad = mollifier_radius(chart, eps)
     offs = np.meshgrid(
         *[np.arange(-r, r + 1) * chart.h[ax] for ax, r in enumerate(rad)], indexing="ij"
     )
@@ -323,25 +331,21 @@ def mollify(fld, eps):
     ``scipy.ndimage.convolve``'s zero-fill sum: the flipped kernel's taps in
     C order, taps with |w| <= DBL_EPSILON skipped (ndimage's footprint), each
     adding ``w * value`` to a sum started at 0.0; the denominator, the same
-    sum over ones, rides along as one more component.  With numba installed,
-    n = 2 runs the jitted loop.
+    sum over ones, rides along as one more component.
     """
     chart = fld.chart
     K = bump_kernel(chart, eps)
     comp = fld.values.reshape(chart.res + (-1,))
-    if chart.n == 2 and _kernels.HAVE_NUMBA:
-        out = _kernels._mollify2_jit(np.ascontiguousarray(comp), np.ascontiguousarray(K))
-    else:
-        flipped = K[(slice(None, None, -1),) * chart.n]
-        padded = np.pad(
-            np.concatenate([comp, np.ones(chart.res + (1,))], axis=-1),
-            [(k // 2, k // 2) for k in K.shape] + [(0, 0)],
-        )
-        acc, term = np.zeros(chart.res + padded.shape[-1:]), np.empty(chart.res + padded.shape[-1:])
-        for tap in zip(*np.nonzero(np.abs(flipped) > np.finfo(np.float64).eps)):
-            np.multiply(flipped[tap], padded[tuple(slice(t, t + m) for t, m in zip(tap, chart.res))], out=term)
-            acc += term
-        out = acc[..., :-1] / acc[..., -1:]
+    flipped = K[(slice(None, None, -1),) * chart.n]
+    padded = np.pad(
+        np.concatenate([comp, np.ones(chart.res + (1,))], axis=-1),
+        [(k // 2, k // 2) for k in K.shape] + [(0, 0)],
+    )
+    acc, term = np.zeros(chart.res + padded.shape[-1:]), np.empty(chart.res + padded.shape[-1:])
+    for tap in zip(*np.nonzero(np.abs(flipped) > np.finfo(np.float64).eps)):
+        np.multiply(flipped[tap], padded[tuple(slice(t, t + m) for t, m in zip(tap, chart.res))], out=term)
+        acc += term
+    out = acc[..., :-1] / acc[..., -1:]
     return fld.copy(values=out.reshape(fld.values.shape))
 
 

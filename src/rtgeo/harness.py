@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import lp_norm, mollify, norm_report, w1p_norm
+from .calculus import lp_norm, mollifier_radius, mollify, w1p_norm
 from .charts import Chart, GridField, connection_field, dump_curve, dump_field
 from .curvature import lemma_b1_check
-from .errors import ConfigurationError, RtgeoError, StageError
+from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
 from .geodesics import (
     GeodesicProblem,
     convergence_report,
@@ -27,7 +27,7 @@ from .geodesics import (
     uniform_bound_check,
     weak_solution_pipeline,
 )
-from .rt_solver import RTConfig
+from .rt_solver import RTConfig, regularity_report
 from .transform import MIN_INSCRIBED_RES, TransformBundle, build_bundle, inscribed_inset, transform_connection
 
 
@@ -265,27 +265,21 @@ def generate_scenario(scn):
     x0 = np.asarray(scn.x0, dtype=float)
     v0 = np.asarray(scn.v0, dtype=float)
 
-    if scn.hidden == "zero":
-
-        def reference(times):
-            t = np.asarray(times) - scn.t0
-            y0 = mp.forward(x0[None])[0]
-            w0 = mp.jacobian(x0[None])[0] @ v0
-            ys = y0[None] + t[:, None] * w0[None]
-            pos = mp.inverse(ys)
-            Jb = mp.jacobian(pos)
-            vel = np.linalg.solve(Jb, np.broadcast_to(w0, pos.shape)[..., None])[..., 0]
-            return pos, vel
-
-    elif scn.hidden == "sphere" and scn.map_kind == "identity":
-
-        def reference(times):
-            return sphere_geodesic(x0, v0, np.asarray(times) - scn.t0)
-
-    else:
-
-        def reference(times):
-            raise RtgeoError("no closed-form reference for this scenario")
+    def reference(times):
+        """The hidden geodesic in y from y(x0) with velocity J(x0) v0, pulled
+        back through the inverse map with velocity J(x)^-1 w."""
+        if scn.hidden == "polynomial":
+            raise RtgeoError("no closed-form reference for a polynomial hidden connection")
+        t = np.asarray(times) - scn.t0
+        y0 = mp.forward(x0[None])[0]
+        w0 = mp.jacobian(x0[None])[0] @ v0
+        if scn.hidden == "sphere":
+            ys, ws = sphere_geodesic(y0, w0, t)
+        else:
+            ys, ws = y0[None] + t[:, None] * w0[None], np.broadcast_to(w0, (len(t), len(w0)))
+        pos = mp.inverse(ys)
+        vel = np.linalg.solve(mp.jacobian(pos), ws[..., None])[..., 0]
+        return pos, vel
 
     return GeneratedScenario(
         scenario=scn,
@@ -469,6 +463,14 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
                     f"{what} axis {axis} has resolution {r}, below {MIN_INSCRIBED_RES}: the inscribed "
                     f"y-chart insets {inscribed_inset(r)} cells per side and keeps fewer than 2 nodes"
                 )
+    # every mollifier on the run's chart; the y-chart exists only after the RT
+    # solve, so mollified_family checks its radii there
+    chart = scn.chart()
+    for eps in scn.epsilons:
+        try:
+            mollifier_radius(chart, eps)
+        except ResolutionError as e:
+            raise ConfigurationError(f"chart {e}") from e
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -527,16 +529,8 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         idrep = timed("identity_checks", lambda: _identity_stage(gen, scn))
         report.stages["identities"] = idrep
 
-        alpha = 1 - 2 / scn.p
-        reg = timed(
-            "regularity",
-            lambda: {
-                "x": norm_report(gen.conn_x, scn.p, alpha).__dict__,
-                "y": norm_report(pipe.conn_y, scn.p, alpha).__dict__,
-            },
-        )
-        reg["w1p_ratio"] = reg["y"]["w1p"] / max(reg["x"]["w1p"], 1e-300)
-        report.stages["regularity"] = reg
+        reg = timed("regularity", lambda: regularity_report(gen.conn_x, pipe.conn_y, scn.p))
+        report.stages["regularity"] = {**reg, "x": asdict(reg["x"]), "y": asdict(reg["y"])}
 
         fam = timed(
             "mollified_family",
@@ -564,7 +558,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         gb = []
         for conn_e, curve in zip(fam.conn_eps, curves):
             c0 = lp_norm(conn_e, np.inf)
-            gb.append(uniform_bound_check(curve, c0, alpha, 2))
+            gb.append(uniform_bound_check(curve, c0, reg["x"].alpha, gen.conn_x.chart.n))
         report.stages["uniform_bound"] = gb
         report.flags["uniform_bound"] = all(g["holds"] for g in gb)
 

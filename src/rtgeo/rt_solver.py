@@ -264,16 +264,10 @@ def first_rt_residual(conn, J, B, eps_ladder=None, p=2.2):
 
 
 def regularity_report(conn_x, conn_y, p):
-    """Norms of the incoming and regularized connections, Morrey exponent."""
+    """Norm reports of the incoming and regularized connections at the Morrey
+    exponent alpha = 1 - n/p, and the ratio of their W^{1,p} norms."""
     n = conn_x.chart.n
     alpha = 1.0 - n / p
     rep_x = norm_report(conn_x, p, alpha)
     rep_y = norm_report(conn_y, p, alpha)
-    return {
-        "p": p,
-        "alpha": alpha,
-        "x": rep_x,
-        "y": rep_y,
-        "w1p_ratio": rep_y.w1p / max(rep_x.w1p, 1e-300),
-        "holder_constant_y": rep_y.c0alpha,
-    }
+    return {"x": rep_x, "y": rep_y, "w1p_ratio": rep_y.w1p / max(rep_x.w1p, 1e-300)}

@@ -122,40 +122,21 @@ def integrate_jacobian(J_field):
             f"row curl residual {curl:.3e} exceeds tau_curl={TAU_CURL:g} (scale {scale:g})"
         )
     n = chart.n
-    basepoint_index = tuple(r // 2 for r in chart.res)
-    yQ = chart.nodes[basepoint_index]
-
-    def cumtrap(f, ax, start):
-        out = np.zeros_like(f)
-        m = f.shape[ax]
-        idx = [slice(None)] * f.ndim
-        acc = np.zeros_like(np.take(f, 0, axis=ax))
-        for i in range(start + 1, m):
-            acc = acc + 0.5 * chart.h[ax] * (np.take(f, i, axis=ax) + np.take(f, i - 1, axis=ax))
-            idx[ax] = i
-            out[tuple(idx)] = acc
-        acc = np.zeros_like(np.take(f, 0, axis=ax))
-        for i in range(start - 1, -1, -1):
-            acc = acc - 0.5 * chart.h[ax] * (np.take(f, i, axis=ax) + np.take(f, i + 1, axis=ax))
-            idx[ax] = i
-            out[tuple(idx)] = acc
-        return out
+    base = tuple(r // 2 for r in chart.res)
+    yQ = chart.nodes[base]
 
     def staircase(order):
-        y = np.broadcast_to(yQ, chart.res + (n,)).copy()
-        for ax in order:
-            col = J[..., ax]  # integrand for leg along axis ax, (res, n)
-            seg = cumtrap(col, ax, basepoint_index[ax])
-            # restrict to the line where the not-yet-integrated axes sit at Q
-            sel = [slice(None)] * chart.n
-            for later in order[order.index(ax) + 1 :]:
-                sel[later] = basepoint_index[later]
-            block = seg[tuple(sel)]
-            shape = [1] * chart.n
-            for k in range(chart.n):
-                if isinstance(sel[k], slice):
-                    shape[k] = chart.res[k]
-            y = y + block.reshape(tuple(shape) + (n,))
+        y = np.broadcast_to(yQ, chart.res + (n,))
+        for k, ax in enumerate(order):
+            # the leg's integrand on the line where the not-yet-integrated
+            # axes sit at Q, kept as unit axes; trapezoid sums outward from Q
+            line = tuple(slice(b, b + 1) if a in order[k + 1 :] else slice(None) for a, b in enumerate(base))
+            f = np.moveaxis(J[line + (slice(None), ax)], ax, 0)
+            trap = 0.5 * chart.h[ax] * (f[1:] + f[:-1])
+            zero = np.zeros_like(f[:1])
+            up = np.add.accumulate(np.concatenate([zero, trap[base[ax] :]]), axis=0)
+            down = np.subtract.accumulate(np.concatenate([zero, trap[: base[ax]][::-1]]), axis=0)
+            y = y + np.moveaxis(np.concatenate([down[::-1], up[1:]]), 0, ax)
         return y
 
     fwd = staircase(list(range(n)))

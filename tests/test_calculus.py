@@ -20,6 +20,7 @@ from rtgeo.calculus import (
     laplacian,
     lp_norm,
     matrix_inner,
+    mollifier_radius,
     mollify,
     norm_report,
     poisson_solve,
@@ -242,6 +243,11 @@ def test_mollify_resolution_error(unit_chart):
     f = GridField(unit_chart, np.zeros(unit_chart.res + (1,)))
     with pytest.raises(ResolutionError):
         mollify(f, 1.5 * float(unit_chart.h.max()))
+    # the radius rule is per axis: 0.1 spans 3 cells of 1/32 but 1 of 1/16
+    wide = Chart((0.0, 0.0), (1.0, 2.0), (33, 33))
+    with pytest.raises(ResolutionError, match=r"axis 1: mollifier radius 0.1 below 2h = 0.125"):
+        mollifier_radius(wide, 0.1)
+    assert mollifier_radius(wide, 0.125) == [4, 2]
 
 
 def test_mollify_linear_positive_and_lp_convergence(unit_chart_65):

@@ -1,11 +1,15 @@
 import itertools
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rtgeo.charts import (
     Chart,
@@ -396,15 +400,37 @@ def test_import_skips_sparse_linalg():
     assert out.stdout.strip() == "False"
 
 
-def test_csv_roundtrip_bit_exact(tmp_path, unit_chart):
-    rng = np.random.default_rng(11)
-    f = GridField(unit_chart, rng.standard_normal(unit_chart.res + (2, 2)), ("up", "down"))
-    path = tmp_path / "field.csv"
-    dump_field(f, path)
-    g = load_field(path)
-    assert g.chart == unit_chart
-    assert g.variance == ("up", "down")
-    assert np.array_equal(g.values, f.values)
+# every value class the dump must carry: signed zero, subnormals, the extremes
+CSV_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+@st.composite
+def csv_fields(draw):
+    n = draw(st.integers(2, 3))
+    res = tuple(draw(st.lists(st.integers(8, (11, 9)[n - 2]), min_size=n, max_size=n)))
+    lo = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    hi = [a + w for a, w in zip(lo, draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n)))]
+    comp = tuple(draw(st.lists(st.integers(1, n), max_size=3)))
+    variance = tuple(draw(st.lists(st.sampled_from(["up", "down", "form"]), min_size=len(comp), max_size=len(comp))))
+    values = draw(arrays(np.float64, res + comp, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    flat = values.reshape(-1)
+    flat[: len(CSV_EDGE_VALUES)] = draw(st.permutations(CSV_EDGE_VALUES))
+    return GridField(Chart(lo, hi, res), values, variance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(csv_fields())
+def test_csv_roundtrip_bit_exact(fld):
+    # tobytes, not array_equal: array_equal cannot see a signed zero
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        dump_field(fld, path)
+        back = load_field(path)
+    assert back.chart == fld.chart
+    assert back.variance == fld.variance
+    assert back.values.shape == fld.values.shape
+    assert back.values.tobytes() == fld.values.tobytes()
 
 
 def test_connection_field_shape(unit_chart):

@@ -29,6 +29,30 @@ def test_generate_sphere_identity(sphere_gen):
     assert np.allclose(pos[0], [np.pi / 2, 0.08])
 
 
+def test_curved_mapped_reference_is_the_pulled_back_great_circle():
+    # the sphere hidden behind the shear map: RK4 on the sampled Gamma_x
+    # converges to the oracle at second order, and the unmapped great circle
+    # (what the identity-map oracle would give) is far off
+    from rtgeo.geodesics import GeodesicProblem, solve_geodesic
+    from rtgeo.harness import sphere_geodesic
+
+    scn, _ = load_config("configs/sphere.cfg")
+    errs = []
+    for m in (65, 129):
+        s = Scenario(**{**scn.__dict__, "map_kind": "quadratic", "shear": 0.3, "x0": (1.3, 0.08),
+                        "v0": (0.45, 0.8), "resolution": (m, m), "checks": {}})
+        gen = generate_scenario(s)
+        x0, v0 = np.array(s.x0), np.array(s.v0)
+        curve = solve_geodesic(GeodesicProblem(connection=gen.conn_x, t0=0.0, x0=x0, v0=v0, interval=1.0), "rk4")
+        assert curve.times[-1] == 1.0
+        pos, vel = gen.reference_curve(curve.times)
+        errs.append(np.abs(curve.positions - pos).max() + np.abs(curve.velocities - vel).max())
+        pos, vel = sphere_geodesic(x0, v0, curve.times)
+        assert np.abs(curve.positions - pos).max() + np.abs(curve.velocities - vel).max() > 0.1
+    assert errs[0] < 1e-4  # 7.96e-5
+    assert errs[0] / errs[1] > 3.5  # 1.95e-5 at 129^2: order 2
+
+
 def test_generate_rough_finite_and_growing(rough_gen):
     assert np.all(np.isfinite(rough_gen.conn_x.values))
     from rtgeo.calculus import gradient_field, lp_norm
@@ -129,6 +153,34 @@ def test_too_coarse_ladder_rung_exits_2_before_any_stage(monkeypatch, tmp_path):
     out = _cli("run", str(coarse))
     assert out.returncode == 2
     assert "ladder rung 9" in out.stderr
+
+
+@pytest.mark.parametrize("cfg, eps, limit", [
+    ("flat_disguise", "0.03125", "0.0625"),
+    ("sphere", "0.0625", "0.0981748"),
+    ("rough_beta06", "0.03125", "0.0625"),
+])
+def test_short_mollifier_exits_2_before_any_stage(monkeypatch, cfg, eps, limit):
+    # at 33 nodes the smallest epsilon spans fewer than 2 cells on axis 0, so
+    # mollified_family would fail after every earlier stage had run; the run
+    # is refused first, and at 65 nodes it reaches the first stage
+    from rtgeo import harness
+
+    class Started(Exception):
+        pass
+
+    def no_stage(scn):
+        raise Started
+
+    monkeypatch.setattr(harness, "generate_scenario", no_stage)
+    message = f"chart axis 0: mollifier radius {eps} below 2h = {limit}"
+    with pytest.raises(ConfigurationError, match=message):
+        run_experiment(f"configs/{cfg}.cfg", grid=33)
+    with pytest.raises(Started):
+        run_experiment(f"configs/{cfg}.cfg", grid=65)
+    out = _cli("--grid", "33", "run", f"configs/{cfg}.cfg")
+    assert out.returncode == 2
+    assert message in out.stderr
 
 
 def test_inscribed_limit_is_the_inset_rule():

@@ -282,10 +282,9 @@ def tap_loop_mollify(fld, eps, footprint=True):
     return (num / den[..., None]).reshape(fld.values.shape)
 
 
-def test_mollify_paths_agree(monkeypatch):
-    # calculus.mollify's numpy path against scipy.ndimage.convolve, byte for
-    # byte, at n = 2 and 3, on data with signed zeros; with numba installed,
-    # the jitted n = 2 loop within 1e-12 of the same reference
+def test_mollify_paths_agree():
+    # calculus.mollify's tap loop against scipy.ndimage.convolve, byte for
+    # byte, at n = 2 and 3, on data with signed zeros
     rng = np.random.default_rng(2)
     for res in ((33, 33), (17, 18, 19)):
         chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
@@ -295,14 +294,10 @@ def test_mollify_paths_agree(monkeypatch):
             vals[rng.random(vals.shape) < 0.2] = -0.0
             fld = GridField(chart, vals)
             want = ndimage_mollify(fld, 1 / 8)
-            if _kernels.HAVE_NUMBA and chart.n == 2:
-                assert np.abs(mollify(fld, 1 / 8).values - want).max() < 1e-12
-            with monkeypatch.context() as m:
-                m.setattr(_kernels, "HAVE_NUMBA", False)
-                assert mollify(fld, 1 / 8).values.tobytes() == want.tobytes()
+            assert mollify(fld, 1 / 8).values.tobytes() == want.tobytes()
 
 
-def test_mollify_check_needs_the_footprint(monkeypatch):
+def test_mollify_check_needs_the_footprint():
     """Negative control: a unit spike on the 101^2 unit chart at eps = 0.1 puts
     eight kernel taps of 2.4e-63 in reach; the tap loop matches ndimage only
     when it skips taps with |w| <= DBL_EPSILON, as ndimage does."""
@@ -313,7 +308,6 @@ def test_mollify_check_needs_the_footprint(monkeypatch):
     vals[50, 50] = 1.0
     fld = GridField(chart, vals)
     want = ndimage_mollify(fld, 0.1).tobytes()
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
     assert mollify(fld, 0.1).values.tobytes() == want
     assert tap_loop_mollify(fld, 0.1).tobytes() == want
     assert tap_loop_mollify(fld, 0.1, footprint=False).tobytes() != want
@@ -330,34 +324,3 @@ def test_mollify_skips_ndimage_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, RTGEO_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from rtgeo import _kernels; print(_kernels.HAVE_NUMBA)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_results_identical_across_paths():
-    # a full norm report must not depend on the dispatch path
-    code = (
-        "import numpy as np\n"
-        "from rtgeo.charts import Chart, GridField\n"
-        "from rtgeo.calculus import norm_report\n"
-        "chart = Chart((0.,0.),(1.,1.),(33,33))\n"
-        "f = GridField(chart, np.sqrt(chart.nodes[...,:1]))\n"
-        "r = norm_report(f, 4.0, 0.5)\n"
-        "print(repr((r.lp, r.w1p, r.c0, r.c0alpha)))\n"
-    )
-    outs = []
-    for disable in ("0", "1"):
-        env = dict(os.environ, RTGEO_DISABLE_NUMBA=disable)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        outs.append(res.stdout.strip())
-    assert outs[0] == outs[1]

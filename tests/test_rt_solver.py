@@ -174,9 +174,10 @@ def test_regularity_report_fields(rough_gen, rough_rt_state):
     bundle = rt_bundle(rough_rt_state)
     conn_y = optimal_connection(tilde, bundle)
     rep = regularity_report(rough_gen.conn_x, conn_y, 2.2)
-    assert rep["alpha"] == pytest.approx(1 - 2 / 2.2)
+    assert rep["x"].alpha == rep["y"].alpha == pytest.approx(1 - 2 / 2.2)
+    assert rep["x"].p == rep["y"].p == 2.2
     assert rep["w1p_ratio"] < 1.0
-    assert rep["holder_constant_y"] > 0
+    assert rep["y"].c0alpha > 0
 
 
 def test_rt_residual_history_nonincreasing_tail(rough_rt_state):
