@@ -163,17 +163,15 @@ def represent_weak(conn, basis):
     """Least-squares L^p representative of the weak curvature over a bump basis.
 
     The candidate field lives in the span of the basis; the Gram system is
-    solved per component.  Residual is the largest mismatch between the
-    fitted field's functionals (re-quadratured on the grid) and the weak
-    functionals themselves.
+    solved per component, so the fitted field's functionals reproduce the
+    weak functionals up to round-off.
     """
     chart = conn.chart
     if len(basis) < 16:
         raise FittingError(f"need at least 16 basis bumps, got {len(basis)}")
     pts = chart.nodes.reshape(-1, chart.n)
     psi_vals = np.stack([psi(pts) for psi in basis], axis=0)  # (k, N)
-    vox = chart.voxel()
-    gram = vox * psi_vals @ psi_vals.T
+    gram = chart.voxel() * psi_vals @ psi_vals.T
     cond = np.linalg.cond(gram)
     if cond > 1e12:
         raise FittingError(f"bump basis Gram matrix is rank deficient (cond {cond:.1e})")
@@ -185,9 +183,7 @@ def represent_weak(conn, basis):
     )  # (k, n^4)
     coef = np.linalg.solve(gram, weak_vals)  # (k, n^4)
     fitted = (psi_vals.T @ coef).reshape(chart.res + (n, n, n, n))
-    refit = vox * psi_vals @ fitted.reshape(chart.npoints, -1)
-    residual = float(np.abs(refit - weak_vals).max())
-    return CurvatureField(chart, fitted, "weak"), residual
+    return CurvatureField(chart, fitted, "weak")
 
 
 def transform_curvature(R, J):
@@ -205,6 +201,9 @@ def transform_curvature(R, J):
 
 @dataclass
 class LemmaReport:
+    """Lemma B.1 outcome; ``epsilon_basis`` is the probe quadrature term
+    (hmax / r_min)^2 * scale of ``tolerance``, which adds the transport bias."""
+
     distance: float
     tolerance: float
     passed: bool
@@ -227,12 +226,12 @@ class LemmaReport:
 def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     """Tensoriality of the weak curvature under the bundle's coordinate change.
 
-    The x-side curvature is first represented over a bump basis (the
-    representability credential of the underlying statement), then the check
-    transports the strong components of an epsilon-mollified connection (the
-    same object the statement's own argument transports), pushes them to
-    y-components by the tensor law along the inverse map, and compares
-    unit-mass quadrature functionals against the y-side weak functionals.
+    The check transports the strong components of an epsilon-mollified
+    connection (the same object the statement's own argument transports),
+    pushes them to y-components by the tensor law along the inverse map, and
+    compares unit-mass quadrature functionals against the y-side weak
+    functionals; no x-side fit is made (:func:`represent_weak`'s Gram checks
+    read only the basis, never Gamma_x).
     Only component-transformation consistency is checked; absent a metric
     there is no invariant volume element and no functional equality.
 
@@ -240,8 +239,6 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     """
     chart_x = conn_x.chart
     chart_y = conn_y.chart
-    basis_x = bump_basis(chart_x)
-    _, res_x = represent_weak(conn_x, basis_x)
     hmax_x = float(chart_x.h.max())
     eps = max(2.05 * hmax_x, min(4.0 * hmax_x, 0.075))
     smoothed = mollify(conn_x, eps)
@@ -320,8 +317,8 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     c0y = lp_norm(conn_y, np.inf)
     scale = max(rhs_scale, c0y ** 2, 1.0)
     r_min = min(psi.radius for psi in kept)
-    eps_basis = res_x + (hmax / r_min) ** 2 * scale
-    tolerance = (hmax / r_min) ** 2 * scale + 0.25 * eps ** 2 * scale
+    eps_basis = (hmax / r_min) ** 2 * scale
+    tolerance = eps_basis + 0.25 * eps ** 2 * scale
     return LemmaReport(
         distance=float(mismatch),
         tolerance=float(tolerance),

@@ -654,7 +654,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
         TestFunction(b.center, b.radius, profile="poly")
         for b in bump_basis(sub)
     ]
-    weak_reference, _ = represent_weak(conn_ref, basis)
+    weak_reference = represent_weak(conn_ref, basis)
     conn_d, riem_d, curve_d = [], [], []
     for eps, conn_e, curve in zip(family.eps, family.conn_eps, curves):
         sub_e = connection_field(sub, np.ascontiguousarray(conn_e.values[sl]))

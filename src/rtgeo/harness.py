@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import lp_norm, mollifier_radius, mollify, w1p_norm
-from .charts import Chart, GridField, connection_field, dump_curve, dump_field
+from .charts import Chart, GridField, JacobianField, connection_field, dump_curve, dump_field
 from .curvature import lemma_b1_check
 from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
 from .geodesics import (
@@ -27,8 +27,9 @@ from .geodesics import (
     uniform_bound_check,
     weak_solution_pipeline,
 )
-from .rt_solver import RTConfig, regularity_report
+from .rt_solver import RTConfig, regularity_report, regularize
 from .transform import MIN_INSCRIBED_RES, TransformBundle, build_bundle, inscribed_inset, transform_connection
+from .transform import coderivative_identity_residual, dgamma_identity_residual
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +240,29 @@ class GeneratedScenario:
         return self.reference(times)
 
 
-def generate_scenario(scn):
-    """Sample the roughening map, push the hidden connection, build oracles."""
+def _pull_back(scn, mp):
+    """(Gamma_x, y(x) samples, JacobianField): the hidden connection pulled back
+    through the sampled map by the connection law, which reads y(x) and J only."""
     chart = scn.chart()
-    mp = _map_object(scn)
     pts = chart.nodes.reshape(-1, chart.n)
     forward = mp.forward(pts).reshape(chart.res + (chart.n,))
-    J = mp.jacobian(pts).reshape(chart.res + (chart.n, chart.n))
+    jac = JacobianField(chart, mp.jacobian(pts).reshape(chart.res + (chart.n, chart.n)))
+    # covering y-chart; the identity map reuses the chart so interpolation lands on nodes
+    cover_chart = chart
+    if scn.map_kind != "identity":
+        ys, margin = forward.reshape(-1, chart.n), 2 * float(chart.h.max())
+        cover_chart = Chart(ys.min(axis=0) - margin, ys.max(axis=0) + margin, chart.res)
+    conn_x, _ = transform_connection(_hidden_connection(scn, cover_chart), forward, jac)
+    return conn_x, forward, jac
 
+
+def generate_scenario(scn):
+    """Sample the roughening map, push the hidden connection, build oracles."""
+    mp = _map_object(scn)
+    conn_x, forward, jac = _pull_back(scn, mp)
     # checker-facing bundle with an inscribed y-chart (for tensoriality checks)
-    hidden_bundle = build_bundle(chart, J, forward=forward)
+    hidden_bundle = build_bundle(jac.chart, jac, forward=forward)
     conn_y_true = _hidden_connection(scn, hidden_bundle.y_chart)
-
-    # covering y-chart for the pullback, which needs y(x) and J only; the
-    # identity map reuses the chart itself so interpolation lands on nodes
-    if scn.map_kind == "identity":
-        cover_chart = chart
-    else:
-        margin = 2 * float(chart.h.max())
-        ylo = forward.reshape(-1, chart.n).min(axis=0) - margin
-        yhi = forward.reshape(-1, chart.n).max(axis=0) + margin
-        cover_chart = Chart(ylo, yhi, chart.res)
-    conn_x, _ = transform_connection(_hidden_connection(scn, cover_chart), forward, hidden_bundle.jac)
 
     x0 = np.asarray(scn.x0, dtype=float)
     v0 = np.asarray(scn.v0, dtype=float)
@@ -327,6 +329,20 @@ _SCENARIO_KEYS = {
 _RT_KEYS = {"p": float, "max_iters": int, "fixed_point_tol": float, "damping": float}
 
 
+def _yes_no(s):
+    if s not in ("yes", "no"):
+        raise ValueError(f"expected yes or no, got {s!r}")
+
+
+# [checks] key -> parser, run on load only to reject a bad entry: Scenario.checks
+# keeps the raw strings, which the report's scenario block echoes
+_CHECK_KEYS = {
+    **dict.fromkeys(("enforce_convergence", "riem_monotone", "gronwall"), _yes_no),
+    **dict.fromkeys(("reference_tol", "curve_final_tol", "interval_min"), float),
+    "ladder": _ints,
+}
+
+
 def load_config(path):
     """Read a scenario config; returns (Scenario, RTConfig keyword arguments)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -352,6 +368,13 @@ def load_config(path):
     except (ValueError, configparser.Error) as e:
         raise ConfigurationError(f"malformed config {path}: {e}") from e
     checks = dict(cp["checks"]) if cp.has_section("checks") else {}
+    for key, raw in checks.items():
+        if key not in _CHECK_KEYS:
+            raise ConfigurationError(f"malformed config {path}: unknown [checks] key '{key}'")
+        try:
+            _CHECK_KEYS[key](raw)
+        except ValueError as e:
+            raise ConfigurationError(f"malformed config {path}: [checks] {key}: {e}") from e
     return Scenario(name=name, checks=checks, **fields), rt_kwargs
 
 
@@ -393,30 +416,18 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _mollified_identity_inputs(gen, scn):
-    """Smooth (conn, J) pair for the identity suites on rough scenarios.
-
-    Both the sampled connection and the jacobian are mollified at the largest
-    ladder epsilon; J is rebuilt as the gradient of the smoothed forward map
-    so it stays exactly curl-free and twice differenceable.
-    """
-    conn = gen.conn_x
-    J = gen.hidden_bundle.jac.J
-    if scn.map_kind != "kink":
-        return conn, J
-    chart = conn.chart
-    eps = max(scn.epsilons)
-    conn = connection_field(chart, mollify(conn, eps).values)
-    fwd = mollify(GridField(chart, gen.hidden_bundle.map.forward), eps).values
-    return conn, chart.grad(fwd)
-
-
 def _identity_stage(gen, scn):
-    """Coderivative/curl split identities on the generating jacobian; rough
-    inputs are mollified at the largest ladder epsilon first."""
-    from .transform import coderivative_identity_residual, dgamma_identity_residual
+    """Coderivative/curl split identities on the generating jacobian.
 
-    conn, J = _mollified_identity_inputs(gen, scn)
+    Rough (kink) inputs are first mollified at the largest ladder epsilon: the
+    sampled connection, and the forward map, whose gradient is the new J, so
+    it stays exactly curl-free and twice differenceable.
+    """
+    conn, J = gen.conn_x, gen.hidden_bundle.jac.J
+    if scn.map_kind == "kink":
+        chart, eps = conn.chart, max(scn.epsilons)
+        conn = connection_field(chart, mollify(conn, eps).values)
+        J = chart.grad(mollify(GridField(chart, gen.hidden_bundle.map.forward), eps).values)
     return {
         "coderivative_residual": coderivative_identity_residual(conn, J, p=scn.p),
         "dgamma_residual": dgamma_identity_residual(conn, J, p=scn.p),
@@ -426,18 +437,16 @@ def _identity_stage(gen, scn):
 
 def _regularity_ladder(scn, rtcfg, grids, own):
     """W^{1,p} of Gamma_x and Gamma_y across the grid ladder; ``own`` is the
-    run's (Gamma_x, Gamma_y), which the rung at the run's resolution reads."""
+    run's (Gamma_x, Gamma_y), which the rung at the run's resolution reads; any
+    other rung builds just those two (pull-back, one regularizing pass)."""
     out = {"grids": list(grids), "w1p_x": [], "w1p_y": []}
     for m in grids:
         if (m, m) == tuple(scn.resolution):
             conn_x, conn_y = own
         else:
-            s = replace(scn, resolution=(m, m), checks={})
-            conn_x = generate_scenario(s).conn_x
-            problem = GeodesicProblem(
-                connection=conn_x, t0=s.t0, x0=np.asarray(s.x0), v0=np.asarray(s.v0), interval=s.interval
-            )
-            conn_y = weak_solution_pipeline(conn_x, problem, rt_config=rtcfg).conn_y
+            s = replace(scn, resolution=(m, m))
+            conn_x = _pull_back(s, _map_object(s))[0]
+            conn_y = regularize(conn_x, rtcfg, f"_rung{m}")[2]
         out["w1p_x"].append(w1p_norm(conn_x, scn.p))
         out["w1p_y"].append(w1p_norm(conn_y, scn.p))
     out["x_growth"] = out["w1p_x"][-1] / out["w1p_x"][0]
@@ -485,8 +494,8 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         t0 = time.perf_counter()
         try:
             result = fn()
-        except RtgeoError as e:
-            report.failed_stage = name
+        except RtgeoError as e:  # a StageError names the innermost stage; its text stays under ``name``
+            report.failed_stage = e.stage if isinstance(e, StageError) else name
             report.stages[name] = {"error": str(e)}
             raise StageError(name, e) from e
         finally:
@@ -526,8 +535,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             report.stages["reference"] = {"c1_error": None}
 
         # section-3 identity residuals on the generating jacobian
-        idrep = timed("identity_checks", lambda: _identity_stage(gen, scn))
-        report.stages["identities"] = idrep
+        report.stages["identities"] = timed("identity_checks", lambda: _identity_stage(gen, scn))
 
         reg = timed("regularity", lambda: regularity_report(gen.conn_x, pipe.conn_y, scn.p))
         report.stages["regularity"] = {**reg, "x": asdict(reg["x"]), "y": asdict(reg["y"])}

@@ -202,19 +202,19 @@ def inscribed_y_chart(chart_x, forward):
 
 
 def build_bundle(chart_x, J, forward=None, y_chart=None):
-    """Assemble a TransformBundle from Jacobian samples (integrating if needed).
+    """Assemble a TransformBundle from J samples or a JacobianField (integrating if needed).
 
     With no ``y_chart`` an inscribed rectangle is used and the inverse must
     converge everywhere; an explicit (covering) chart tolerates unreachable
     nodes outside the image.
     """
-    jac = JacobianField(chart_x, J)
+    jac = J if isinstance(J, JacobianField) else JacobianField(chart_x, J)
     if forward is None:
         forward, _ = integrate_jacobian(jac)
     strict = y_chart is None
     if y_chart is None:
         y_chart = inscribed_y_chart(chart_x, forward)
-    inverse, _ = invert_map(GridField(chart_x, forward), y_chart, J, strict=strict)
+    inverse, _ = invert_map(GridField(chart_x, forward), y_chart, jac.J, strict=strict)
     # round trip x(y(x)) on interior nodes
     interior = chart_x.nodes[(slice(4, -4),) * chart_x.n].reshape(-1, chart_x.n)
     ypts = interpolate(GridField(chart_x, forward), interior)

@@ -183,6 +183,41 @@ def test_short_mollifier_exits_2_before_any_stage(monkeypatch, cfg, eps, limit):
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("curve_final_tol = 1e-2", "curve_final_tol = 1e-2x", "curve_final_tol"),
+    ("ladder = 33, 65, 129", "ladder = 33, 65x", "ladder"),
+    ("ladder = 33, 65, 129", "ladder = 33, 65, 129\nreference_tl = 1e-4", "reference_tl"),
+    ("enforce_convergence = yes", "enforce_convergence = Yes", "enforce_convergence"),
+])
+def test_bad_checks_entry_exits_2_before_any_stage(monkeypatch, tmp_path, capsys, old, new, key):
+    # a bad [checks] entry used to die mid-run with a traceback, or to drop its
+    # gate silently; it is refused on load, naming the key
+    from rtgeo import harness
+    from rtgeo.cli import main
+
+    def no_stage(scn):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(harness, "generate_scenario", no_stage)
+    text = open("configs/rough_beta06.cfg").read()
+    assert old in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(bad)
+    assert main(["run", str(bad)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_shipped_checks_parse():
+    from rtgeo.harness import _CHECK_KEYS
+
+    for cfg in ("flat_disguise", "rough_beta06", "sphere"):
+        scn, _ = load_config(f"configs/{cfg}.cfg")
+        assert scn.checks and set(scn.checks) <= set(_CHECK_KEYS), cfg
+        assert all(isinstance(v, str) for v in scn.checks.values()), cfg
+
+
 def test_inscribed_limit_is_the_inset_rule():
     from rtgeo.charts import Chart
     from rtgeo.errors import JacobianError
@@ -218,6 +253,77 @@ def test_generate_inverts_only_the_inscribed_chart(monkeypatch):
         generate_scenario(Scenario(name=map_kind, map_kind=map_kind, resolution=(33, 33)))
         assert len(residuals) == 1, map_kind
         assert max(residuals) < 100 * transform.TAU_MAP, map_kind
+
+
+def _rung_33():
+    """rough_beta06 and its RT settings; the run grid is 65, so a 33 rung is not the run's own."""
+    scn, rtk = load_config("configs/rough_beta06.cfg")
+    return scn, RTConfig(**rtk)
+
+
+def test_ladder_rung_builds_no_checker_bundle_or_geodesic(monkeypatch):
+    # a rung reads W^{1,p} of Gamma_x and Gamma_y only: the one Newton
+    # inversion left is the RT bundle's, and no IVP is solved
+    from rtgeo import harness, transform
+    from rtgeo.geodesics import solve_geodesic
+
+    calls = {"invert_map": 0, "solve_geodesic": 0}
+    for fn in (transform.invert_map, solve_geodesic):
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # wherever the name was bound
+            if name.startswith("rtgeo") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    scn, rtcfg = _rung_33()
+    lad = harness._regularity_ladder(scn, rtcfg, [33], own=None)
+    assert lad["grids"] == [33] and len(lad["w1p_y"]) == 1
+    assert calls == {"invert_map": 1, "solve_geodesic": 0}
+
+
+def test_ladder_rung_fields_are_the_full_runs(monkeypatch):
+    # the rung's Gamma_x and Gamma_y are, byte for byte, what a whole scenario
+    # and pipeline run at 33 produce
+    from rtgeo import harness
+    from rtgeo.geodesics import GeodesicProblem, weak_solution_pipeline
+
+    seen = []
+    norm = harness.w1p_norm
+
+    def recorded(field, p):
+        seen.append(field)
+        return norm(field, p)
+
+    monkeypatch.setattr(harness, "w1p_norm", recorded)
+    scn, rtcfg = _rung_33()
+    harness._regularity_ladder(scn, rtcfg, [33], own=None)
+    rung_x, rung_y = seen
+    s = Scenario(**{**scn.__dict__, "resolution": (33, 33)})
+    gen = generate_scenario(s)
+    prob = GeodesicProblem(gen.conn_x, s.t0, np.asarray(s.x0), np.asarray(s.v0), interval=s.interval)
+    conn_y = weak_solution_pipeline(gen.conn_x, prob, rt_config=rtcfg).conn_y
+    for got, want in ((rung_x, gen.conn_x), (rung_y, conn_y)):
+        assert repr(got.chart) == repr(want.chart)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_failed_stage_is_the_innermost(tmp_path, capsys):
+    # two RT iterations cannot converge: the pipeline stage fails inside its
+    # rt_solve step, and the run names rt_solve, keeping the text under pipeline
+    from rtgeo.cli import main
+
+    text = open("configs/rough_beta06.cfg").read()
+    assert "max_iters = 250" in text
+    short = tmp_path / "short.cfg"
+    short.write_text(text.replace("max_iters = 250", "max_iters = 2"))
+    rep, code = run_experiment(str(short))
+    assert code == 1
+    assert rep.failed_stage == "rt_solve"
+    assert rep.stages["pipeline"]["error"].startswith("stage 'rt_solve' failed")
+    assert main(["--quiet", "run", str(short)]) == 1
+    assert "short: FAIL (rt_solve)" in capsys.readouterr().out
 
 
 def test_blinding_tamper(rough_gen):
@@ -345,5 +451,5 @@ def test_cli_check_identities():
         assert suite["pass"]
         assert 2.5 <= suite["ratio"] <= 5.5
     # the quadratic-map scenario itself is identity-exact
-    assert rep["scenario_residuals"]["coderivative"] < 1e-10
-    assert rep["scenario_residuals"]["curl_split"] < 1e-10
+    assert rep["scenario_residuals"]["coderivative_residual"] < 1e-10
+    assert rep["scenario_residuals"]["dgamma_residual"] < 1e-10
