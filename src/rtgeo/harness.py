@@ -306,29 +306,6 @@ def _ints(s):
     return tuple(int(tok.strip()) for tok in s.split(",") if tok.strip())
 
 
-# (section, key) -> (field, parser); a key absent from the file keeps the
-# dataclass default.  [rt] p sets both Scenario.p and RTConfig.p.
-_SCENARIO_KEYS = {
-    ("scenario", "hidden"): ("hidden", str),
-    ("scenario", "map"): ("map_kind", str),
-    ("scenario", "beta"): ("beta", float),
-    ("scenario", "amplitude"): ("amplitude", float),
-    ("scenario", "shear"): ("shear", float),
-    ("scenario", "kink_position"): ("kink_position", float),
-    ("scenario", "seed"): ("seed", int),
-    ("chart", "lo"): ("chart_lo", _floats),
-    ("chart", "hi"): ("chart_hi", _floats),
-    ("chart", "resolution"): ("resolution", _ints),
-    ("rt", "p"): ("p", float),
-    ("mollify", "epsilons"): ("epsilons", _floats),
-    ("ivp", "t0"): ("t0", float),
-    ("ivp", "x0"): ("x0", _floats),
-    ("ivp", "v0"): ("v0", _floats),
-    ("ivp", "interval"): ("interval", float),
-}
-_RT_KEYS = {"p": float, "max_iters": int, "fixed_point_tol": float, "damping": float}
-
-
 def _yes_no(s):
     if s not in ("yes", "no"):
         raise ValueError(f"expected yes or no, got {s!r}")
@@ -340,6 +317,27 @@ _CHECK_KEYS = {
     **dict.fromkeys(("enforce_convergence", "riem_monotone", "gronwall"), _yes_no),
     **dict.fromkeys(("reference_tol", "curve_final_tol", "interval_min"), float),
     "ladder": _ints,
+}
+
+# section -> key -> (Scenario field or None, parser); a key absent from the file
+# keeps the dataclass default, and an unknown section or key is refused.  Every
+# [rt] key is an RTConfig argument; [rt] p sets Scenario.p as well.
+_CONFIG_KEYS = {
+    "scenario": {
+        "name": ("name", str),
+        "hidden": ("hidden", str),
+        "map": ("map_kind", str),
+        "beta": ("beta", float),
+        "amplitude": ("amplitude", float),
+        "shear": ("shear", float),
+        "kink_position": ("kink_position", float),
+        "seed": ("seed", int),
+    },
+    "chart": {"lo": ("chart_lo", _floats), "hi": ("chart_hi", _floats), "resolution": ("resolution", _ints)},
+    "rt": {"p": ("p", float), "max_iters": (None, int), "fixed_point_tol": (None, float)},
+    "mollify": {"epsilons": ("epsilons", _floats)},
+    "ivp": {"t0": ("t0", float), "x0": ("x0", _floats), "v0": ("v0", _floats), "interval": ("interval", float)},
+    "checks": {key: (None, parse) for key, parse in _CHECK_KEYS.items()},
 }
 
 
@@ -355,27 +353,26 @@ def load_config(path):
     missing = [s for s in ("scenario", "chart", "ivp") if not cp.has_section(s)]
     if missing:
         raise ConfigurationError(f"malformed config {path}: missing section(s) {missing}")
-    name = cp["scenario"].get("name", "").strip()
-    if not name:
+    if not cp["scenario"].get("name", "").strip():
         raise ConfigurationError(f"malformed config {path}: [scenario] has no 'name' (it names every artifact)")
-    try:
-        fields = {
-            name: parse(cp[section][key])
-            for (section, key), (name, parse) in _SCENARIO_KEYS.items()
-            if cp.has_option(section, key)
-        }
-        rt_kwargs = {key: parse(cp["rt"][key]) for key, parse in _RT_KEYS.items() if cp.has_option("rt", key)}
-    except (ValueError, configparser.Error) as e:
-        raise ConfigurationError(f"malformed config {path}: {e}") from e
+    fields, rt_kwargs = {}, {}
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigurationError(f"malformed config {path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigurationError(f"malformed config {path}: unknown [{section}] key '{key}'")
+            name, parse = _CONFIG_KEYS[section][key]
+            try:
+                value = parse(cp[section][key])
+            except (ValueError, configparser.Error) as e:
+                raise ConfigurationError(f"malformed config {path}: [{section}] {key}: {e}") from e
+            if name:
+                fields[name] = value
+            if section == "rt":
+                rt_kwargs[key] = value
     checks = dict(cp["checks"]) if cp.has_section("checks") else {}
-    for key, raw in checks.items():
-        if key not in _CHECK_KEYS:
-            raise ConfigurationError(f"malformed config {path}: unknown [checks] key '{key}'")
-        try:
-            _CHECK_KEYS[key](raw)
-        except ValueError as e:
-            raise ConfigurationError(f"malformed config {path}: [checks] {key}: {e}") from e
-    return Scenario(name=name, checks=checks, **fields), rt_kwargs
+    return Scenario(checks=checks, **fields), rt_kwargs
 
 
 # ---------------------------------------------------------------------------

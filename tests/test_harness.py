@@ -188,10 +188,14 @@ def test_short_mollifier_exits_2_before_any_stage(monkeypatch, cfg, eps, limit):
     ("ladder = 33, 65, 129", "ladder = 33, 65x", "ladder"),
     ("ladder = 33, 65, 129", "ladder = 33, 65, 129\nreference_tl = 1e-4", "reference_tl"),
     ("enforce_convergence = yes", "enforce_convergence = Yes", "enforce_convergence"),
+    ("fixed_point_tol = 1e-9", "fixed_point_tol = 1e-9\ndamping = 0.6", "damping"),
+    ("max_iters = 250", "max_iter = 2", "max_iter"),
+    ("beta = 0.6", "beta = 0.6x", "beta"),
 ])
 def test_bad_checks_entry_exits_2_before_any_stage(monkeypatch, tmp_path, capsys, old, new, key):
     # a bad [checks] entry used to die mid-run with a traceback, or to drop its
-    # gate silently; it is refused on load, naming the key
+    # gate silently, and an unknown key in another section was ignored; each is
+    # refused on load, naming the section and the key
     from rtgeo import harness
     from rtgeo.cli import main
 
@@ -439,7 +443,7 @@ def test_cli_rt_solve(tmp_path, unit_chart):
     out = _cli("--out", str(tmp_path), "rt-solve", str(field))
     assert out.returncode == 0, out.stderr
     summary = json.loads(out.stdout)
-    assert summary["residuals"]["eq11"] < 1e-9
+    assert summary["residuals"]["eq12"] < 1e-9
     assert (tmp_path / "gamma_y.csv").exists()
 
 
