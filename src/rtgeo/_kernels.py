@@ -1,7 +1,7 @@
 """The Hölder quotient's offset sweep, ``holder_pair_max``.
 
-Mollification is ``calculus.mollify``'s numpy tap loop, the one kernel on
-every machine.
+Mollification is ``calculus.mollify``: the tensor-product bump, one
+row-normalized smoothing matrix per axis applied as one GEMM each.
 """
 
 import functools

@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from . import _kernels
-from .charts import Chart, GridField
+from .charts import Chart, GridField, axis_products
 from .errors import DegreeError, ResolutionError, ShapeError, SolverError, ConfigurationError
 
 HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
@@ -311,41 +311,25 @@ def mollifier_radius(chart, eps):
     return rad
 
 
-def bump_kernel(chart, eps):
-    """Discrete (1 - r^2)^4 bump on the grid stencil, radius eps, mass renormalized."""
-    rad = mollifier_radius(chart, eps)
-    offs = np.meshgrid(
-        *[np.arange(-r, r + 1) * chart.h[ax] for ax, r in enumerate(rad)], indexing="ij"
-    )
-    r2 = sum(o ** 2 for o in offs) / eps ** 2
-    K = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
-    return K
-
-
 def mollify(fld, eps):
-    """Normalized convolution with the bump kernel; truncated-renormalized at the rim.
+    """Normalized convolution with the tensor-product bump prod_k (1 - s_k^2)^4.
 
-    Linear, positivity preserving, exact on constants, and leaves affine data
-    unchanged wherever the kernel support is fully interior.  One numpy tap
-    loop serves every n and every component, bit for bit
-    ``scipy.ndimage.convolve``'s zero-fill sum: the flipped kernel's taps in
-    C order, taps with |w| <= DBL_EPSILON skipped (ndimage's footprint), each
-    adding ``w * value`` to a sum started at 0.0; the denominator, the same
-    sum over ones, rides along as one more component.
+    s_k = offset_k h_k / eps, out to ``mollifier_radius`` nodes.  Per axis the
+    weights form one banded (m_k, m_k) matrix, each row divided by its own
+    sum, so the rim truncation is renormalized axis by axis and the
+    normalized n-fold sum factorizes exactly: one GEMM per axis
+    (``charts.axis_products``), every component at once.  Linear, positivity
+    preserving, exact on constants, and leaves affine data unchanged
+    wherever the kernel support is fully interior.
     """
     chart = fld.chart
-    K = bump_kernel(chart, eps)
+    mats = []
+    for m, h, r in zip(chart.res, chart.h, mollifier_radius(chart, eps)):
+        off = np.subtract.outer(np.arange(m), np.arange(m))
+        S = np.where(np.abs(off) <= r, (1.0 - np.minimum(np.square(off * h / eps), 1.0)) ** 4, 0.0)
+        mats.append(S / S.sum(axis=1, keepdims=True))
     comp = fld.values.reshape(chart.res + (-1,))
-    flipped = K[(slice(None, None, -1),) * chart.n]
-    padded = np.pad(
-        np.concatenate([comp, np.ones(chart.res + (1,))], axis=-1),
-        [(k // 2, k // 2) for k in K.shape] + [(0, 0)],
-    )
-    acc, term = np.zeros(chart.res + padded.shape[-1:]), np.empty(chart.res + padded.shape[-1:])
-    for tap in zip(*np.nonzero(np.abs(flipped) > np.finfo(np.float64).eps)):
-        np.multiply(flipped[tap], padded[tuple(slice(t, t + m) for t, m in zip(tap, chart.res))], out=term)
-        acc += term
-    out = acc[..., :-1] / acc[..., -1:]
+    out = axis_products(comp, mats).reshape(comp.shape[-1], -1).T
     return fld.copy(values=out.reshape(fld.values.shape))
 
 

@@ -38,6 +38,17 @@ def _d1(m, h):
     return sp.csr_matrix((data, indices.astype(np.int32), indptr), shape=(m, m))
 
 
+def axis_products(x, mats):
+    """Apply ``mats[k]`` along axis k of ``x`` (shape (*res, *rest)), one GEMM per axis.
+
+    Each product moves the axis it acts on from first to last, so the result
+    is 2-D with the ``rest`` axes, flattened, leading the res axes in order.
+    """
+    for M in mats:
+        x = x.reshape(M.shape[1], -1).T @ M.T
+    return x
+
+
 class Chart:
     """Rectangular coordinate domain with a uniform tensor-product grid.
 
@@ -154,9 +165,7 @@ class Chart:
         u[inner] = 0.0
         rhs = (source - self.laplace(u))[inner]
         bases, denom = self._dirichlet_eig
-        x = rhs
-        for (_, Vinv), p in zip(bases, denom.shape):
-            x = x.reshape(p, -1).T @ Vinv.T
+        x = axis_products(rhs, [Vinv for _, Vinv in bases])
         x = x.reshape((-1,) + denom.shape) / denom
         for (V, _), p in zip(bases[::-1], denom.shape[::-1]):
             x = V @ x.reshape(-1, p).T

@@ -28,9 +28,9 @@ class ResolutionError(RtgeoError):
 class DomainExit(RtgeoError):
     """Point left the chart; ODE loops consume this as interval truncation."""
 
-    def __init__(self, point):
+    def __init__(self, point, message=None):
         self.point = point
-        super().__init__(f"point outside chart: {point}")
+        super().__init__(message or f"point outside chart: {point}")
 
 
 class JacobianError(RtgeoError):

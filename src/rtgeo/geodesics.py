@@ -20,7 +20,7 @@ from .charts import Chart, GridField, _corner_nodes, _corners, connection_field,
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
-from .transform import pushforward_curve
+from .transform import inscribed_inset, pushforward_curve
 
 VELOCITY_BALL = 1.0
 _BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
@@ -467,6 +467,10 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
     def initial_data():
         """The y-side problem: (x0, v0) pushed through each pass by y(x) and J(x)."""
         y0 = bundle.map.forward_at(problem.x0)
+        if not bundle.y_chart.contains(y0)[0]:
+            inset = [inscribed_inset(r) for r in bundle.x_chart.res]
+            raise DomainExit(y0, f"y(x0) = {y0} left the inscribed y-chart {bundle.y_chart!r}, the image "
+                                 f"of the x-chart {bundle.x_chart!r} inset {inset} cells per side")
         w0 = bundle.jac.at(problem.x0) @ problem.v0
         target = conn_y
         if second is not None:  # the second pass acts at the first pass's y0

@@ -21,12 +21,13 @@ def unit_chart_65():
     return Chart((0.0, 0.0), (1.0, 1.0), (65, 65))
 
 
-def quadratic_jacobian(chart):
+def quadratic_jacobian(chart, shear=0.5):
+    """Jacobian of the shear map y = (x1, x2 + shear x1^2)."""
     X = chart.nodes
     J = np.zeros(chart.res + (2, 2))
     J[..., 0, 0] = 1.0
     J[..., 1, 1] = 1.0
-    J[..., 1, 0] = X[..., 0]
+    J[..., 1, 0] = 2.0 * shear * X[..., 0]
     return J
 
 

@@ -183,6 +183,22 @@ def test_short_mollifier_exits_2_before_any_stage(monkeypatch, cfg, eps, limit):
     assert message in out.stderr
 
 
+def test_initial_point_off_the_y_chart_names_the_chart(tmp_path):
+    # x0 = (0.06, 0.55) lies on the x-chart, but y(x0) falls in the 8-cell
+    # rim the inscribed y-chart leaves out at 65 nodes; the message names the
+    # y-side point, the y-chart and the inset, not the x-point alone
+    text = open("configs/flat_disguise.cfg").read().replace("x0 = 0.16, 0.55", "x0 = 0.06, 0.55")
+    cfg = tmp_path / "off_y_chart.cfg"
+    cfg.write_text(text)
+    report, code = run_experiment(str(cfg))
+    assert code == 1
+    assert report.failed_stage == "initial_data"
+    error = report.stages["pipeline"]["error"]
+    assert error.startswith("stage 'initial_data' failed: y(x0) = [0.06 0.55] left the inscribed y-chart ")
+    assert "Chart([0.125,0.875]x[0.125,0.875], res=(65, 65))" in error
+    assert error.endswith("inset [8, 8] cells per side")
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("curve_final_tol = 1e-2", "curve_final_tol = 1e-2x", "curve_final_tol"),
     ("ladder = 33, 65, 129", "ladder = 33, 65x", "ladder"),

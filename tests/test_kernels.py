@@ -1,6 +1,6 @@
 """Kernel checks: the Hölder offset sweep against an all-pairs reference, its
 Gram band bounds against per-offset slice maxima, and mollification against
-scipy.ndimage's normalized convolution."""
+an n-fold tap sum of the tensor-product bump."""
 
 import functools
 import os
@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import ndimage
 
 from rtgeo import _kernels
-from rtgeo.calculus import HOLDER_PAIR_FLOOR, bump_kernel, mollify, norm_report
+from rtgeo.calculus import HOLDER_PAIR_FLOOR, mollifier_radius, mollify, norm_report
 from rtgeo.charts import Chart, GridField
 from rtgeo.errors import SamplingError, ShapeError
 from rtgeo.harness import generate_scenario, load_config
@@ -255,36 +254,30 @@ def test_holder_rejects_scattered_nodes():
         _kernels.holder_pair_max(coords[rng.permutation(400)], vals, 0.5, 0.05)
 
 
-def ndimage_mollify(fld, eps):
-    """The normalized zero-fill convolution, one scipy.ndimage.convolve per component."""
+def tensor_reference_mollify(fld, eps):
+    """The tensor bump's normalized zero-fill sum, one shifted copy per tap:
+    each tap's weight is the n-fold product prod_k (1 - s_k^2)^4, and the
+    denominator is the same sum over ones."""
     chart = fld.chart
-    kern = bump_kernel(chart, eps)
+    rad = mollifier_radius(chart, eps)
     comp = fld.values.reshape(chart.res + (-1,))
-    den = ndimage.convolve(np.ones(chart.res), kern, mode="constant", cval=0.0)
-    out = np.stack([ndimage.convolve(comp[..., c], kern, mode="constant", cval=0.0) / den for c in range(comp.shape[-1])], -1)
-    return out.reshape(fld.values.shape)
-
-
-def tap_loop_mollify(fld, eps, footprint=True):
-    """mollify's tap loop written out; ``footprint=False`` keeps the taps ndimage drops."""
-    chart = fld.chart
-    kern = bump_kernel(chart, eps)[(slice(None, None, -1),) * chart.n]
-    comp = fld.values.reshape(chart.res + (-1,))
-    rad = [(k // 2, k // 2) for k in kern.shape]
-    padded, ones = np.pad(comp, rad + [(0, 0)]), np.pad(np.ones(chart.res), rad)
+    pad = [(r, r) for r in rad]
+    padded, ones = np.pad(comp, pad + [(0, 0)]), np.pad(np.ones(chart.res), pad)
     num, den = np.zeros(comp.shape), np.zeros(chart.res)
-    for tap in np.ndindex(kern.shape):
-        if footprint and not abs(kern[tap]) > np.finfo(np.float64).eps:
-            continue
+    for tap in np.ndindex(*[2 * r + 1 for r in rad]):
+        w = 1.0
+        for k, r in enumerate(rad):
+            s = (tap[k] - r) * chart.h[k] / eps
+            w *= (1.0 - min(s * s, 1.0)) ** 4
         window = tuple(slice(t, t + m) for t, m in zip(tap, chart.res))
-        num += kern[tap] * padded[window]
-        den += kern[tap] * ones[window]
+        num += w * padded[window]
+        den += w * ones[window]
     return (num / den[..., None]).reshape(fld.values.shape)
 
 
-def test_mollify_paths_agree():
-    # calculus.mollify's tap loop against scipy.ndimage.convolve, byte for
-    # byte, at n = 2 and 3, on data with signed zeros
+def test_mollify_matches_tensor_reference():
+    # calculus.mollify's per-axis products against the n-fold tap sum, at
+    # n = 2 and 3, on data with signed zeros; only the summation order differs
     rng = np.random.default_rng(2)
     for res in ((33, 33), (17, 18, 19)):
         chart = Chart((0.0,) * len(res), (1.0,) * len(res), res)
@@ -293,24 +286,30 @@ def test_mollify_paths_agree():
             vals[rng.random(vals.shape) < 0.2] = 0.0
             vals[rng.random(vals.shape) < 0.2] = -0.0
             fld = GridField(chart, vals)
-            want = ndimage_mollify(fld, 1 / 8)
-            assert mollify(fld, 1 / 8).values.tobytes() == want.tobytes()
+            got = mollify(fld, 1 / 8).values
+            assert got.shape == vals.shape
+            assert np.abs(got - tensor_reference_mollify(fld, 1 / 8)).max() < 1e-14
 
 
-def test_mollify_check_needs_the_footprint():
-    """Negative control: a unit spike on the 101^2 unit chart at eps = 0.1 puts
-    eight kernel taps of 2.4e-63 in reach; the tap loop matches ndimage only
-    when it skips taps with |w| <= DBL_EPSILON, as ndimage does."""
-    chart = Chart((0.0, 0.0), (1.0, 1.0), (101, 101))
-    kern = bump_kernel(chart, 0.1)
-    assert ((kern > 0) & (kern <= np.finfo(np.float64).eps)).sum() == 8
+def test_mollify_kernel_factorizes():
+    """A unit spike spreads to the outer product of the normalized 1-D rows,
+    nonzero out to the (r, r) corner of the box, where the ball |s| < 1 ends."""
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (65, 65))
+    eps = 7.5 / 64
+    r = mollifier_radius(chart, eps)[0]
+    assert r == 7
     vals = np.zeros(chart.res + (1,))
-    vals[50, 50] = 1.0
-    fld = GridField(chart, vals)
-    want = ndimage_mollify(fld, 0.1).tobytes()
-    assert mollify(fld, 0.1).values.tobytes() == want
-    assert tap_loop_mollify(fld, 0.1).tobytes() == want
-    assert tap_loop_mollify(fld, 0.1, footprint=False).tobytes() != want
+    vals[32, 32] = 1.0
+    out = mollify(GridField(chart, vals), eps).values[..., 0]
+    s = np.arange(-r, r + 1) / 7.5
+    row = (1.0 - s * s) ** 4
+    row /= row.sum()
+    box = (slice(32 - r, 33 + r),) * 2
+    assert np.abs(out[box] - np.outer(row, row)).max() < 1e-16
+    assert out[32 + r, 32 + r] > 0.0
+    assert 2 * (r / 7.5) ** 2 > 1
+    out[box] = 0.0
+    assert not out.any()
 
 
 def test_mollify_skips_ndimage_import():
