@@ -11,10 +11,9 @@ Index conventions used throughout the package:
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigurationError,
@@ -29,13 +28,37 @@ TAU_INV = 1e-9        # pointwise |J @ Jinv - I| bound
 DET_FLOOR = 1e-6      # |det J| lower bound
 
 
-def _d1(m, h):
-    """1-D first derivative: centered interior, one-sided second order at ends."""
-    inner = np.arange(1, m - 1, dtype=np.int32)
-    indptr = np.concatenate([[0], 3 + 2 * np.arange(m - 1), [2 * m + 2]]).astype(np.int32)
-    indices = np.concatenate([[0, 1, 2], np.stack([inner - 1, inner + 1], axis=1).ravel(), [m - 3, m - 2, m - 1]])
-    data = np.concatenate([[-1.5 / h, 2.0 / h, -0.5 / h], np.tile([-0.5 / h, 0.5 / h], m - 2), [0.5 / h, -2.0 / h, 1.5 / h]])
-    return sp.csr_matrix((data, indices.astype(np.int32), indptr), shape=(m, m))
+def _stencil_tables(h):
+    """:func:`_apply_rows` tables of D, one-sided second order at the ends and
+    centered inside, and of -D @ D."""
+    D = np.array([[[-1.5, 2.0, -0.5]], [[0.5, -2.0, 1.5]]]) / h, ((-1, 1), (-0.5 / h, 0.5 / h))
+    L = -_apply_rows(_apply_rows(np.eye(8), D, 0), D, 0)
+    return D, (np.stack([L[:2, :4], L[-2:, -4:]]), ((-2, 0, 2), L[2, [0, 2, 4]]))
+
+
+def _apply_rows(x, rows, axis):
+    """Apply a banded matrix along ``axis`` of ``x`` (shape (*res, *comp)).
+
+    ``rows`` = (ends, (offsets, coefs)): ``ends`` holds the first and last r
+    rows over the first and last w columns; row i between reads ``coefs`` at
+    columns i + ``offsets``.  Each node sums as a CSR matvec does: from 0,
+    its row's terms in column order.  The interior terms are contiguous
+    shifted flat slices; the end rows (t and m - r + t of each line) then
+    overwrite the nodes those got wrong."""
+    ends, (offsets, coefs) = rows
+    (_, r, w), shape, m = ends.shape, x.shape, x.shape[axis]
+    x = np.ascontiguousarray(x).reshape(-1, m, int(np.prod(shape[axis + 1 :])))
+    out, q, xf, tmp = np.zeros(x.shape), x.shape[2], x.reshape(-1), None
+    inner = out.reshape(-1)[r * q : -r * q]
+    for o, c in zip(offsets, coefs):
+        tmp = np.multiply(xf[(r + o) * q : xf.size - (r - o) * q], c, out=tmp)
+        inner += tmp
+    s0, s1, s2 = out.strides
+    both = np.ndarray((len(out), 2, r, q), float, out, 0, (s0, s1 * (m - r), s1, s2))
+    both[...] = 0.0
+    for j in range(w):  # x rows j and m - w + j
+        both += ends[:, :, j, None] * x[:, j : m - w + j + 1 : m - w, None]
+    return out.reshape(shape)
 
 
 def axis_products(x, mats):
@@ -52,8 +75,8 @@ def axis_products(x, mats):
 class Chart:
     """Rectangular coordinate domain with a uniform tensor-product grid.
 
-    Also owns the discrete differential operators (sparse axis derivatives,
-    the Laplacian, and the per-axis eigenbases of the Dirichlet solve); these
+    Also owns the discrete differential operators: stencil axis derivatives,
+    the Laplacian, and the per-axis eigenbases of the Dirichlet solve, which
     are cached lazily so that charts stay cheap to construct.
     """
 
@@ -77,6 +100,7 @@ class Chart:
         self.h = (hi - lo) / (np.asarray(res) - 1)
         self.npoints = int(np.prod(res))
         self.axes = tuple(np.linspace(lo[k], hi[k], res[k]) for k in range(n))
+        self._stencils = [_stencil_tables(h) for h in self.h]
 
     @cached_property
     def nodes(self):
@@ -101,35 +125,12 @@ class Chart:
         return w * self.voxel()
 
     @cached_property
-    def diff_ops(self):
-        """Sparse first-derivative operator per axis on flattened grid values."""
-        ops = []
-        for ax in range(self.n):
-            mats = [sp.identity(self.res[k], format="csr") for k in range(self.n)]
-            mats[ax] = _d1(self.res[ax], self.h[ax])
-            M = mats[0]
-            for k in range(1, self.n):
-                M = sp.kron(M, mats[k], format="csr")
-            ops.append(M.tocsr())
-        return tuple(ops)
-
-    @cached_property
-    def lap_op(self):
-        """Delta = delta d + d delta collapses to -sum_j D_j^2 componentwise."""
-        L = None
-        for D in self.diff_ops:
-            T = D @ D
-            L = T if L is None else L + T
-        return (-L).tocsr()
-
-    @cached_property
     def _dirichlet_eig(self):
         """Per axis (V, V^-1) with (D @ D)[1:-1, 1:-1] = V diag(lam) V^-1, and
         the eigenvalues -sum_j lam_j of Delta's interior block, shape res - 2."""
         bases, denom = [], 0.0
-        for ax, (m, h) in enumerate(zip(self.res, self.h)):
-            D = _d1(m, h)
-            lam, V = np.linalg.eig((D @ D)[1:-1, 1:-1].toarray())
+        for ax, (m, (D, _)) in enumerate(zip(self.res, self._stencils)):
+            lam, V = np.linalg.eig(_apply_rows(_apply_rows(np.eye(m), D, 0), D, 0)[1:-1, 1:-1])
             if np.iscomplexobj(lam):
                 raise SolverError(f"axis {ax}, m = {m}: the interior block of D^2 has a non-real eigenpair")
             bases.append((V, np.linalg.inv(V)))
@@ -139,18 +140,15 @@ class Chart:
     # -- operator application on (*res, *comp) arrays --------------------
 
     def deriv(self, values, ax):
-        shp = values.shape
-        out = self.diff_ops[ax] @ values.reshape(self.npoints, -1)
-        return out.reshape(shp)
+        return _apply_rows(values, self._stencils[ax][0], ax)
 
     def grad(self, values):
         """Axis derivatives stacked last: (*res, *comp) -> (*res, *comp, n)."""
         return np.stack([self.deriv(values, ax) for ax in range(self.n)], axis=-1)
 
     def laplace(self, values):
-        shp = values.shape
-        out = self.lap_op @ values.reshape(self.npoints, -1)
-        return out.reshape(shp)
+        """Delta = delta d + d delta collapses to -sum_j D_j^2 componentwise."""
+        return reduce(np.add, [_apply_rows(values, L, ax) for ax, (_, L) in enumerate(self._stencils)])
 
     def dirichlet_solve(self, source, boundary):
         """Solve Delta u = source at interior nodes, u = boundary on the rim.

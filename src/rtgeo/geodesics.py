@@ -453,6 +453,8 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
     """
     if mode not in ("existence", "uniqueness"):
         raise RtgeoError(f"unknown mode '{mode}'")
+    if problem.force is not None:  # initial_data does not push a force to the y-chart
+        raise RtgeoError(f"weak_solution_pipeline cannot carry the problem's force {problem.force!r}; use solve_forced")
     prov = {"mode": mode}
     cfg = rt_config or RTConfig()
     state, bundle, conn_y = regularize(conn, cfg)

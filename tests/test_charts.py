@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,6 @@ from rtgeo.charts import (
     Chart,
     GridField,
     JacobianField,
-    _d1,
     connection_field,
     dump_field,
     interpolate,
@@ -314,17 +314,6 @@ def test_chart_grad_matches_per_column_stacks(res):
     assert chart.grad(J).tobytes() == dJ.tobytes()
 
 
-def dirichlet_matrix_by_rows(chart):
-    """The Dirichlet matrix built row by row: identity, then each interior
-    row replaced by the Laplacian's."""
-    A = sp.eye(chart.npoints, format="csr").tolil()
-    L = chart.lap_op
-    for i in np.where(chart.interior_mask.ravel())[0]:
-        A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
-        A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
-    return A.tocsc()
-
-
 def _d1_by_items(m, h):
     """The first-derivative matrix set entry by entry in a lil_matrix, then converted."""
     D = sp.lil_matrix((m, m))
@@ -336,15 +325,85 @@ def _d1_by_items(m, h):
     return D.tocsr()
 
 
+def sparse_operators(chart):
+    """The reference operators on flattened (npoints, -1) values: per axis the
+    kron of the 1-D derivative with identities, and -sum_j D_j @ D_j."""
+    ops = []
+    for ax in range(chart.n):
+        mats = [_d1_by_items(m, h) if k == ax else sp.identity(m, format="csr")
+                for k, (m, h) in enumerate(zip(chart.res, chart.h))]
+        M = mats[0]
+        for k in range(1, chart.n):
+            M = sp.kron(M, mats[k], format="csr")
+        ops.append(M.tocsr())
+    L = ops[0] @ ops[0]
+    for D in ops[1:]:
+        L = L + D @ D
+    return ops, (-L).tocsr()
+
+
+def dirichlet_matrix_by_rows(chart):
+    """The Dirichlet matrix built row by row: identity, then each interior
+    row replaced by the Laplacian's."""
+    A = sp.eye(chart.npoints, format="csr").tolil()
+    L = sparse_operators(chart)[1]
+    for i in np.where(chart.interior_mask.ravel())[0]:
+        A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
+        A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
+    return A.tocsc()
+
+
+def signed_zero_samples(rng, shape):
+    """Normal samples with about a third of the entries +0.0 and a third -0.0,
+    so that stencil terms meet every pairing of signed zeros."""
+    v = rng.standard_normal(shape)
+    pick = rng.integers(0, 3, shape)
+    v[pick == 1] = 0.0
+    v[pick == 2] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("res", [(33, 33), (17, 40), (9, 10, 11)])
+@pytest.mark.parametrize("comp", [(), (3,), (2, 2, 2)])
+def test_deriv_and_laplace_match_sparse_operators(res, comp):
+    # deriv sums each node as the CSR matvec does, so its bytes are the
+    # sparse product's, signed zeros included; laplace sums axis by axis
+    n = len(res)
+    chart = Chart((0.0,) * n, (1.0, 2.5, 0.7)[:n], res)
+    ops, L = sparse_operators(chart)
+    rng = np.random.default_rng(len(comp))
+    v = signed_zero_samples(rng, res + comp)
+    wide = np.zeros(res + comp + (2,))
+    wide[..., 1] = v
+    for vals in (v, np.asfortranarray(v), wide[..., 1]):  # C-order, F-order, strided
+        flat = vals.reshape(chart.npoints, -1)
+        for ax in range(n):
+            want = (ops[ax] @ flat).reshape(v.shape)
+            assert chart.deriv(vals, ax).tobytes() == want.tobytes()
+        want = (L @ flat).reshape(v.shape)
+        assert np.abs(chart.laplace(vals) - want).max() <= 1e-13 * np.abs(want).max()
+    # the data meet the case the zero start decides: both interior terms -0.0
+    lo, hi = v[:-2], v[2:]
+    assert ((lo == 0) & ~np.signbit(lo) & (hi == 0) & np.signbit(hi)).any()
+
+
 @pytest.mark.parametrize("m", [8, 9, 17, 33, 65, 129, 257])
-def test_d1_matches_lil_construction(m):
-    # every sparse product built on _d1 (diff_ops, lap_op) inherits its bytes
-    h = 1.0 / (m - 1)
-    got, want = _d1(m, h), _d1_by_items(m, h)
-    assert got.shape == (m, m) and got.has_sorted_indices
-    for part in ("indptr", "indices", "data"):
-        assert getattr(got, part).dtype == getattr(want, part).dtype
-        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+def test_dirichlet_eig_reads_the_sparse_second_derivative(m, monkeypatch):
+    # the solve diagonalizes (D @ D)[1:-1, 1:-1]; its bytes must be the CSR
+    # product's, so that the eigenbasis and every solve stay as they were
+    blocks, real_eig = [], np.linalg.eig
+
+    def eig(a):
+        blocks.append(np.array(a))
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    chart = Chart((0.0, 0.0), (1.0, 2.5), (m, 8))
+    assert chart._dirichlet_eig is not None
+    for block, (k, h) in zip(blocks, enumerate(chart.h)):
+        D = _d1_by_items(chart.res[k], h)
+        assert block.tobytes() == (D @ D)[1:-1, 1:-1].toarray().tobytes()
+    assert len(blocks) == 2
 
 
 @pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11), (17, 17, 17)])
@@ -392,12 +451,18 @@ def test_dirichlet_solve_rejects_non_real_spectrum(monkeypatch):
         chart.dirichlet_solve(np.zeros(chart.res), 0.0)
 
 
-def test_import_skips_sparse_linalg():
-    # no elliptic solve factorizes, so the package never loads scipy.sparse.linalg
-    code = "import sys, rtgeo; print('scipy.sparse.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def test_run_imports_no_scipy():
+    # the operators are stencils, so a whole run loads no scipy module
+    code = (
+        "import sys, rtgeo, rtgeo.harness, rtgeo.cli\n"
+        "rtgeo.harness.run_experiment('configs/sphere.cfg')\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=root, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # every value class the dump must carry: signed zero, subnormals, the extremes

@@ -239,6 +239,19 @@ def test_pipeline_rough_matches_hidden_truth(rough_gen):
     assert err < 2e-2
 
 
+def test_pipeline_refuses_a_force(rough_gen, monkeypatch):
+    # initial_data builds the y-problem without the force, so a forced problem
+    # would come back as the unforced curve; it is refused before any pass runs
+    monkeypatch.setattr(geodesics, "regularize", lambda *a, **k: pytest.fail("regularize ran"))
+    scn = rough_gen.scenario
+    K = ForceField(evaluator=lambda t, x, v: np.array([0.0, 0.5]))
+    prob = GeodesicProblem(
+        rough_gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), force=K, interval=scn.interval
+    )
+    with pytest.raises(RtgeoError, match="force ForceField"):
+        weak_solution_pipeline(rough_gen.conn_x, prob)
+
+
 def test_pipeline_uniqueness_mode(rough_gen):
     scn = rough_gen.scenario
     prob = GeodesicProblem(
