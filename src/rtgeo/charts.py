@@ -161,7 +161,7 @@ class Chart:
         inner = (slice(1, -1),) * self.n
         u = np.array(np.broadcast_to(boundary, source.shape), dtype=float)
         u[inner] = 0.0
-        rhs = (source - self.laplace(u))[inner]
+        rhs = source[inner] - self._rim_lift(u)
         bases, denom = self._dirichlet_eig
         x = axis_products(rhs, [Vinv for _, Vinv in bases])
         x = x.reshape((-1,) + denom.shape) / denom
@@ -169,6 +169,26 @@ class Chart:
             x = V @ x.reshape(-1, p).T
         u[inner] = x.reshape(rhs.shape)
         return u
+
+    def _rim_lift(self, u):
+        """``laplace(u)[1:-1, ...]`` for u zero at interior nodes, bit for bit,
+        read from the rim hyperplanes alone.
+
+        Along an axis of m nodes, interior rows 1 and 2 read node 0 (an end row
+        and the stencil's offset -2), rows m - 3 and m - 2 read node m - 1, and
+        no row reads both (m >= 8).  So each interior node gets at most one
+        nonzero term per axis, and adding those in axis order onto +0.0 sums
+        as the stencil rows and ``laplace``'s axis sum do.
+        """
+        inner = (slice(1, -1),) * self.n
+        lift = np.zeros(tuple(r - 2 for r in self.res) + u.shape[self.n :])
+        for ax, (m, (_, (ends, (_, coefs)))) in enumerate(zip(self.res, self._stencils)):
+            reads = ((1, ends[0, 1, 0], 0), (2, coefs[0], 0), (m - 3, coefs[-1], -1), (m - 2, ends[1, 0, -1], -1))
+            for row, c, rim in reads:
+                at, src = [slice(None)] * self.n, list(inner)
+                at[ax], src[ax] = row - 1, rim
+                lift[tuple(at)] += c * u[tuple(src)]
+        return lift
 
     def voxel(self):
         return float(np.prod(self.h))
@@ -301,7 +321,8 @@ def interpolate(fld, points, clip=False):
     """Multilinear interpolation; exact on multilinear data.
 
     Raises :class:`DomainExit` for points outside the chart unless ``clip``
-    (then coordinates are clamped to the boundary).  Each corner's rows are
+    (then coordinates are clamped to the boundary); a point with a NaN
+    coordinate has no clamp and raises either way.  Each corner's rows are
     gathered by one ``take`` at the flat node index of the cell plus the
     corner's offset.  The sum starts from the first corner's term, so a -0.0
     survives: n = 2 reads (1-a)(1-b) v00 + a(1-b) v10 + (1-a)b v01 + ab v11.
@@ -313,6 +334,9 @@ def interpolate(fld, points, clip=False):
     if off is not None:
         if not clip:
             raise DomainExit(pts[off])
+        nan = np.isnan(pts).any(axis=-1)
+        if nan.any():
+            raise DomainExit(pts[int(nan.argmax())])
         pts = np.clip(pts, chart.lo, chart.hi)
     t = (pts - chart.lo) / chart.h
     i0 = np.minimum(t.astype(int), np.asarray(chart.res) - 2)
@@ -340,26 +364,61 @@ def connection_field(chart, values):
     return f
 
 
+def _minor(J, rows, cols):
+    """Determinant of J[..., rows, cols] by Laplace expansion along its first row."""
+    if not rows:
+        return np.ones(J.shape[:-2])
+    if len(rows) == 1:
+        return J[..., rows[0], cols[0]]
+    out = None
+    for k, c in enumerate(cols):
+        term = J[..., rows[0], c] * _minor(J, rows[1:], cols[:k] + cols[k + 1 :])
+        out = term if out is None else (out - term if k % 2 else out + term)
+    return out
+
+
+def det_inverse(J):
+    """(det, inverse) of a node batch J of shape (*res, n, n), closed form.
+
+    Both come from one set of cofactors C_ij = (-1)^(i+j) M_ij, each minor
+    M_ij expanded over component slices: det = sum_j J_0j C_0j and
+    inverse_ji = C_ij / det.  Raises :class:`JacobianError` naming the first
+    node (C order) where det is 0 or not finite, before anything is divided.
+    """
+    idx = tuple(range(J.shape[-1]))
+    adj = np.empty(J.shape)
+    for i in idx:
+        for j in idx:
+            minor = _minor(J, idx[:i] + idx[i + 1 :], idx[:j] + idx[j + 1 :])
+            adj[..., j, i] = -minor if (i + j) % 2 else minor
+    det = J[..., 0, 0] * adj[..., 0, 0]
+    for j in idx[1:]:
+        det = det + J[..., 0, j] * adj[..., j, 0]
+    bad = ~np.isfinite(det) | (det == 0)
+    if bad.any():
+        node = np.unravel_index(int(bad.argmax()), det.shape)
+        raise JacobianError(f"det J = {det[node]} at node {tuple(int(i) for i in node)}")
+    return det, np.divide(adj, det[..., None, None], out=adj)
+
+
 @dataclass
 class JacobianField:
     """Forward Jacobian samples J[mu,nu] = dy^mu/dx^nu with inverse and det."""
 
     chart: Chart
     J: np.ndarray
-    Jinv: np.ndarray = None
-    det: np.ndarray = None
+    Jinv: np.ndarray = field(init=False)
+    det: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.chart.n
         if self.J.shape != self.chart.res + (n, n):
             raise ShapeError("jacobian samples must be (*res, n, n)")
-        self.det = np.linalg.det(self.J)
+        self.det, self.Jinv = det_inverse(self.J)
         if np.abs(self.det).min() < DET_FLOOR:
             raise JacobianError(
                 f"|det J| fell below {DET_FLOOR:g} (min {np.abs(self.det).min():.3e})"
             )
-        if self.Jinv is None:
-            self.Jinv = np.linalg.inv(self.J)
         from .calculus import contract  # calculus imports this module
 
         eye = np.eye(n)

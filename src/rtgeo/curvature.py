@@ -22,7 +22,7 @@ from .calculus import (
     mollify,
     wedge,
 )
-from .charts import Chart, GridField, connection_field, interpolate
+from .charts import Chart, GridField, connection_field, det_inverse, interpolate
 from .errors import FittingError, ShapeError, TestFunctionError
 
 
@@ -192,7 +192,7 @@ def transform_curvature(R, J):
     R_x[t,m,n,r] = Jinv[t,d] J[a,m] J[b,n] J[c,r] R_y[d,a,b,c], pointwise on a
     shared grid (point correspondence is the caller's concern).
     """
-    Jinv = np.linalg.inv(J)
+    _, Jinv = det_inverse(J)
     if J.shape[:-2] != R.values.shape[: R.chart.n] and J.ndim != 2:
         raise ShapeError("jacobian samples do not match the curvature grid")
     out = contract("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
@@ -254,7 +254,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     xpts = bundle.map.inverse_at(ypts, clip=True)
     Rx_at = interpolate(Rx.as_field(), xpts, clip=True)
     J_at = bundle.jac.at(xpts, clip=True)
-    Jinv_at = np.linalg.inv(J_at)
+    _, Jinv_at = det_inverse(J_at)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     if drop_jacobian_factor:
         pushed = contract("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import lp_norm, mollifier_radius, mollify, w1p_norm
-from .charts import Chart, GridField, JacobianField, connection_field, dump_curve, dump_field
+from .calculus import contract, lp_norm, mollifier_radius, mollify, w1p_norm
+from .charts import Chart, GridField, JacobianField, connection_field, det_inverse, dump_curve, dump_field
 from .curvature import lemma_b1_check
 from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
 from .geodesics import (
@@ -280,7 +280,7 @@ def generate_scenario(scn):
         else:
             ys, ws = y0[None] + t[:, None] * w0[None], np.broadcast_to(w0, (len(t), len(w0)))
         pos = mp.inverse(ys)
-        vel = np.linalg.solve(mp.jacobian(pos), ws[..., None])[..., 0]
+        vel = contract("...ij,...jk->...ik", det_inverse(mp.jacobian(pos))[1], ws[..., None])[..., 0]
         return pos, vel
 
     return GeneratedScenario(

@@ -48,7 +48,7 @@ from .calculus import (
     norm_report,
     wedge,
 )
-from .charts import GridField, connection_field, interpolate
+from .charts import GridField, connection_field, det_inverse, interpolate
 from .errors import JacobianError, SolverError, staged
 from .transform import build_bundle, jacobian_grad, row_curl_residual, split_transform
 
@@ -147,7 +147,7 @@ def _solve_on_chart(conn, cfg, used_subchart):
             f"above fixed_point_tol {cfg.fixed_point_tol:.0e}",
             increments,
         )
-    det = np.linalg.det(J)
+    det, _ = det_inverse(J)
     # the rim data u = x fix the orientation at +1, so a fold shows as det < 0
     if det.min() < 1e-6:
         raise JacobianError(f"degenerate Jacobian: min det = {det.min():.2e}")
@@ -204,7 +204,7 @@ def optimal_connection(tilde, bundle):
     xpts = bundle.map.inverse_at(ypts, clip=True)
     Gt = interpolate(tilde, xpts, clip=True)
     J = bundle.jac.at(xpts, clip=True)
-    Jinv = np.linalg.inv(J)
+    _, Jinv = det_inverse(J)
     # conn storage [k, i(form), j(col)] -> [g, a(form), b(col)]
     vals = contract("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
     return connection_field(y_chart, vals.reshape(y_chart.res + Gt.shape[1:]))
@@ -225,7 +225,7 @@ def first_rt_residual(conn, J, B, eps_ladder=None, p=2.2):
     """
     chart = conn.chart
     n = chart.n
-    Jinv = np.linalg.inv(J)
+    _, Jinv = det_inverse(J)
     w_raw = connection_form(conn)
     dg_raw = coderivative(w_raw).values
     dJ_form = jacobian_grad(chart, J)

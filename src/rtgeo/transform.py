@@ -29,6 +29,7 @@ from .charts import (
     GridField,
     JacobianField,
     connection_field,
+    det_inverse,
     interpolate,
 )
 from .errors import InversionError, JacobianError, NonIntegrableError, ShapeError
@@ -68,7 +69,7 @@ def split_transform(conn, J, Jinv=None):
     """Gamma~ = Gamma_x - Jinv dJ; returns (Gamma~, inhomogeneous part)."""
     chart = conn.chart
     if Jinv is None:
-        Jinv = np.linalg.inv(J)
+        _, Jinv = det_inverse(J)
     dJ = jacobian_grad(chart, J)
     inhom = matmul(Jinv, dJ)
     tilde = connection_form(conn).values - inhom.values
@@ -150,9 +151,10 @@ def invert_map(forward_field, y_chart, J, strict=True):
     at most NEWTON_MAX_ITERS steps; returns (x at the y-chart's nodes, worst
     residual).
 
-    ``strict=False`` tolerates unreachable targets (y-nodes outside the image
-    of the x-chart); those entries are boundary-clamped and only usable when
-    the caller never evaluates there.
+    A J that is singular where a step reads it raises :class:`JacobianError`
+    naming the y-chart node.  ``strict=False`` tolerates unreachable targets
+    (y-nodes outside the image of the x-chart); those entries are
+    boundary-clamped and only usable when the caller never evaluates there.
     """
     chart_x = forward_field.chart
     targets = y_chart.nodes.reshape(-1, chart_x.n)
@@ -162,11 +164,12 @@ def invert_map(forward_field, y_chart, J, strict=True):
         if np.abs(F).max() < TAU_MAP:
             break
         Ji = interpolate(GridField(chart_x, J), x, clip=True)
-        step = np.linalg.solve(Ji, F[..., None])[..., 0]
+        _, Jinv = det_inverse(Ji.reshape(y_chart.res + Ji.shape[1:]))
+        step = contract("...ij,...jk->...ik", Jinv.reshape(Ji.shape), F[..., None])[..., 0]
         x = np.clip(x - step, chart_x.lo, chart_x.hi)
     resid = np.abs(interpolate(forward_field, x, clip=True) - targets)
     worst = float(resid.max())
-    if strict and worst > TAU_MAP * 100:
+    if strict and not worst <= TAU_MAP * 100:
         node = targets[int(np.argmax(resid.max(axis=-1)))]
         raise InversionError(f"Newton stagnated at residual {worst:.2e} (worst node {node})")
     return x.reshape(y_chart.res + (chart_x.n,)), worst
@@ -261,7 +264,7 @@ def coderivative_identity_residual(conn, J, p=4.0):
     The norm restricts to a fixed interior region.
     """
     chart = conn.chart
-    Jinv = np.linalg.inv(J)
+    _, Jinv = det_inverse(J)
     tilde, _ = split_transform(conn, J, Jinv)
     w = connection_form(conn)
     wt = connection_form(tilde)
@@ -279,7 +282,7 @@ def coderivative_identity_residual(conn, J, p=4.0):
 def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False):
     """L^p residual of: d Gamma_x = d Gamma~ + dJinv ^ dJ  (exact since d dJ = 0)."""
     chart = conn.chart
-    Jinv = np.linalg.inv(J)
+    _, Jinv = det_inverse(J)
     tilde, _ = split_transform(conn, J, Jinv)
     w = connection_form(conn)
     wt = connection_form(tilde)
@@ -313,7 +316,7 @@ def pushforward_curve(curve, bundle, direction="forward"):
     else:
         pos = bundle.map.inverse_at(curve.positions, clip=True)
         Jc = bundle.jac.at(pos, clip=True)
-        vel = np.linalg.solve(Jc, curve.velocities[..., None])[..., 0]
+        vel = contract("...ij,...jk->...ik", det_inverse(Jc)[1], curve.velocities[..., None])[..., 0]
     return Curve(
         times=curve.times.copy(),
         positions=pos,
@@ -331,7 +334,7 @@ def transform_force(force, bundle):
     def wrapped(t, y, w):
         x = bundle.map.inverse_at(np.asarray(y, dtype=float), clip=True)
         Jx = bundle.jac.at(x, clip=True)
-        v = np.linalg.solve(Jx, np.asarray(w, dtype=float))
+        v = contract("...ij,...jk->...ik", det_inverse(Jx)[1], np.asarray(w, dtype=float)[..., None])[..., 0]
         return Jx @ force(t, x, v)
 
     if force.continuity == "lipschitz":

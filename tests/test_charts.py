@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rtgeo.charts import (
+    DET_FLOOR,
     Chart,
     GridField,
     JacobianField,
     connection_field,
+    det_inverse,
     dump_field,
     interpolate,
     load_field,
@@ -25,6 +27,7 @@ from rtgeo.charts import (
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError, SolverError
 from rtgeo.geodesics import _sampled_rhs
+from rtgeo.harness import run_experiment
 
 
 def test_make_chart_spacing():
@@ -112,6 +115,11 @@ def test_interpolate_domain_exit(unit_chart):
     f = GridField(unit_chart, np.zeros(unit_chart.res + (1,)))
     with pytest.raises(DomainExit):
         interpolate(f, np.array([1.2, 0.5]))
+    # a NaN coordinate has no clamp: clip=True must not index with it
+    with pytest.raises(DomainExit, match=r"\[nan 0\.5\]"):
+        interpolate(f, np.array([np.nan, 0.5]), clip=True)
+    with pytest.raises(DomainExit, match=r"\[0\.3 nan\]"):
+        interpolate(f, np.array([[1.2, 0.5], [0.3, np.nan]]), clip=True)
 
 
 def bilinear_reference(fld, pts):
@@ -279,6 +287,56 @@ def test_jacobian_field_invariants(unit_chart):
     bad[5, 5] = 0.0
     with pytest.raises(JacobianError):
         JacobianField(unit_chart, bad)
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def test_jacobian_field_tau_inv_catches_ill_conditioned(unit_chart):
+    # negative control: det 3 clears DET_FLOOR, but at condition number 3e9
+    # the closed-form inverse misses J @ Jinv = I by 2.4e-7 (measured)
+    J = np.broadcast_to(np.eye(2), unit_chart.res + (2, 2)).copy()
+    J[7, 9] = _rotation(0.3) @ np.diag([1e5, 3e-5]) @ _rotation(1.1).T
+    assert det_inverse(J)[0][7, 9] > 1e6 * DET_FLOOR
+    with pytest.raises(JacobianError, match="deviates from identity"):
+        JacobianField(unit_chart, J)
+
+
+def _conditioned_batch(n, rng, size, kappa):
+    """Matrices U diag(s) V^T times a scale in [1e-2, 1e2]: s log-uniform in
+    [1, kappa] with both ends taken, so each condition number is kappa."""
+    U = np.linalg.qr(rng.standard_normal((size, n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((size, n, n)))[0]
+    s = kappa ** rng.random((size, n))
+    s[:, 0], s[:, -1] = 1.0, kappa if n > 1 else s[:, -1]
+    return (U * s[:, None, :]) @ V.transpose(0, 2, 1) * 10.0 ** rng.uniform(-2, 2, (size, 1, 1))
+
+
+# over 50 batches of 4000 (seeds 0-49) the largest relative gaps to LAPACK
+# measured 5.3e-16 / 8.5e-14 / 7.5e-12 on det and 0 / 8.5e-14 / 7.5e-12 on the
+# inverse; the cofactor sums cancel like kappa^(n-1), LU like kappa
+@pytest.mark.parametrize("n, bound", [(1, 1e-15), (2, 1e-12), (3, 1e-10)])
+def test_det_inverse_matches_linalg(n, bound):
+    J = _conditioned_batch(n, np.random.default_rng(n), 4000, 1e3)
+    det, inv = det_inverse(J.reshape(40, 100, n, n))
+    want_det, want_inv = np.linalg.det(J), np.linalg.inv(J)
+    assert (np.abs(det.ravel() - want_det) / np.abs(want_det)).max() < bound
+    gap = np.abs(inv.reshape(J.shape) - want_inv).max(axis=(-2, -1))
+    assert (gap / np.abs(want_inv).max(axis=(-2, -1))).max() < bound
+
+
+def test_det_inverse_names_the_first_bad_node():
+    J = np.broadcast_to(np.eye(3), (4, 5, 3, 3)).copy()
+    J[3, 1, 0, 0] = np.nan
+    J[2, 3] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]  # rank 2, det exactly 0
+    with pytest.raises(JacobianError, match=r"det J = 0\.0 at node \(2, 3\)"):
+        det_inverse(J)
+    J[2, 3] = np.eye(3)
+    with pytest.raises(JacobianError, match=r"det J = nan at node \(3, 1\)"):
+        det_inverse(J)
+    det, inv = det_inverse(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    assert det == 1.0 and inv.tolist() == [[1.0, -1.0], [-1.0, 2.0]]
 
 
 def test_jacobian_field_at_interpolates_samples(unit_chart):
@@ -463,6 +521,41 @@ def test_run_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=root, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_run_hands_lapack_no_matrix_batch(monkeypatch):
+    # per-node Jacobian algebra is closed form, so a run of each shipped config
+    # calls np.linalg.inv / det / solve only on single dense matrices
+    def dense_only(fn):
+        def guarded(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError(f"np.linalg.{fn.__name__} on a batch of shape {np.shape(a)}")
+            return fn(a, *args, **kwargs)
+
+        return guarded
+
+    for name in ("inv", "det", "solve"):
+        monkeypatch.setattr(np.linalg, name, dense_only(getattr(np.linalg, name)))
+    root = Path(__file__).resolve().parents[1]
+    for cfg in ("flat_disguise", "sphere", "rough_beta06"):
+        report, code = run_experiment(str(root / "configs" / f"{cfg}.cfg"))
+        assert (code, report.failed_stage) == (0, ""), cfg
+
+
+@pytest.mark.parametrize("res, comp", [((8, 9), (2, 2)), ((17, 40), (2,)), ((9, 10, 11), (3,))])
+def test_rim_lift_is_laplace_bit_for_bit(res, comp):
+    # anisotropic h, spread magnitudes, and about a third each of +0.0 and
+    # -0.0 on the rim, so some lift terms are -0.0 products
+    n = len(res)
+    chart = Chart((0.0,) * n, 1.0 + 0.7 * np.arange(n), res)
+    rng = np.random.default_rng(sum(res))
+    u = rng.standard_normal(res + comp) * 10.0 ** rng.integers(-3, 4, res + comp)
+    u[rng.random(u.shape) < 0.3] = 0.0
+    u[rng.random(u.shape) < 0.3] = -0.0
+    inner = (slice(1, -1),) * n
+    u[inner] = 0.0
+    assert (np.signbit(u) & (u == 0.0)).any()
+    assert chart._rim_lift(u).tobytes() == chart.laplace(u)[inner].tobytes()
 
 
 # every value class the dump must carry: signed zero, subnormals, the extremes

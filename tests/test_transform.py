@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtgeo import transform
 from rtgeo.charts import GridField, JacobianField, connection_field, interpolate
 from rtgeo.curvature import riemann, transform_curvature
-from rtgeo.errors import NonIntegrableError
+from rtgeo.errors import DomainExit, InversionError, JacobianError, NonIntegrableError
 from rtgeo.transform import (
     build_bundle,
     coderivative_identity_residual,
@@ -181,6 +182,28 @@ def test_invert_identity(unit_chart):
     inv, resid = invert_map(fwd, unit_chart, eye)
     assert np.abs(inv - unit_chart.nodes).max() < 1e-9
     assert resid < 1e-9
+
+
+def test_invert_map_names_a_singular_node(unit_chart):
+    # J vanishes for x2 >= 0.5; Newton first reads it there at y-node (0, 16)
+    fwd = GridField(unit_chart, 0.25 + 0.5 * unit_chart.nodes)
+    J = np.broadcast_to(0.5 * np.eye(2), unit_chart.res + (2, 2)).copy()
+    J[:, 16:] = 0.0
+    with pytest.raises(JacobianError, match=r"at node \(0, 16\)"):
+        invert_map(fwd, unit_chart, J)
+
+
+def test_invert_map_fails_on_a_nan_residual(unit_chart, monkeypatch):
+    fwd = GridField(unit_chart, unit_chart.nodes + 0.01)
+    fwd.values[10, 12, 0] = np.nan  # past GridField's own finiteness check
+    eye = np.broadcast_to(np.eye(2), unit_chart.res + (2, 2))
+    # a Newton step from a NaN residual is NaN: the next read names the point
+    with pytest.raises(DomainExit, match="nan"):
+        invert_map(fwd, unit_chart, eye)
+    # with no step to take, the strict gate itself reads NaN as a failure
+    monkeypatch.setattr(transform, "NEWTON_MAX_ITERS", 0)
+    with pytest.raises(InversionError, match="residual nan"):
+        invert_map(fwd, unit_chart, eye)
 
 
 def test_invert_quadratic_closed_form(unit_chart_65):
