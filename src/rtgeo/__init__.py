@@ -48,7 +48,6 @@ from .geodesics import (
     convergence_report,
     gronwall_uniqueness_check,
     mollified_family,
-    solve_forced,
     solve_geodesic,
     solve_mollified,
     uniform_bound_check,

@@ -450,13 +450,9 @@ class CoordinateMap:
 
 @dataclass
 class ForceField:
-    """Closed-form forcing term K(t, x, v) with a declared continuity class."""
+    """Closed-form forcing term K(t, x, v), checked finite at every call."""
 
     evaluator: callable
-    continuity: str = "lipschitz"      # 'lipschitz' | 'hoelder'
-    constant: float = 0.0
-    alpha: float = 1.0
-    notes: str = ""
 
     def __call__(self, t, x, v):
         out = np.asarray(self.evaluator(t, x, v), dtype=float)

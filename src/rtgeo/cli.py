@@ -30,7 +30,7 @@ def _parser():
     ap = argparse.ArgumentParser(prog="rtgeo", description="low-regularity geodesic toolkit")
     ap.add_argument("--out", default=None, help="output directory for artifacts")
     ap.add_argument("--grid", type=int, default=None, help="override grid resolution")
-    ap.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    ap.add_argument("--seed", type=int, default=None, help="override the scenario seed the report echoes")
     ap.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = ap.add_subparsers(dest="command")
 

@@ -20,7 +20,7 @@ from .charts import Chart, GridField, _corner_nodes, _corners, connection_field,
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
-from .transform import inscribed_inset, pushforward_curve
+from .transform import inscribed_inset, pushforward_curve, transform_force
 
 VELOCITY_BALL = 1.0
 _BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
@@ -293,12 +293,6 @@ def solve_geodesic(problem, method="rk4", dt=None, tol_ode=1e-12):
     raise RtgeoError(f"unknown method '{method}'")
 
 
-def solve_forced(problem, method="rk4", dt=None):
-    if problem.force is None:
-        raise RtgeoError("solve_forced needs a force field on the problem")
-    return solve_geodesic(problem, method=method, dt=dt)
-
-
 def _outside_ball(v, v0):
     """``np.linalg.norm(v - v0) > VELOCITY_BALL`` for sequences of floats.
 
@@ -440,7 +434,6 @@ class PipelineResult:
     bundle: object
     conn_y: object
     provenance: dict
-    second_pass: object = None
 
 
 def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=None):
@@ -450,38 +443,41 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
     continuous and the classical solve runs in the new coordinates.
     uniqueness: a second pass on the transformed connection reaches the
     Lipschitz class; a fixed-point cross-check runs alongside.
+    The initial data and any force are pushed through every pass, and the
+    y-curve is pulled back through them in reverse.  ``bundle`` and
+    ``conn_y`` are the first pass's.
     """
     if mode not in ("existence", "uniqueness"):
         raise RtgeoError(f"unknown mode '{mode}'")
-    if problem.force is not None:  # initial_data does not push a force to the y-chart
-        raise RtgeoError(f"weak_solution_pipeline cannot carry the problem's force {problem.force!r}; use solve_forced")
-    prov = {"mode": mode}
     cfg = rt_config or RTConfig()
-    state, bundle, conn_y = regularize(conn, cfg)
-    prov["rt"] = state.summary()
-    prov["y_chart"] = repr(conn_y.chart)
-    second = None
+    passes = [regularize(conn, cfg)]
     if mode == "uniqueness":
-        state2, bundle2, conn_yy = regularize(conn_y, replace(cfg, retry_subchart=False), "_second")
-        second = {"state": state2, "bundle": bundle2, "conn": conn_yy}
-        prov["rt_second"] = state2.summary()
+        passes.append(regularize(passes[0][2], replace(cfg, retry_subchart=False), "_second"))
+    prov = {"mode": mode, "y_chart": repr(passes[0][2].chart)}
+    for (state, _, _), key in zip(passes, ("rt", "rt_second")):
+        prov[key] = state.summary()
 
     def initial_data():
-        """The y-side problem: (x0, v0) pushed through each pass by y(x) and J(x)."""
-        y0 = bundle.map.forward_at(problem.x0)
-        if not bundle.y_chart.contains(y0)[0]:
-            inset = [inscribed_inset(r) for r in bundle.x_chart.res]
-            raise DomainExit(y0, f"y(x0) = {y0} left the inscribed y-chart {bundle.y_chart!r}, the image "
-                                 f"of the x-chart {bundle.x_chart!r} inset {inset} cells per side")
-        w0 = bundle.jac.at(problem.x0) @ problem.v0
-        target = conn_y
-        if second is not None:  # the second pass acts at the first pass's y0
-            b2, target = second["bundle"], second["conn"]
-            w0 = b2.jac.at(y0, clip=True) @ w0
-            y0 = b2.map.forward_at(y0, clip=True)
+        """The y-side problem: (x0, v0, force) pushed through each pass by y(x), J(x)
+        and :func:`transform_force`."""
+        y0, w0, force = problem.x0, problem.v0, problem.force
+        for _, bundle, _ in passes:
+            x0, y0 = y0, bundle.map.forward_at(y0)
+            if not bundle.y_chart.contains(y0)[0]:
+                inset = [inscribed_inset(r) for r in bundle.x_chart.res]
+                raise DomainExit(y0, f"y(x0) = {y0} left the inscribed y-chart {bundle.y_chart!r}, the image "
+                                     f"of the x-chart {bundle.x_chart!r} inset {inset} cells per side")
+            w0 = bundle.jac.at(x0) @ w0
+            if force is not None:
+                force = transform_force(force, bundle)
         return GeodesicProblem(
-            connection=target, t0=problem.t0, x0=y0, v0=w0, interval=problem.interval
+            connection=passes[-1][2], t0=problem.t0, x0=y0, v0=w0, force=force, interval=problem.interval
         )
+
+    def pull_back(curve):
+        for _, bundle, _ in reversed(passes):
+            curve = pushforward_curve(curve, bundle, direction="backward")
+        return curve
 
     prob_y = staged("initial_data", initial_data)
     curve_y = staged("geodesic_y", lambda: solve_geodesic(prob_y, "rk4", dt=dt))
@@ -492,16 +488,9 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
             prov["picard_rk4_gap"] = curve_y.c1_distance(cross)
         except SolverError as e:
             prov["picard_rk4_gap"] = f"picard failed: {e}"
-
-    if second is not None:
-        curve_mid = pushforward_curve(curve_y, second["bundle"], direction="backward")
-    else:
-        curve_mid = curve_y
-    curve_x = staged(
-        "pushforward_back", lambda: pushforward_curve(curve_mid, bundle, direction="backward")
-    )
+    curve_x = staged("pushforward_back", lambda: pull_back(curve_y))
     prov["x_interval"] = curve_x.interval
-    return PipelineResult(curve=curve_x, bundle=bundle, conn_y=conn_y, provenance=prov, second_pass=second)
+    return PipelineResult(curve=curve_x, bundle=passes[0][1], conn_y=passes[0][2], provenance=prov)
 
 
 # ---------------------------------------------------------------------------

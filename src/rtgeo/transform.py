@@ -26,6 +26,7 @@ from .calculus import (
 from .charts import (
     Chart,
     CoordinateMap,
+    ForceField,
     GridField,
     JacobianField,
     connection_field,
@@ -328,8 +329,8 @@ def pushforward_curve(curve, bundle, direction="forward"):
 
 
 def transform_force(force, bundle):
-    """Push a force evaluator to y-coordinates: K^i = J^i_mu K^mu at x(y)."""
-    from .charts import ForceField
+    """Push a force evaluator to y-coordinates: K^i = J^i_mu K^mu at x(y),
+    with the x-velocity v = J^-1 w."""
 
     def wrapped(t, y, w):
         x = bundle.map.inverse_at(np.asarray(y, dtype=float), clip=True)
@@ -337,10 +338,4 @@ def transform_force(force, bundle):
         v = contract("...ij,...jk->...ik", det_inverse(Jx)[1], np.asarray(w, dtype=float)[..., None])[..., 0]
         return Jx @ force(t, x, v)
 
-    if force.continuity == "lipschitz":
-        notes = "lipschitz class preserved only under W^{2,p} maps; downgraded to hoelder"
-        cls = "hoelder"
-    else:
-        notes = "hoelder class preserved under hoelder jacobians"
-        cls = "hoelder"
-    return ForceField(evaluator=wrapped, continuity=cls, constant=force.constant, alpha=force.alpha, notes=notes)
+    return ForceField(wrapped)

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from rtgeo import cli, geodesics, rt_solver
 from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
-from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
+from rtgeo.errors import DomainExit, SolverError, StageError
 from rtgeo.geodesics import (
     GeodesicProblem,
     convergence_report,
     gronwall_uniqueness_check,
     mollified_family,
-    solve_forced,
     solve_geodesic,
     solve_mollified,
     uniform_bound_check,
@@ -151,7 +150,7 @@ def test_forced_uniform_acceleration(unit_chart):
     conn = zero_connection(unit_chart)
     K = ForceField(evaluator=lambda t, x, v: np.array([0.0, 0.3]))
     prob = GeodesicProblem(conn, 0.0, [0.2, 0.2], [0.4, 0.0], force=K, interval=1.0)
-    c = solve_forced(prob, "rk4", dt=1 / 256)
+    c = solve_geodesic(prob, "rk4", dt=1 / 256)
     t = c.times
     want = np.stack([0.2 + 0.4 * t, 0.2 + 0.15 * t ** 2], axis=1)
     assert np.abs(c.positions - want).max() < 1e-12
@@ -161,14 +160,9 @@ def test_forced_linear_drag(unit_chart):
     conn = zero_connection(unit_chart)
     K = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
     prob = GeodesicProblem(conn, 0.0, [0.2, 0.5], [0.5, 0.0], force=K, interval=0.9)
-    c = solve_forced(prob, "rk4", dt=1 / 256)
+    c = solve_geodesic(prob, "rk4", dt=1 / 256)
     want_v = 0.5 * np.exp(-c.times)
     assert np.abs(c.velocities[:, 0] - want_v).max() < 1e-8
-
-
-def test_forced_requires_force(unit_chart):
-    with pytest.raises(RtgeoError):
-        solve_forced(GeodesicProblem(zero_connection(unit_chart), 0.0, [0.5, 0.5], [0.1, 0.0]))
 
 
 def test_forced_transform_oracle(unit_chart_65):
@@ -195,7 +189,7 @@ def test_forced_transform_oracle(unit_chart_65):
     x0 = np.array([0.2, 0.4])
     v0 = np.array([0.5, 0.0])
     prob = GeodesicProblem(conn, 0.0, x0, v0, force=Kx, interval=0.8)
-    c = solve_forced(prob, "rk4", dt=1 / 256)
+    c = solve_geodesic(prob, "rk4", dt=1 / 256)
     y0 = np.array([x0[0], x0[1] + 0.5 * x0[0] ** 2])
     w0 = np.array([[1.0, 0.0], [x0[0], 1.0]]) @ v0
     t = c.times
@@ -239,17 +233,25 @@ def test_pipeline_rough_matches_hidden_truth(rough_gen):
     assert err < 2e-2
 
 
-def test_pipeline_refuses_a_force(rough_gen, monkeypatch):
-    # initial_data builds the y-problem without the force, so a forced problem
-    # would come back as the unforced curve; it is refused before any pass runs
-    monkeypatch.setattr(geodesics, "regularize", lambda *a, **k: pytest.fail("regularize ran"))
-    scn = rough_gen.scenario
-    K = ForceField(evaluator=lambda t, x, v: np.array([0.0, 0.5]))
-    prob = GeodesicProblem(
-        rough_gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), force=K, interval=scn.interval
-    )
-    with pytest.raises(RtgeoError, match="force ForceField"):
-        weak_solution_pipeline(rough_gen.conn_x, prob)
+@pytest.mark.parametrize("mode", ["existence", "uniqueness"])
+def test_pipeline_carries_a_force(rough_gen, mode):
+    # the kink map leaves x2 alone, so the constant force a = (0, 0.5) is the
+    # same vector in the hidden flat y: y(t) = y0 + w0 t + a t^2 / 2, pulled
+    # back through the inverse map; without the force the curve misses it
+    scn, mp = rough_gen.scenario, rough_gen.map_obj
+    x0, v0, a = np.asarray(scn.x0), np.asarray(scn.v0), np.array([0.0, 0.5])
+    y0, w0 = mp.forward(x0[None])[0], mp.jacobian(x0[None])[0] @ v0
+
+    def error(force):
+        prob = GeodesicProblem(rough_gen.conn_x, scn.t0, x0, v0, force=force, interval=scn.interval)
+        curve = weak_solution_pipeline(rough_gen.conn_x, prob, mode=mode).curve
+        t = (curve.times - scn.t0)[:, None]
+        pos = mp.inverse(y0 + t * w0 + 0.5 * t ** 2 * a)
+        vel = np.linalg.solve(mp.jacobian(pos), (w0 + t * a)[..., None])[..., 0]
+        return np.abs(curve.positions - pos).max() + np.abs(curve.velocities - vel).max()
+
+    assert error(ForceField(lambda t, x, v: a)) < float(scn.checks["curve_final_tol"])
+    assert error(None) > 0.5
 
 
 def test_pipeline_uniqueness_mode(rough_gen):
@@ -258,7 +260,7 @@ def test_pipeline_uniqueness_mode(rough_gen):
         rough_gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), interval=scn.interval
     )
     res = weak_solution_pipeline(rough_gen.conn_x, prob, mode="uniqueness")
-    assert res.second_pass is not None
+    assert "rt_second" in res.provenance
     assert "picard_rk4_gap" in res.provenance
     pos, vel = rough_gen.reference_curve(res.curve.times)
     err = np.abs(res.curve.positions - pos).max()

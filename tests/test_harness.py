@@ -229,6 +229,38 @@ def test_bad_checks_entry_exits_2_before_any_stage(monkeypatch, tmp_path, capsys
     assert key in capsys.readouterr().err
 
 
+BOUNDS = r"; the chart is \[0\.0, 1\.0\] x \[0\.0, 1\.0\]"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("hidden = zero", "hidden = bogus", r"\[scenario\] hidden: expected one of zero, sphere, got 'bogus'"),
+    ("map = quadratic", "map = bogus", r"\[scenario\] map: expected one of identity, quadratic, kink, got 'bogus'"),
+    ("x0 = 0.16, 0.55", "x0 = 0.16", r"\[ivp\] x0 = 0\.16 needs 2 components, has 1" + BOUNDS),
+    ("v0 = 0.80, 0.00", "v0 = 0.8, 0.0, 0.1", r"\[ivp\] v0 = 0\.8, 0\.0, 0\.1 needs 2 components, has 3" + BOUNDS),
+    ("x0 = 0.16, 0.55", "x0 = 1.5, 0.55", r"\[ivp\] x0 = 1\.5, 0\.55 lies outside the chart" + BOUNDS),
+    ("v0 = 0.80, 0.00", "v0 = nan, 0.0", r"\[ivp\] v0 = nan, 0\.0 is not finite" + BOUNDS),
+])
+def test_bad_scenario_or_ivp_value_exits_2_before_any_stage(monkeypatch, tmp_path, capsys, old, new, message):
+    # an unknown hidden connection or map used to fail in generate, and a
+    # malformed IVP in the pipeline or with a traceback; each is refused
+    # before any stage runs, naming the section, the key and what is allowed
+    from rtgeo import harness
+    from rtgeo.cli import main
+
+    def no_stage(scn):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(harness, "generate_scenario", no_stage)
+    text = open("configs/flat_disguise.cfg").read()
+    assert old in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(ConfigurationError, match=message):
+        run_experiment(str(bad))
+    assert main(["run", str(bad)]) == 2
+    assert new.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_shipped_checks_parse():
     from rtgeo.harness import _CHECK_KEYS
 

@@ -273,7 +273,7 @@ def test_transform_force_constant_linear(unit_chart_65):
     from rtgeo.charts import ForceField
 
     bundle = identity_bundle(unit_chart_65)
-    K = ForceField(evaluator=lambda t, x, v: np.array([0.3, -0.1]), continuity="lipschitz")
+    K = ForceField(evaluator=lambda t, x, v: np.array([0.3, -0.1]))
     Ky = transform_force(K, bundle)
     got = Ky(0.0, np.array([0.5, 0.5]), np.array([0.1, 0.0]))
     assert np.allclose(got, [0.3, -0.1], atol=1e-9)
@@ -283,7 +283,7 @@ def test_transform_force_quadratic_oracle(unit_chart_65):
     from rtgeo.charts import ForceField
 
     bundle = quadratic_bundle(unit_chart_65)
-    K = ForceField(evaluator=lambda t, x, v: np.array([0.2 * x[0], 0.1]), continuity="lipschitz")
+    K = ForceField(evaluator=lambda t, x, v: np.array([0.2 * x[0], 0.1]))
     Ky = transform_force(K, bundle)
     y = np.array([0.4, 0.6])
     x = np.array([0.4, 0.6 - 0.5 * 0.16])
