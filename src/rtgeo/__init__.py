@@ -15,7 +15,6 @@ from .charts import (
     connection_field,
     interpolate,
     make_chart,
-    sample_field,
 )
 from .calculus import (
     MatrixForm,
@@ -27,7 +26,6 @@ from .calculus import (
     matrix_inner,
     mollify,
     norm_report,
-    poisson_solve,
     w1p_norm,
     wedge,
 )
@@ -38,7 +36,6 @@ from .curvature import (
     represent_weak,
     riemann,
     transform_curvature,
-    weak_riemann,
 )
 from .errors import RtgeoError
 from .geodesics import (
@@ -58,7 +55,6 @@ from .rt_solver import (
     RTConfig,
     RTState,
     assemble_gamma_tilde,
-    first_rt_residual,
     optimal_connection,
     regularity_report,
     solve_reduced_rt,

@@ -19,8 +19,8 @@ import json
 import numpy as np
 
 from . import _kernels
-from .charts import Chart, GridField, axis_products
-from .errors import DegreeError, ResolutionError, ShapeError, SolverError, ConfigurationError
+from .charts import Chart, axis_products
+from .errors import DegreeError, ResolutionError, ShapeError, ConfigurationError
 
 HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
 
@@ -399,35 +399,3 @@ def norm_report(fld, p, alpha):
         c0alpha=c0 + quot,
         pair_floor=floor,
     )
-
-
-# ---------------------------------------------------------------------------
-# elliptic engine
-# ---------------------------------------------------------------------------
-
-
-def poisson_solve(source, boundary):
-    """Solve Delta u = source with Dirichlet data, componentwise.
-
-    Delta is the same composed operator as :func:`laplacian` (the composition
-    collapses to -sum_j D_j^2 per component exactly, by commutation of the
-    axis-difference matrices).  Solved by :meth:`Chart.dirichlet_solve`'s
-    fast diagonalization; deterministic.
-    """
-    chart = source.chart
-    bvals = boundary.values if isinstance(boundary, (MatrixForm, GridField)) else boundary
-    u = chart.dirichlet_solve(source.values, bvals)
-    resid = _relative_residual(chart, u, source.values)
-    if resid > 1e-10:
-        raise SolverError(f"poisson residual {resid:.2e} above 1e-10", [resid])
-    if isinstance(source, MatrixForm):
-        return MatrixForm(chart, source.degree, u)
-    return source.copy(values=u)
-
-
-def _relative_residual(chart, u, src):
-    interior = chart.interior_mask
-    lap = chart.laplace(u)
-    num = np.abs((lap - src)[interior]).max()
-    den = max(np.abs(src[interior]).max(), 1.0)
-    return num / den

@@ -108,12 +108,6 @@ class Chart:
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
     @cached_property
-    def interior_mask(self):
-        m = np.zeros(self.res, dtype=bool)
-        m[(slice(1, -1),) * self.n] = True
-        return m
-
-    @cached_property
     def quad_weights(self):
         """Trapezoidal quadrature weights (integrate constants exactly)."""
         w = np.ones(self.res)
@@ -273,24 +267,6 @@ class GridField:
 
     def copy(self, values=None):
         return GridField(self.chart, self.values.copy() if values is None else values, self.variance)
-
-
-def sample_field(chart, evaluator, comp_shape):
-    """Pointwise evaluation of a closed-form evaluator at grid nodes.
-
-    ``evaluator(points)`` receives an (N, n) array and must return
-    (N, *comp_shape) values.
-    """
-    pts = chart.nodes.reshape(-1, chart.n)
-    vals = np.asarray(evaluator(pts), dtype=float)
-    want = (pts.shape[0],) + tuple(comp_shape)
-    if vals.shape != want:
-        raise ShapeError(f"evaluator returned {vals.shape}, expected {want}")
-    if not np.all(np.isfinite(vals)):
-        bad = ~np.isfinite(vals.reshape(vals.shape[0], -1)).all(axis=-1)
-        first_bad = int(np.where(bad)[0][0])
-        raise SamplingError(f"evaluator produced non-finite value at node {pts[first_bad]}")
-    return GridField(chart, vals.reshape(chart.res + tuple(comp_shape)))
 
 
 def _corners(pairs, combine, start):

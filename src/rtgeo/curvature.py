@@ -132,19 +132,6 @@ def riemann(conn):
     return CurvatureField(conn.chart, full, "strong")
 
 
-def weak_riemann(conn, psi):
-    """Weak curvature functional: quadrature only, no derivatives of Gamma.
-
-    Returns the n^4 array W[tau, mu, nu, rho] =
-        -int (G[tau,mu,nu] d_rho psi - G[tau,mu,rho] d_nu psi) dx
-        + int (Gamma ^ Gamma)[tau,mu,(nu,rho)] psi dx
-    where G is the matrix-1-form layout of the connection.
-    """
-    w = connection_form(conn)
-    wedge_full = full_antisymmetric(wedge(w, w))
-    return _weak_functional(conn.chart, w.values, wedge_full, psi)
-
-
 def _weak_functional(chart, wvals, wedge_full, psi):
     psi.check_support(chart)
     pts = chart.nodes.reshape(-1, chart.n)

@@ -71,8 +71,11 @@ class Curve:
         return float(self.times[-1] - self.times[0])
 
     def c1_distance(self, other):
-        """sup |dpos| + sup |dvel| over the shared prefix of time nodes."""
+        """sup |dpos| + sup |dvel| over the shared prefix of time nodes; curves
+        on different time grids are refused, not paired by index."""
         k = min(len(self.times), len(other.times))
+        if np.abs(self.times[:k] - other.times[:k]).max() > 1e-12:
+            raise RtgeoError(f"time grids differ (dt {self.dt} and {other.dt}); interpolate one onto the other")
         dp = np.linalg.norm(self.positions[:k] - other.positions[:k], axis=1).max()
         dv = np.linalg.norm(self.velocities[:k] - other.velocities[:k], axis=1).max()
         return float(dp + dv)
@@ -436,7 +439,7 @@ class PipelineResult:
     provenance: dict
 
 
-def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=None):
+def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
     """Regularize by coordinate change, solve classically there, pull back.
 
     existence: one elliptic pass; the transformed connection is Hölder
@@ -444,8 +447,10 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
     uniqueness: a second pass on the transformed connection reaches the
     Lipschitz class; a fixed-point cross-check runs alongside.
     The initial data and any force are pushed through every pass, and the
-    y-curve is pulled back through them in reverse.  ``bundle`` and
-    ``conn_y`` are the first pass's.
+    y-curve is pulled back through them in reverse.  The y-curve steps with
+    the x-problem's ``default_dt``, so it shares the time grid of x-side
+    solves on the same chart.  ``bundle`` and ``conn_y`` are the first
+    pass's.
     """
     if mode not in ("existence", "uniqueness"):
         raise RtgeoError(f"unknown mode '{mode}'")
@@ -480,6 +485,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None, dt=N
         return curve
 
     prob_y = staged("initial_data", initial_data)
+    dt = default_dt(problem)
     curve_y = staged("geodesic_y", lambda: solve_geodesic(prob_y, "rk4", dt=dt))
     prov["y_interval"] = curve_y.interval
     if mode == "uniqueness":
@@ -716,7 +722,7 @@ def gronwall_uniqueness_check(problem, delta0):
     ``delta0`` of the first initial-velocity component.
 
     The Lipschitz constant of the first-order field is estimated from the
-    connection's FD gradient and C0 norm over the velocity ball.
+    sampled connection's FD gradient and C0 norm over the velocity ball.
     """
     base = solve_geodesic(problem, "rk4")
     pert_dir = np.zeros_like(problem.v0)
@@ -736,15 +742,8 @@ def gronwall_uniqueness_check(problem, delta0):
         np.linalg.norm(base.positions[:k] - pert.positions[:k], axis=1) ** 2
         + np.linalg.norm(base.velocities[:k] - pert.velocities[:k], axis=1) ** 2
     )
-    conn = problem.connection
-    if callable(conn) and not isinstance(conn, GridField):
-        pts = base.positions
-        gvals = np.stack([conn(x) for x in pts])
-        c0 = float(np.sqrt((gvals.reshape(len(pts), -1) ** 2).sum(axis=1)).max())
-        lip_g = _fd_lipschitz_along(conn, pts)
-    else:
-        c0 = lp_norm(conn, np.inf)
-        lip_g = _grad_max(conn)
+    c0 = lp_norm(problem.connection, np.inf)
+    lip_g = _grad_max(problem.connection)
     vmax = float(np.linalg.norm(problem.v0)) + VELOCITY_BALL
     C = 1.0 + 2.0 * c0 * vmax + lip_g * vmax ** 2
     envelope = max(delta0, 1e-300) * np.exp(C * (base.times[:k] - problem.t0))
@@ -758,15 +757,3 @@ def gronwall_uniqueness_check(problem, delta0):
         "lipschitz_estimate": float(C),
         "within_envelope": within,
     }
-
-
-def _fd_lipschitz_along(ev, pts):
-    h = 1e-4
-    worst = 0.0
-    for x in pts[:: max(1, len(pts) // 32)]:
-        g0 = ev(x)
-        for ax in range(len(x)):
-            dx = np.zeros_like(x)
-            dx[ax] = h
-            worst = max(worst, float(np.abs(ev(x + dx) - g0).max() / h))
-    return worst

@@ -15,9 +15,9 @@ J = grad-rows(u).  Two consequences carry the whole pipeline:
 * every iterate J is a discrete gradient, so its row curl is zero to
   machine precision and the field is always integrable to coordinates;
 * products entering delta(J . Gamma) are expanded by the discrete Leibniz
-  split  delta(J . Gamma) := J . delta(Gamma) - <dJ; Gamma>,  which makes
-  the uncontrolled-derivative cancellation in the gauge-transformed
-  equation for Gamma~ exact in floating point (see first_rt_residual).
+  split  delta(J . Gamma) := J . delta(Gamma) - <dJ; Gamma>,  so in the
+  gauge-transformed equation for Gamma~ the uncontrolled delta(Gamma) term
+  enters B and Delta Gamma~ alike and cancels exactly in floating point.
 
 One such step is an affine map T(J) = L J + c, iterated undamped: the loop
 stops when successive iterates agree to ``fixed_point_tol`` and fails when
@@ -33,24 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
-    MatrixForm,
     coderivative,
     connection_form,
     contract,
     d_one_form,
     delta_one_form,
-    exterior_derivative,
-    laplacian,
     lp_norm,
-    matmul,
-    matrix_inner,
-    mollify,
     norm_report,
-    wedge,
 )
 from .charts import GridField, connection_field, det_inverse, interpolate
 from .errors import JacobianError, SolverError, staged
-from .transform import build_bundle, jacobian_grad, row_curl_residual, split_transform
+from .transform import build_bundle, row_curl_residual, split_transform
 
 
 @dataclass
@@ -208,58 +201,6 @@ def optimal_connection(tilde, bundle):
     # conn storage [k, i(form), j(col)] -> [g, a(form), b(col)]
     vals = contract("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
     return connection_field(y_chart, vals.reshape(y_chart.res + Gt.shape[1:]))
-
-
-def first_rt_residual(conn, J, B, eps_ladder=None, p=2.2):
-    """Residual of the gauge-transformed equation for Gamma~ across a
-    mollification ladder.
-
-    Checks  Delta Gamma~ = delta d Gamma - delta(dJinv ^ dJ) + d(Jinv A)
-    with A = B + <dJ; Gamma~> (the sign of A's inner-product term follows
-    from the package's pinned conventions; it is the combination for which
-    the delta-Gamma cancellation is exact).  On rough data the check runs on
-    mollified connections; J and B stay fixed and B is shifted consistently
-    with its defining relation, so the uncontrolled delta(Gamma^eps) content
-    cancels in floating point and the residual must stay bounded while
-    ``|delta Gamma^eps|`` grows.
-    """
-    chart = conn.chart
-    n = chart.n
-    _, Jinv = det_inverse(J)
-    w_raw = connection_form(conn)
-    dg_raw = coderivative(w_raw).values
-    dJ_form = jacobian_grad(chart, J)
-    dJinv_form = jacobian_grad(chart, Jinv)
-    lap_J_eff = _split_coderivative(chart, J, w_raw.values, dg_raw) - B
-    rows = []
-    for eps in eps_ladder or [None]:
-        conn_e = mollify(conn, eps) if eps else conn
-        w_e = connection_form(conn_e)
-        delta_g_e = coderivative(w_e)
-        B_e = _split_coderivative(chart, J, w_e.values, delta_g_e.values) - lap_J_eff
-        tilde_e_vals = w_e.values - matmul(Jinv, dJ_form).values
-        tilde_e = MatrixForm(chart, 1, tilde_e_vals)
-        A = B_e + matrix_inner(dJ_form, tilde_e).values
-        lhs = laplacian(tilde_e).values
-        rhs = (
-            coderivative(exterior_derivative(w_e)).values
-            - coderivative(wedge(dJinv_form, dJ_form)).values
-            + exterior_derivative(
-                MatrixForm(chart, 0, contract("...ma,...an->...mn", Jinv, A))
-            ).values
-        )
-        resid = lp_norm(GridField(chart, lhs - rhs), p)
-        delta_norm = lp_norm(GridField(chart, delta_g_e.values), p)
-        tilde_delta_norm = lp_norm(GridField(chart, coderivative(tilde_e).values), p)
-        rows.append(
-            {
-                "eps": eps,
-                "residual": float(resid),
-                "delta_gamma_lp": float(delta_norm),
-                "delta_tilde_lp": float(tilde_delta_norm),
-            }
-        )
-    return rows
 
 
 def regularity_report(conn_x, conn_y, p):

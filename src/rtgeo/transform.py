@@ -237,11 +237,6 @@ def build_bundle(chart_x, J, forward=None, y_chart=None):
     return TransformBundle(map=cmap, jac=jac)
 
 
-def identity_bundle(chart):
-    J = np.broadcast_to(np.eye(chart.n), chart.res + (chart.n, chart.n)).copy()
-    return build_bundle(chart, J, forward=chart.nodes.copy(), y_chart=chart)
-
-
 # ---------------------------------------------------------------------------
 # section-3 identity checks
 # ---------------------------------------------------------------------------
@@ -292,18 +287,6 @@ def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False):
     if not drop_wedge:
         rhs = rhs + wedge(jacobian_grad(chart, Jinv), jacobian_grad(chart, J)).values
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
-
-
-def identity_refinement_study(make_case, residual_fn, grids=(33, 65, 129), p=4.0):
-    """Run a residual across a grid ladder; PASS iff halving ratios sit in [3, 5]."""
-    residuals = {}
-    for m in grids:
-        conn, J = make_case(m)
-        residuals[m] = residual_fn(conn, J, p)
-    ms = sorted(residuals)
-    ratios = [residuals[a] / max(residuals[b], 1e-300) for a, b in zip(ms, ms[1:])]
-    passed = all(3.0 <= r <= 5.0 for r in ratios)
-    return residuals, ratios, passed
 
 
 def pushforward_curve(curve, bundle, direction="forward"):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from rtgeo.calculus import connection_form, full_antisymmetric, wedge
 from rtgeo.charts import Chart, connection_field
+from rtgeo.curvature import _weak_functional
 from rtgeo.harness import Scenario, generate_scenario, load_config
 from rtgeo.harness import smooth_connection, trig_gradient_jacobian  # noqa: F401  (tests import them from here)
+from rtgeo.transform import build_bundle
 
 # property tests draw the same examples on every run; each keeps its own max_examples
 settings.register_profile("rtgeo", derandomize=True, deadline=None)
@@ -19,6 +22,31 @@ def unit_chart():
 @pytest.fixture(scope="session")
 def unit_chart_65():
     return Chart((0.0, 0.0), (1.0, 1.0), (65, 65))
+
+
+def interior_mask(chart):
+    """True at every node off the chart's rim."""
+    m = np.zeros(chart.res, dtype=bool)
+    m[(slice(1, -1),) * chart.n] = True
+    return m
+
+
+def identity_bundle(chart):
+    """The identity coordinate change on ``chart``: J = I, y = x, y-chart = x-chart."""
+    J = np.broadcast_to(np.eye(chart.n), chart.res + (chart.n, chart.n)).copy()
+    return build_bundle(chart, J, forward=chart.nodes.copy(), y_chart=chart)
+
+
+def weak_riemann(conn, psi):
+    """Weak curvature functional: quadrature only, no derivatives of Gamma.
+
+    Returns the n^4 array W[tau, mu, nu, rho] =
+        -int (G[tau,mu,nu] d_rho psi - G[tau,mu,rho] d_nu psi) dx
+        + int (Gamma ^ Gamma)[tau,mu,(nu,rho)] psi dx
+    where G is the matrix-1-form layout of the connection.
+    """
+    w = connection_form(conn)
+    return _weak_functional(conn.chart, w.values, full_antisymmetric(wedge(w, w)), psi)
 
 
 def quadratic_jacobian(chart, shear=0.5):

@@ -23,11 +23,12 @@ from rtgeo.charts import (
     interpolate,
     load_field,
     make_chart,
-    sample_field,
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError, SolverError
 from rtgeo.geodesics import _sampled_rhs
 from rtgeo.harness import run_experiment
+
+from conftest import interior_mask
 
 
 def test_make_chart_spacing():
@@ -49,32 +50,15 @@ def test_make_chart_preconditions():
         make_chart(2, [(0, 1)], [33, 33])
 
 
-def test_sample_field_constant_and_linear(unit_chart):
-    z = sample_field(unit_chart, lambda p: np.zeros((p.shape[0], 1)), (1,))
-    assert np.all(z.values == 0)
-    f = sample_field(unit_chart, lambda p: p[:, :1], (1,))
-    # values {0, .5, 1, ...} repeated per row of the grid
-    assert np.allclose(f.values[..., 0], unit_chart.nodes[..., 0])
-
-
-def test_sample_field_nonfinite_names_node(unit_chart):
-    def bad(p):
-        out = np.ones((p.shape[0], 1))
-        out[p[:, 0] > 0.9] = np.inf
-        return out
-
-    with pytest.raises(SamplingError):
-        sample_field(unit_chart, bad, (1,))
-
-
 def test_sphere_christoffels_error_at_pole():
     from rtgeo.harness import sphere_christoffel
 
-    chart = Chart((0.0, 0.0), (np.pi / 2, 1.0), (33, 33))
+    def sampled(chart):
+        return GridField(chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2)))
+
     with pytest.raises(SamplingError), np.errstate(divide="ignore", invalid="ignore"):
-        sample_field(chart, lambda p: sphere_christoffel(p), (2, 2, 2))
-    chart_ok = Chart((np.pi / 4, 0.0), (3 * np.pi / 4, 1.0), (33, 33))
-    f = sample_field(chart_ok, lambda p: sphere_christoffel(p), (2, 2, 2))
+        sampled(Chart((0.0, 0.0), (np.pi / 2, 1.0), (33, 33)))
+    f = sampled(Chart((np.pi / 4, 0.0), (3 * np.pi / 4, 1.0), (33, 33)))
     assert np.all(np.isfinite(f.values))
 
 
@@ -405,7 +389,7 @@ def dirichlet_matrix_by_rows(chart):
     row replaced by the Laplacian's."""
     A = sp.eye(chart.npoints, format="csr").tolil()
     L = sparse_operators(chart)[1]
-    for i in np.where(chart.interior_mask.ravel())[0]:
+    for i in np.where(interior_mask(chart).ravel())[0]:
         A.rows[i] = L.indices[L.indptr[i] : L.indptr[i + 1]].tolist()
         A.data[i] = L.data[L.indptr[i] : L.indptr[i + 1]].tolist()
     return A.tocsc()
@@ -470,12 +454,12 @@ def test_dirichlet_solve_matches_sparse_lu(res):
     rng = np.random.default_rng(len(res))
     source, boundary = rng.standard_normal((2,) + res + (3,))
     rhs = source.reshape(chart.npoints, -1).copy()
-    rim = ~chart.interior_mask.ravel()
-    rhs[rim] = boundary.reshape(chart.npoints, -1)[rim]
+    rim = ~interior_mask(chart)
+    rhs[rim.ravel()] = boundary.reshape(chart.npoints, -1)[rim.ravel()]
     want = spla.splu(dirichlet_matrix_by_rows(chart)).solve(rhs).reshape(source.shape)
     got = chart.dirichlet_solve(source, boundary)
     assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
-    assert got[~chart.interior_mask].tobytes() == boundary[~chart.interior_mask].tobytes()
+    assert got[rim].tobytes() == boundary[rim].tobytes()
 
 
 @pytest.mark.parametrize("res", [(33, 33), (40, 57), (33, 33, 33)])
@@ -491,7 +475,7 @@ def test_dirichlet_solve_recovers_quadratic(res):
     # a wrong rim value in the middle of a face reaches the interior
     wrong = q.copy()
     wrong[(0,) + tuple(r // 2 for r in res[1:])] += 1.0
-    assert np.abs(chart.dirichlet_solve(chart.laplace(q), wrong) - q)[chart.interior_mask].max() > 1e-6
+    assert np.abs(chart.dirichlet_solve(chart.laplace(q), wrong) - q)[interior_mask(chart)].max() > 1e-6
 
 
 def test_dirichlet_solve_rejects_non_real_spectrum(monkeypatch):

@@ -10,12 +10,11 @@ from rtgeo.curvature import (
     represent_weak,
     riemann,
     transform_curvature,
-    weak_riemann,
 )
 from rtgeo.errors import FittingError, TestFunctionError
 from rtgeo.harness import sphere_christoffel
 
-from conftest import flat_disguise_connection, smooth_connection
+from conftest import flat_disguise_connection, smooth_connection, weak_riemann
 
 
 def sphere_chart(m=65):

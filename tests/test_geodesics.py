@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtgeo import cli, geodesics, rt_solver
 from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
-from rtgeo.errors import DomainExit, SolverError, StageError
+from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
 from rtgeo.geodesics import (
     GeodesicProblem,
     convergence_report,
@@ -22,7 +22,7 @@ from rtgeo.harness import load_config, sphere_christoffel, sphere_geodesic
 from rtgeo.rt_solver import RTConfig
 from rtgeo.transform import pushforward_curve
 
-from conftest import flat_disguise_connection
+from conftest import flat_disguise_connection, identity_bundle
 
 
 def zero_connection(chart):
@@ -208,7 +208,7 @@ def test_pipeline_smooth_self_consistency(sphere_gen):
         sphere_gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), interval=scn.interval
     )
     direct = solve_geodesic(prob, "rk4", dt=1 / 256)
-    piped = weak_solution_pipeline(sphere_gen.conn_x, prob, dt=1 / 256)
+    piped = weak_solution_pipeline(sphere_gen.conn_x, prob)
     assert piped.curve.c1_distance(direct) < 5e-3
 
 
@@ -277,7 +277,51 @@ def test_pipeline_coordinate_invariance(flat_gen):
     assert res.curve.c1_distance(direct) < 1e-6
 
 
+def test_pipeline_steps_on_the_x_time_grid():
+    # x-spacing 1/224 keeps the x-problem's step at 1/256, while the inscribed
+    # y-chart's spacing (about 1/299) would give a y-chart step below it
+    chart = Chart((0.0, 0.0), (0.25, 0.25), (57, 57))
+    conn = flat_disguise_connection(chart)
+    prob = GeodesicProblem(conn, 0.0, [0.1, 0.12], [0.05, 0.02], interval=1.0)
+    res = weak_solution_pipeline(conn, prob)
+    assert res.conn_y.chart.h.min() < 1 / 256 == geodesics.default_dt(prob)
+    assert res.curve.dt == geodesics.default_dt(prob)
+    direct = solve_geodesic(prob, "rk4")
+    assert res.curve.times.tobytes() == direct.times.tobytes()
+    assert res.curve.c1_distance(direct) < 1e-10
+
+
+def test_c1_distance_refuses_different_time_grids():
+    prob = GeodesicProblem(flat_evaluator, 0.0, np.array([0.0, 0.0]), np.array([0.6, 0.1]), interval=0.5)
+    coarse = solve_geodesic(prob, "rk4", dt=1 / 256)
+    assert coarse.c1_distance(solve_geodesic(prob, "rk4", dt=1 / 256)) == 0.0
+    with pytest.raises(RtgeoError, match="time grids differ"):
+        coarse.c1_distance(solve_geodesic(prob, "rk4", dt=1 / 512))
+
+
 CONFIG_GENS = {"flat_disguise": "flat_gen", "sphere": "sphere_gen", "rough_beta06": "rough_gen"}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(name, marks=pytest.mark.xfail(
+            name == "sphere", strict=True, reason="ROADMAP item 12: the equatorial IVP reads only zero coefficients"
+        ))
+        for name in sorted(CONFIG_GENS)
+        if "reference_tol" in load_config(f"configs/{name}.cfg")[0].checks
+    ],
+)
+def test_reference_tol_fails_with_the_connection_zeroed(config, request):
+    """Negative control for each shipped ``reference_tol``: RK4 with Gamma_x
+    zeroed must miss the hidden reference curve by at least the tolerance."""
+    gen = request.getfixturevalue(CONFIG_GENS[config])
+    scn = gen.scenario
+    zero = connection_field(gen.conn_x.chart, np.zeros_like(gen.conn_x.values))
+    curve = solve_geodesic(GeodesicProblem(zero, scn.t0, scn.x0, scn.v0, interval=scn.interval), "rk4")
+    pos, vel = gen.reference_curve(curve.times)
+    err = np.abs(curve.positions - pos).max() + np.abs(curve.velocities - vel).max()
+    assert err >= float(scn.checks["reference_tol"])
 
 
 def force_subchart_retry(monkeypatch, full_chart):
@@ -367,8 +411,6 @@ def rough_family(rough_gen):
 def test_family_identity_zero(unit_chart_65):
     # identity bundle and zero connection: members vanish wherever the
     # mollifier kernel is untruncated (the rim carries renormalization bias)
-    from rtgeo.transform import identity_bundle
-
     bundle = identity_bundle(unit_chart_65)
     conn_y = zero_connection(bundle.y_chart)
     fam = mollified_family(conn_y, bundle, [1 / 8, 1 / 16])

@@ -12,7 +12,6 @@ from rtgeo.rt_solver import (
     RTConfig,
     _solve_on_chart,
     assemble_gamma_tilde,
-    first_rt_residual,
     optimal_connection,
     regularity_report,
     regularize,
@@ -21,7 +20,7 @@ from rtgeo.rt_solver import (
 )
 from rtgeo.transform import integrate_jacobian
 
-from conftest import flat_disguise_connection
+from conftest import flat_disguise_connection, identity_bundle
 
 
 def test_rt_zero_connection_one_iteration(unit_chart):
@@ -100,8 +99,6 @@ def test_rt_regularity_gain_ladder(rough_gen):
 
 
 def test_rt_optimal_connection_identity_bundle(unit_chart_65):
-    from rtgeo.transform import identity_bundle
-
     conn = flat_disguise_connection(unit_chart_65)
     bundle = identity_bundle(unit_chart_65)
     tilde = conn
@@ -123,37 +120,6 @@ def test_rt_flat_disguise_pushes_to_near_zero(unit_chart_65):
     bundle = build_bundle(unit_chart_65, J, forward=fwd)
     conn_y = optimal_connection(tilde, bundle)
     assert np.abs(conn_y.values).max() < 1e-9
-
-
-def test_first_rt_residual_zero_state(unit_chart):
-    conn = connection_field(unit_chart, np.zeros(unit_chart.res + (2, 2, 2)))
-    state = solve_reduced_rt(conn, RTConfig())
-    rows = first_rt_residual(conn, state.J, state.B, p=2.2)
-    assert rows[0]["residual"] < 1e-8
-
-
-def test_first_rt_residual_flat_refinement():
-    from rtgeo.charts import Chart
-
-    res = {}
-    for m in (33, 65):
-        chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
-        conn = flat_disguise_connection(chart)
-        state = solve_reduced_rt(conn, RTConfig())
-        res[m] = first_rt_residual(conn, state.J, state.B, p=2.2)[0]["residual"]
-    # smooth data: residual is discretization level and does not grow
-    assert res[65] <= res[33] + 1e-9
-
-
-def test_first_rt_residual_cancellation_witness(rough_gen, rough_rt_state):
-    state = rough_rt_state
-    rows = first_rt_residual(
-        rough_gen.conn_x, state.J, state.B, eps_ladder=[1 / 8, 1 / 16, 1 / 32], p=2.2
-    )
-    residuals = [r["residual"] for r in rows]
-    growth = [r["delta_gamma_lp"] for r in rows]
-    assert max(residuals) <= 2.0 * min(residuals)
-    assert growth[-1] / growth[0] >= 2.0
 
 
 def test_rt_gauge_insensitive_curvature(rough_gen, rough_rt_state):

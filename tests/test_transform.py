@@ -10,7 +10,6 @@ from rtgeo.transform import (
     build_bundle,
     coderivative_identity_residual,
     dgamma_identity_residual,
-    identity_bundle,
     integrate_jacobian,
     invert_map,
     pushforward_curve,
@@ -22,6 +21,7 @@ from rtgeo.transform import (
 
 from conftest import (
     flat_disguise_connection,
+    identity_bundle,
     quadratic_jacobian,
     smooth_connection,
     trig_gradient_jacobian,
