@@ -15,6 +15,7 @@ Sign conventions (fixed once, asserted by tests):
 from dataclasses import asdict, dataclass
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .charts import Chart, axis_products
 from .errors import DegreeError, ResolutionError, ShapeError, ConfigurationError
 
 HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
+# most nodes per block of contract: a 65^2 grid stays whole (smaller blocks slow
+# its many small calls by about half at 2048), a 129^2 grid runs in 3 blocks
+CONTRACT_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +43,8 @@ def _contraction_plan(subscripts):
     inserts a unit axis for each output label it lacks, and the positions of
     its contracted labels in the contracted-label order.  ``steps[l]`` lists
     the operands whose factor joins the running product once the first ``l``
-    contracted labels are fixed.
+    contracted labels are fixed; ``through[l]`` lists every operand in the
+    product by then, where level ``l`` multiplies (else it is empty).
     """
     inputs, out = subscripts.split("->")
     inputs = inputs.split(",")
@@ -62,7 +67,11 @@ def _contraction_plan(subscripts):
         keys.append(tuple(summed.index(c) for c in contracted))
         levels.append(max([levels[-1] if levels else 0] + [k + 1 for k in keys[-1]]))
     steps = tuple(tuple(k for k, lv in enumerate(levels) if lv == step) for step in range(len(summed) + 1))
-    return tuple(layouts), tuple(keys), steps
+    through = []
+    for step, ks in enumerate(steps):
+        upto = tuple(k for k, lv in enumerate(levels) if lv <= step)
+        through.append(upto if ks and len(upto) > 1 else ())
+    return tuple(layouts), tuple(keys), steps, tuple(through), len(out)
 
 
 def contract(subscripts, *operands):
@@ -78,14 +87,28 @@ def contract(subscripts, *operands):
     - for each assignment of them, the operands' slices are multiplied left
       to right and the product is added to the output.
 
-    Each numpy op here covers every node and every output label at once, so
-    a call costs about n^k array ops for k contracted labels instead of
-    einsum's generic per-element loop.  Each operand is copied once into
-    label-major order (contracted labels, output labels, node axes), so every
-    op runs a long contiguous loop over the nodes; the output labels go back
-    to the end in one C-contiguous copy.  Because products run left to right,
-    the product of the leading operands is formed once per assignment of the
-    labels they carry and reused across the inner labels: the same value.
+    Each numpy op here covers every node of a block and every output label
+    at once, so a call costs about n^k array ops per block for k contracted
+    labels instead of einsum's generic per-element loop.  Because products
+    run left to right, the product of the leading operands is formed once
+    per assignment of the labels they carry and reused across the inner
+    labels: the same value.
+
+    Blocks and buffers: the broadcast node shape is cut along its leading
+    axis into the fewest blocks of equal row counts (the last may be
+    shorter) that hold at most ``CONTRACT_BLOCK`` nodes each, or one row
+    where a row holds more; an operand whose leading node axis is absent or
+    1 is copied once and not cut.  Each block of an operand is copied
+    into label-major order (contracted labels, output labels, node axes), so
+    every op runs one contiguous loop over the block's nodes.  The operand
+    copies, the block's sum and one product per level that multiplies live
+    in buffers allocated by the first block and reused by every block and
+    every term (``np.multiply(..., out=)``); each block's sum is copied, its
+    output labels moved back to the end, into its rows of one C-contiguous
+    output.  A call thus holds the output and a few block-sized buffers,
+    whatever the grid.  Blocking only decides which nodes an op covers:
+    each node sees the same products in the same order, added into a zeroed
+    sum, so the bits do not depend on the block size.
 
     einsum sums in this order when the last memory axis of the operands is
     an output label, as on every chart field here; where a contracted label
@@ -96,45 +119,109 @@ def contract(subscripts, *operands):
 
     - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``) and
       ``transform.pushforward_curve`` (``tmn,tn->tm``): batches of 17-257
-      time nodes, where this helper's per-call overhead loses (Picard's
-      contraction on a 2-vCPU VM: about 40 us against einsum's 6-9 us at 33
-      rows, 60-75 us against 35-45 us at 257); they are the only einsum
-      calls of a geodesic fan.
+      time nodes, where this helper's per-call overhead loses at every
+      size (on a 2-vCPU VM, Picard's contraction takes 35-44 us against
+      einsum's 6-15 us at 17-129 rows and 40 us against 28 us at 257;
+      ``pushforward_curve``'s 19-31 us against 3-6 us); they are the only
+      einsum calls of a geodesic fan.
     - ``curvature._weak_functional``: its two sums run over 1,365-2,025
       nodes, not over small labels.
     - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index
       j is the last memory axis of both forms, the SIMD-lane case above.
     """
-    layouts, keys, steps = _contraction_plan(subscripts)
-    if len(operands) != len(layouts):
-        raise ShapeError(f"{subscripts!r} names {len(layouts)} operands, got {len(operands)}")
-    rank = max(a.ndim - len(perm) for a, (perm, _) in zip(operands, layouts))
-    views, sizes = [], [None] * (len(steps) - 1)
-    for a, (perm, expand), key in zip(operands, layouts, keys):
-        nb = a.ndim - len(perm)
-        v = np.ascontiguousarray(a.transpose(tuple(nb + p for p in perm) + tuple(range(nb))))
-        views.append(v[expand + (None,) * (rank - nb)])
-        for lab, size in zip(key, v.shape):
+    keys, steps, sizes, layout, out_shape, dtype, back, blocks = _block_plan(
+        subscripts, tuple(a.shape for a in operands), tuple(a.dtype for a in operands), CONTRACT_BLOCK
+    )
+    if not blocks:
+        return np.empty(out_shape, dtype)
+    views = [a.transpose(order)[index] for a, (order, index) in zip(operands, layout)]
+    # the operands no block cuts are copied once, whole
+    factors = [np.ascontiguousarray(v) if cut is None else None for v, cut in zip(views, blocks[0][1])]
+    pool, out = {}, None
+    for region, cuts, total, prods in blocks:
+        for k, cut in enumerate(cuts):
+            if cut is not None:
+                factors[k] = _scratch(pool, ("operand", k), *cut[1:])
+                np.copyto(factors[k], views[k][cut[0]])
+        acc = _scratch(pool, "sum", *total)
+        acc.fill(0)
+        products = [p and _scratch(pool, ("level", lv), *p) for lv, p in enumerate(prods)]
+        _accumulate(acc, factors, keys, steps, sizes, products, 0, None, ())
+        if out is None:  # after the buffers: freed below it, malloc reuses them rather than trim and refault
+            out = np.empty(out_shape, dtype)
+        np.copyto(out[region], acc.transpose(back))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _block_plan(subscripts, shapes, dtypes, block):
+    """``contract``'s shape work for operands of ``shapes`` and ``dtypes`` in blocks
+    of at most ``block`` nodes, done once per distinct call.
+
+    Returns the parsed ``keys`` and ``steps`` and the contracted label sizes;
+    per operand the axis order and indexing of its label-major view; the
+    output's shape and dtype and the axis order from a block's sum to it; and
+    per block the output rows it fills, per operand the rows it copies with
+    their shape and dtype (None for an operand copied once, whole), and the
+    shape and dtype of its sum and of each multiplying level's product (None
+    for a level that does not multiply).
+    """
+    layouts, keys, steps, through, labels = _contraction_plan(subscripts)
+    if len(shapes) != len(layouts):
+        raise ShapeError(f"{subscripts!r} names {len(layouts)} operands, got {len(shapes)}")
+    rank = max(len(s) - len(perm) for s, (perm, _) in zip(shapes, layouts))
+    layout, shaped, sizes = [], [], [None] * (len(steps) - 1)
+    for s, (perm, expand), key in zip(shapes, layouts, keys):
+        nb = len(s) - len(perm)
+        layout.append((tuple(nb + p for p in perm) + tuple(range(nb)), expand + (None,) * (rank - nb)))
+        shaped.append(np.broadcast_to(0.0, s).transpose(layout[-1][0])[layout[-1][1]].shape)  # label-major, off a zero-byte stand-in
+        for lab, size in zip(key, shaped[-1]):
             if sizes[lab] not in (None, size):
                 raise ShapeError(f"contracted label sizes disagree in {subscripts!r}")
             sizes[lab] = size
-    shape = np.broadcast_shapes(*[v.shape[len(key):] for v, key in zip(views, keys)])
-    out = np.zeros(shape, dtype=np.result_type(*operands))
-    _accumulate(out, views, keys, steps, sizes, 0, None, ())
-    labels = len(shape) - rank
-    return np.ascontiguousarray(np.moveaxis(out, range(labels), range(rank, rank + labels)))
+    shape = np.broadcast_shapes(*[v[len(key):] for v, key in zip(shaped, keys)])
+    nodes = shape[labels:]
+    dtype = np.result_type(*dtypes)
+    rows = nodes[0] if rank else 1
+    count = -(-rows // max(1, block // max(1, math.prod(nodes[1:]))))
+    step = max(1, -(-rows // max(1, count)))  # rows per block
+    leads = [len(key) + labels if step < rows and v[len(key) + labels] > 1 else None for v, key in zip(shaped, keys)]
+    blocks = []
+    for r0 in range(0, rows, step):
+        m = min(step, rows - r0)
+        cut = (slice(r0, r0 + m),) if rank else (...,)
+        copies = [v if lead is None else v[:lead] + (m,) + v[lead + 1 :] for v, lead in zip(shaped, leads)]
+        tails = [c[len(key):] for c, key in zip(copies, keys)]
+        blocks.append((
+            cut,
+            tuple(None if lead is None else ((slice(None),) * lead + cut, c, dt) for c, lead, dt in zip(copies, leads, dtypes)),
+            (np.broadcast_shapes(*tails), dtype),
+            tuple((np.broadcast_shapes(*[tails[k] for k in ks]), np.result_type(*[dtypes[k] for k in ks])) if ks else None for ks in through),
+        ))
+    back = tuple(range(labels, len(shape))) + tuple(range(labels))
+    return keys, steps, tuple(sizes), tuple(layout), nodes + shape[:labels], dtype, back, tuple(blocks)
 
 
-def _accumulate(out, views, keys, steps, sizes, level, prod, idx):
-    """Add to ``out`` every term under the first ``level`` contracted labels fixed at ``idx``."""
+def _scratch(pool, slot, shape, dtype):
+    """A C-contiguous ``shape`` array over the front of ``pool[slot]``, which the
+    first (largest) block allocates and every later block reuses."""
+    size = math.prod(shape)
+    if slot not in pool:
+        pool[slot] = np.empty(size, dtype)
+    return pool[slot][:size].reshape(shape)
+
+
+def _accumulate(out, factors, keys, steps, sizes, prods, level, prod, idx):
+    """Add to ``out`` every term under the first ``level`` contracted labels fixed
+    at ``idx``; a level that multiplies writes its product into ``prods[level]``."""
     for k in steps[level]:
-        factor = views[k][tuple(idx[lab] for lab in keys[k])]
-        prod = factor if prod is None else prod * factor
+        factor = factors[k][tuple(idx[lab] for lab in keys[k])]
+        prod = factor if prod is None else np.multiply(prod, factor, out=prods[level])
     if level == len(sizes):
         np.add(prod, out, out=out)  # einsum's operand order, temp + out: it decides which NaN survives
         return
     for i in range(sizes[level]):
-        _accumulate(out, views, keys, steps, sizes, level + 1, prod, idx + (i,))
+        _accumulate(out, factors, keys, steps, sizes, prods, level + 1, prod, idx + (i,))
 
 
 def form_pairs(n):

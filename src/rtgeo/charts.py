@@ -121,13 +121,17 @@ class Chart:
     @cached_property
     def _dirichlet_eig(self):
         """Per axis (V, V^-1) with (D @ D)[1:-1, 1:-1] = V diag(lam) V^-1, and
-        the eigenvalues -sum_j lam_j of Delta's interior block, shape res - 2."""
-        bases, denom = [], 0.0
-        for ax, (m, (D, _)) in enumerate(zip(self.res, self._stencils)):
-            lam, V = np.linalg.eig(_apply_rows(_apply_rows(np.eye(m), D, 0), D, 0)[1:-1, 1:-1])
-            if np.iscomplexobj(lam):
-                raise SolverError(f"axis {ax}, m = {m}: the interior block of D^2 has a non-real eigenpair")
-            bases.append((V, np.linalg.inv(V)))
+        the eigenvalues -sum_j lam_j of Delta's interior block, shape res - 2.
+        Axes with the same (m, h) have the same D and share one decomposition."""
+        bases, denom, done = [], 0.0, {}
+        for ax, (m, h, (D, _)) in enumerate(zip(self.res, self.h, self._stencils)):
+            if (m, h) not in done:
+                lam, V = np.linalg.eig(_apply_rows(_apply_rows(np.eye(m), D, 0), D, 0)[1:-1, 1:-1])
+                if np.iscomplexobj(lam):
+                    raise SolverError(f"axis {ax}, m = {m}: the interior block of D^2 has a non-real eigenpair")
+                done[m, h] = lam, (V, np.linalg.inv(V))
+            lam, basis = done[m, h]
+            bases.append(basis)
             denom = np.subtract.outer(denom, lam)
         return bases, denom
 

@@ -724,6 +724,8 @@ def gronwall_uniqueness_check(problem, delta0):
     The Lipschitz constant of the first-order field is estimated from the
     sampled connection's FD gradient and C0 norm over the velocity ball.
     """
+    if not isinstance(problem.connection, GridField):
+        raise RtgeoError("gronwall_uniqueness_check needs a sampled connection (a GridField) for its Lipschitz estimate")
     base = solve_geodesic(problem, "rk4")
     pert_dir = np.zeros_like(problem.v0)
     pert_dir[0] = 1.0

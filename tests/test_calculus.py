@@ -2,12 +2,15 @@ import ast
 import functools
 from pathlib import Path
 import re
+import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import rtgeo
+from rtgeo import calculus
 from rtgeo.calculus import (
     MatrixForm,
     coderivative,
@@ -474,11 +477,32 @@ def _matches_einsum(fn, subscripts, ops):
 )
 def test_contract_matches_einsum(subscripts, n, batch, layouts, seed):
     ops = _operands(subscripts, n, batch, layouts, seed)
-    assert _matches_einsum(contract, subscripts, ops)
-    # reductions downstream (lp_norm, sum) take their bits from memory order
-    with np.errstate(all="ignore"):
+    # the shipped block size, and blocks of 3 nodes that cut the batches
+    # (5,), (3, 4) and (4, 1) into several blocks, (5,)'s last one short
+    for block in (calculus.CONTRACT_BLOCK, 3):
+        with mock.patch.object(calculus, "CONTRACT_BLOCK", block):
+            assert _matches_einsum(contract, subscripts, ops)
+            # reductions downstream (lp_norm, sum) take their bits from memory order
+            with np.errstate(all="ignore"):
+                got = contract(subscripts, *ops)
+        assert got.flags.c_contiguous
+
+
+def test_contract_temporaries_stay_within_three_outputs():
+    # the 129^2 optimal-connection contraction (rt_solver.optimal_connection):
+    # block-sized buffers, not one full-grid array per operand copy and term
+    rng = np.random.default_rng(0)
+    nodes = 129 * 129
+    ops = [rng.standard_normal((nodes, 2, 2)) for _ in range(3)] + [rng.standard_normal((nodes, 2, 2, 2))]
+    subscripts = "...gk,...ia,...jb,...kij->...gab"
+    contract(subscripts, *ops)  # parse and plan outside the trace
+    tracemalloc.start()
+    try:
         got = contract(subscripts, *ops)
-    assert got.flags.c_contiguous
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * got.nbytes
 
 
 @pytest.mark.parametrize(

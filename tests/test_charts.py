@@ -26,7 +26,7 @@ from rtgeo.charts import (
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError, SolverError
 from rtgeo.geodesics import _sampled_rhs
-from rtgeo.harness import run_experiment
+from rtgeo.harness import load_config, run_experiment
 
 from conftest import interior_mask
 
@@ -446,6 +446,23 @@ def test_dirichlet_eig_reads_the_sparse_second_derivative(m, monkeypatch):
         D = _d1_by_items(chart.res[k], h)
         assert block.tobytes() == (D @ D)[1:-1, 1:-1].toarray().tobytes()
     assert len(blocks) == 2
+
+
+@pytest.mark.parametrize("config, eigs", [(None, 1), ("configs/sphere.cfg", 2)])
+def test_dirichlet_eig_once_per_distinct_axis(config, eigs, monkeypatch):
+    # axes with the same (m, h) have the same D^2 block and share one
+    # decomposition; sphere's chart has m = 65 on both axes but different h
+    calls, real_eig = [], np.linalg.eig
+
+    def eig(a):
+        calls.append(len(a))
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (65, 65)) if config is None else load_config(config)[0].chart()
+    bases, _ = chart._dirichlet_eig
+    assert len(calls) == eigs
+    assert (bases[0] is bases[1]) == (eigs == 1)
 
 
 @pytest.mark.parametrize("res", [(33, 33), (65, 65), (129, 129), (65, 40), (9, 10, 11), (17, 17, 17)])

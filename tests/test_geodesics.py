@@ -510,6 +510,19 @@ def test_gronwall_flat_disguise_envelope(unit_chart_65):
     assert rep["within_envelope"]
 
 
+
+def test_gronwall_refuses_a_closed_form_connection(monkeypatch):
+    # the Lipschitz estimate reads sampled values; a callable is refused by
+    # name before either RK4 solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_geodesic ran")
+
+    monkeypatch.setattr(geodesics, "solve_geodesic", no_solve)
+    prob = GeodesicProblem(sphere_christoffel, 0.0, [np.pi / 2, 0.0], [0.0, 1.0], interval=0.3)
+    with pytest.raises(RtgeoError, match="GridField"):
+        gronwall_uniqueness_check(prob, 1e-6)
+
+
 # -- RK4 and Picard against the per-step reference ----------------------------
 
 
