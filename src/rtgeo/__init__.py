@@ -8,7 +8,6 @@ the same curve in the original coordinates.
 
 from .charts import (
     Chart,
-    CoordinateMap,
     ForceField,
     GridField,
     JacobianField,
@@ -66,7 +65,7 @@ from .transform import (
     dgamma_identity_residual,
     integrate_jacobian,
     invert_map,
-    pushforward_curve,
+    pull_back_curve,
     split_transform,
     transform_connection,
     transform_force,

@@ -117,13 +117,10 @@ def contract(subscripts, *operands):
 
     Kept ``np.einsum`` sites, each for the stated reason:
 
-    - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``) and
-      ``transform.pushforward_curve`` (``tmn,tn->tm``): batches of 17-257
+    - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``): batches of 17-257
       time nodes, where this helper's per-call overhead loses at every
-      size (on a 2-vCPU VM, Picard's contraction takes 35-44 us against
-      einsum's 6-15 us at 17-129 rows and 40 us against 28 us at 257;
-      ``pushforward_curve``'s 19-31 us against 3-6 us); they are the only
-      einsum calls of a geodesic fan.
+      size (on a 2-vCPU VM, 35-44 us against einsum's 6-15 us at 17-129
+      rows and 40 us against 28 us at 257).
     - ``curvature._weak_functional``: its two sums run over 1,365-2,025
       nodes, not over small labels.
     - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index
@@ -222,6 +219,11 @@ def _accumulate(out, factors, keys, steps, sizes, prods, level, prod, idx):
         return
     for i in range(sizes[level]):
         _accumulate(out, factors, keys, steps, sizes, prods, level + 1, prod, idx + (i,))
+
+
+def matvec(M, v):
+    """M v per point: matrices (..., n, n) times vectors (..., n), by :func:`contract`."""
+    return contract("...ij,...jk->...ik", M, v[..., None])[..., 0]
 
 
 def form_pairs(n):

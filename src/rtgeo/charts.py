@@ -300,7 +300,9 @@ def _corner_weights(frac):
 def interpolate(fld, points, clip=False):
     """Multilinear interpolation; exact on multilinear data.
 
-    Raises :class:`DomainExit` for points outside the chart unless ``clip``
+    ``fld`` needs only a ``chart`` and node-major ``values``: a
+    :class:`GridField` or a :class:`JacobianField`.  Raises
+    :class:`DomainExit` for points outside the chart unless ``clip``
     (then coordinates are clamped to the boundary); a point with a NaN
     coordinate has no clamp and raises either way.  Each corner's rows are
     gathered by one ``take`` at the flat node index of the cell plus the
@@ -328,7 +330,7 @@ def interpolate(fld, points, clip=False):
     out = w * flat.take(base, axis=0)  # the first corner is the cell's lower node
     for off, w in zip(offsets, weights):
         out += w * flat.take(base + off, axis=0)
-    out = out.reshape(pts.shape[:1] + fld.comp_shape)
+    out = out.reshape(pts.shape[:1] + fld.values.shape[chart.n :])
     return out[0] if single else out
 
 
@@ -342,6 +344,11 @@ def connection_field(chart, values):
     if f.comp_shape != (n, n, n):
         raise ShapeError(f"connection components must be (n,n,n), got {f.comp_shape}")
     return f
+
+
+def sub_connection(conn, sub, sl):
+    """``conn`` re-sliced at the node slices ``sl`` onto their sub-chart ``sub``."""
+    return connection_field(sub, np.ascontiguousarray(conn.values[sl]))
 
 
 def _minor(J, rows, cols):
@@ -406,26 +413,14 @@ class JacobianField:
         if err > TAU_INV:
             raise JacobianError(f"J @ Jinv deviates from identity by {err:.2e}")
 
+    @property
+    def values(self):
+        """The J samples, which :func:`interpolate` reads in place as a field's values."""
+        return self.J
+
     def at(self, pts, clip=False):
         """J interpolated at x-chart points, as :func:`interpolate` does it."""
-        return interpolate(GridField(self.chart, self.J), pts, clip=clip)
-
-
-@dataclass
-class CoordinateMap:
-    """Forward map samples y(x) on the x-chart plus inverse samples x(y)."""
-
-    x_chart: Chart
-    y_chart: Chart
-    forward: np.ndarray       # (*x_res, n)
-    inverse: np.ndarray       # (*y_res, n)
-    roundtrip_error: float = 0.0
-
-    def forward_at(self, pts, clip=False):
-        return interpolate(GridField(self.x_chart, self.forward), pts, clip=clip)
-
-    def inverse_at(self, pts, clip=False):
-        return interpolate(GridField(self.y_chart, self.inverse), pts, clip=clip)
+        return interpolate(self, pts, clip=clip)
 
 
 @dataclass
@@ -479,12 +474,6 @@ def load_field(path):
     chart = make_chart(n, bounds, res)
     comps = rows[:, n:]
     return GridField(chart, comps.reshape(chart.res + comp_shape), variance)
-
-
-def dump_map(cmap, path_forward, path_inverse):
-    """Paired CSV dump of a coordinate map's forward and inverse samples."""
-    dump_field(GridField(cmap.x_chart, cmap.forward, ("up",)), path_forward)
-    dump_field(GridField(cmap.y_chart, cmap.inverse, ("up",)), path_inverse)
 
 
 def dump_curve(curve, path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import norm_report
-from .charts import Chart, GridField, connection_field, dump_curve, dump_field, dump_map, load_field
+from .charts import Chart, GridField, connection_field, dump_curve, dump_field, load_field
 from .errors import ConfigurationError, RtgeoError
 from .geodesics import GeodesicProblem, solve_geodesic
 from .harness import (
@@ -120,7 +120,8 @@ def cmd_rt_solve(args):
         out.mkdir(parents=True, exist_ok=True)
         dump_field(GridField(state.chart, state.J, ("up", "down")), out / "jacobian.csv")
         dump_field(conn_y, out / "gamma_y.csv")
-        dump_map(bundle.map, out / "map_forward.csv", out / "map_inverse.csv")
+        dump_field(bundle.forward, out / "map_forward.csv")
+        dump_field(bundle.inverse, out / "map_inverse.csv")
     return 0
 
 

@@ -238,10 +238,8 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     Rx.values[~clean] = 0.0
     # push to y-components at the y-nodes: x = inverse(y), contract with J(x)
     ypts = chart_y.nodes.reshape(-1, chart_y.n)
-    xpts = bundle.map.inverse_at(ypts, clip=True)
+    xpts, J_at, Jinv_at = bundle.pull_back_at(ypts)
     Rx_at = interpolate(Rx.as_field(), xpts, clip=True)
-    J_at = bundle.jac.at(xpts, clip=True)
-    _, Jinv_at = det_inverse(J_at)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     if drop_jacobian_factor:
         pushed = contract("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)
@@ -281,7 +279,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
                 psi.check_support(chart_y)
             except TestFunctionError:
                 continue
-            xc = bundle.map.inverse_at(psi.center, clip=True)
+            xc = bundle.inverse_at(psi.center)
             reach = psi.radius * 0.8 * jinv_gain + pad_x
             if np.all((xc - reach >= chart_x.lo) & (xc + reach <= chart_x.hi)):
                 kept.append(psi)

@@ -15,12 +15,12 @@ import math
 import numpy as np
 
 from . import _kernels
-from .calculus import HOLDER_PAIR_FLOOR, contract, lp_norm, mollify
-from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate
+from .calculus import HOLDER_PAIR_FLOOR, lp_norm, mollify
+from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import TestFunction, bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
-from .transform import inscribed_inset, pushforward_curve, transform_force
+from .transform import connection_law, inscribed_inset, pull_back_curve, transform_force
 
 VELOCITY_BALL = 1.0
 _BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
@@ -467,7 +467,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
         and :func:`transform_force`."""
         y0, w0, force = problem.x0, problem.v0, problem.force
         for _, bundle, _ in passes:
-            x0, y0 = y0, bundle.map.forward_at(y0)
+            x0, y0 = y0, bundle.forward_at(y0)
             if not bundle.y_chart.contains(y0)[0]:
                 inset = [inscribed_inset(r) for r in bundle.x_chart.res]
                 raise DomainExit(y0, f"y(x0) = {y0} left the inscribed y-chart {bundle.y_chart!r}, the image "
@@ -481,7 +481,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
 
     def pull_back(curve):
         for _, bundle, _ in reversed(passes):
-            curve = pushforward_curve(curve, bundle, direction="backward")
+            curve = pull_back_curve(curve, bundle)
         return curve
 
     prob_y = staged("initial_data", initial_data)
@@ -525,9 +525,9 @@ def mollified_family(conn_y, bundle, eps_list):
     out_eps, out_conn, out_masks = [], [], []
     for eps in eps_list:
         gy_e = mollify(conn_y, eps)
-        u_e = mollify(GridField(chart_x, bundle.map.forward), eps).values
+        u_e = mollify(bundle.forward, eps).values
         J_e = chart_x.grad(u_e)
-        x_of_y_e = mollify(GridField(chart_y, bundle.map.inverse), eps).values
+        x_of_y_e = mollify(bundle.inverse, eps).values
         dxdy_e = chart_y.grad(x_of_y_e)
         ypts = u_e.reshape(-1, n)
         mask = chart_y.contains(ypts).reshape(chart_x.res)
@@ -535,10 +535,8 @@ def mollified_family(conn_y, bundle, eps_list):
             chart_x.res + (n, n)
         )
         gy_at = interpolate(gy_e, ypts, clip=True).reshape(chart_x.res + (n, n, n))
-        dJ_e = chart_x.grad(J_e)
-        # connection law with mollified ingredients; storage [mu, rho(form), nu(col)]
-        vals = contract("...ma,...br,...gn,...abg->...mrn", dxdy_at, J_e, J_e, gy_at)
-        vals += contract("...ma,...anr->...mrn", dxdy_at, dJ_e)
+        # connection law with mollified ingredients, dx/dy in Jinv's place
+        vals = connection_law(dxdy_at, J_e, chart_x.grad(J_e), gy_at)
         out_eps.append(eps)
         out_conn.append(connection_field(chart_x, vals))
         out_masks.append(mask)
@@ -650,7 +648,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
         idx[ax] = slice(chart.res[ax] - cells, chart.res[ax])
         mask_all[tuple(idx)] = False
     sub, sl = _masked_subchart(chart, mask_all)
-    conn_ref = connection_field(sub, np.ascontiguousarray(conn_x.values[sl]))
+    conn_ref = sub_connection(conn_x, sub, sl)
     basis = [
         TestFunction(b.center, b.radius, profile="poly")
         for b in bump_basis(sub)
@@ -658,7 +656,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
     weak_reference = represent_weak(conn_ref, basis)
     conn_d, riem_d, curve_d = [], [], []
     for eps, conn_e, curve in zip(family.eps, family.conn_eps, curves):
-        sub_e = connection_field(sub, np.ascontiguousarray(conn_e.values[sl]))
+        sub_e = sub_connection(conn_e, sub, sl)
         conn_d.append(lp_norm(GridField(sub, sub_e.values - conn_ref.values), 2 * p))
         R_e = riemann(sub_e)
         riem_d.append(lp_norm(GridField(sub, R_e.values - weak_reference.values), p))

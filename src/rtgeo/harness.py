@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import contract, lp_norm, mollifier_radius, mollify, w1p_norm
-from .charts import Chart, GridField, JacobianField, connection_field, det_inverse, dump_curve, dump_field
+from .calculus import lp_norm, matvec, mollifier_radius, mollify, w1p_norm
+from .charts import Chart, JacobianField, connection_field, det_inverse, dump_curve, dump_field
 from .curvature import lemma_b1_check
 from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
 from .geodesics import (
@@ -246,7 +246,7 @@ def _pull_back(scn, mp):
     if scn.map_kind != "identity":
         ys, margin = forward.reshape(-1, chart.n), 2 * float(chart.h.max())
         cover_chart = Chart(ys.min(axis=0) - margin, ys.max(axis=0) + margin, chart.res)
-    conn_x, _ = transform_connection(_hidden_connection(scn, cover_chart), forward, jac)
+    conn_x = transform_connection(_hidden_connection(scn, cover_chart), forward, jac)
     return conn_x, forward, jac
 
 
@@ -272,8 +272,7 @@ def generate_scenario(scn):
         else:
             ys, ws = y0[None] + t[:, None] * w0[None], np.broadcast_to(w0, (len(t), len(w0)))
         pos = mp.inverse(ys)
-        vel = contract("...ij,...jk->...ik", det_inverse(mp.jacobian(pos))[1], ws[..., None])[..., 0]
-        return pos, vel
+        return pos, matvec(det_inverse(mp.jacobian(pos))[1], ws)
 
     return GeneratedScenario(
         scenario=scn,
@@ -425,7 +424,7 @@ def _identity_stage(gen, scn):
     if scn.map_kind == "kink":
         chart, eps = conn.chart, max(scn.epsilons)
         conn = connection_field(chart, mollify(conn, eps).values)
-        J = chart.grad(mollify(GridField(chart, gen.hidden_bundle.map.forward), eps).values)
+        J = chart.grad(mollify(gen.hidden_bundle.forward, eps).values)
     return {
         "coderivative_residual": coderivative_identity_residual(conn, J, p=scn.p),
         "dgamma_residual": dgamma_identity_residual(conn, J, p=scn.p),

@@ -41,7 +41,7 @@ from .calculus import (
     lp_norm,
     norm_report,
 )
-from .charts import GridField, connection_field, det_inverse, interpolate
+from .charts import GridField, connection_field, det_inverse, interpolate, sub_connection
 from .errors import JacobianError, SolverError, staged
 from .transform import build_bundle, row_curl_residual, split_transform
 
@@ -105,9 +105,7 @@ def solve_reduced_rt(conn, cfg=None):
     except (SolverError, JacobianError):
         if not cfg.retry_subchart:
             raise
-        sub, slc = conn.chart.sub_chart()
-        sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
-        return _solve_on_chart(sub_conn, cfg, used_subchart=True)
+        return _solve_on_chart(sub_connection(conn, *conn.chart.sub_chart()), cfg, used_subchart=True)
 
 
 def _solve_on_chart(conn, cfg, used_subchart):
@@ -193,11 +191,8 @@ def optimal_connection(tilde, bundle):
     """Contract Gamma~ with (J, Jinv) and resample onto the y-chart (Eq. 16 push)."""
     chart_x = bundle.x_chart
     y_chart = bundle.y_chart
-    ypts = y_chart.nodes.reshape(-1, chart_x.n)
-    xpts = bundle.map.inverse_at(ypts, clip=True)
+    xpts, J, Jinv = bundle.pull_back_at(y_chart.nodes.reshape(-1, chart_x.n))
     Gt = interpolate(tilde, xpts, clip=True)
-    J = bundle.jac.at(xpts, clip=True)
-    _, Jinv = det_inverse(J)
     # conn storage [k, i(form), j(col)] -> [g, a(form), b(col)]
     vals = contract("...gk,...ia,...jb,...kij->...gab", J, Jinv, Jinv, Gt)
     return connection_field(y_chart, vals.reshape(y_chart.res + Gt.shape[1:]))

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import settings
 
 from rtgeo.calculus import connection_form, full_antisymmetric, wedge
-from rtgeo.charts import Chart, connection_field
+from rtgeo.charts import Chart, GridField, JacobianField, connection_field
 from rtgeo.curvature import _weak_functional
 from rtgeo.harness import Scenario, generate_scenario, load_config
 from rtgeo.harness import smooth_connection, trig_gradient_jacobian  # noqa: F401  (tests import them from here)
-from rtgeo.transform import build_bundle
+from rtgeo.transform import TransformBundle
 
 # property tests draw the same examples on every run; each keeps its own max_examples
 settings.register_profile("rtgeo", derandomize=True, deadline=None)
@@ -34,7 +34,8 @@ def interior_mask(chart):
 def identity_bundle(chart):
     """The identity coordinate change on ``chart``: J = I, y = x, y-chart = x-chart."""
     J = np.broadcast_to(np.eye(chart.n), chart.res + (chart.n, chart.n)).copy()
-    return build_bundle(chart, J, forward=chart.nodes.copy(), y_chart=chart)
+    nodes = GridField(chart, chart.nodes.copy(), ("up",))
+    return TransformBundle(forward=nodes, inverse=nodes.copy(), jac=JacobianField(chart, J))
 
 
 def weak_riemann(conn, psi):

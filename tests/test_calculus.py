@@ -426,6 +426,74 @@ def test_every_definition_has_a_caller_in_the_package():
     assert _unreferenced_definitions() == UNREFERENCED_ALLOWED
 
 
+# parameters with a default that no call in src/rtgeo passes: the test hooks,
+# each with its reason
+UNPASSED_DEFAULTS_ALLOWED = {
+    # negative controls
+    "curvature.lemma_b1_check(drop_jacobian_factor)",
+    "transform.dgamma_identity_residual(drop_wedge)",
+    # tests tighten Picard's tolerance for their oracles
+    "geodesics.solve_geodesic(tol_ode)",
+    # ROADMAP item 7: only tests run the uniqueness mode
+    "geodesics.weak_solution_pipeline(mode)",
+    # tests scale the smooth test connection and coarsen the bump basis
+    "harness.smooth_connection(amp)",
+    "curvature.bump_basis(per_axis)",
+    # tests and perfbench digest reports without their timings
+    "harness.ExperimentReport.to_json(include_timings)",
+    # tests pass argv; the console script reads sys.argv
+    "cli.main(argv)",
+}
+
+
+def _unpassed_defaults():
+    """``module.[class.]function(param)`` for every parameter with a default in
+    src/rtgeo that no call in src/rtgeo passes, by keyword or by position.
+
+    A call matches by the callee's last name (a class name calls its
+    ``__init__``, whose ``self`` is bound as a method's is);
+    ``partial(f, ...)`` calls ``f``, and a call with ``*args`` or
+    ``**kwargs`` passes every parameter."""
+    params, calls = [], []
+
+    def visit(node, owners, method):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args, init = node.args, node.name == "__init__"
+            qual = ".".join(owners if init else owners + (node.name,))
+            name = owners[-1] if init else node.name
+            pos = args.posonlyargs + args.args
+            first = len(pos) - len(args.defaults)
+            params.extend((qual, name, a.arg, i - method) for i, a in enumerate(pos) if i >= first)
+            kw = zip(args.kwonlyargs, args.kw_defaults)
+            params.extend((qual, name, a.arg, None) for a, d in kw if d is not None)
+        elif isinstance(node, ast.Call):
+            fn, given = node.func, node.args
+            if isinstance(fn, ast.Name) and fn.id == "partial" and given:
+                fn, given = given[0], given[1:]
+            name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+            splat = any(isinstance(a, ast.Starred) for a in given) or any(k.arg is None for k in node.keywords)
+            calls.append((name, len(given), {k.arg for k in node.keywords}, splat))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners, isinstance(node, ast.ClassDef))
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,), False)
+    return {
+        f"{qual}({param})"
+        for qual, name, param, index in params
+        if not any(
+            callee == name and (splat or param in keywords or (index is not None and npos > index))
+            for callee, npos, keywords, splat in calls
+        )
+    }
+
+
+def test_every_default_is_passed_somewhere_in_the_package():
+    assert _unpassed_defaults() == UNPASSED_DEFAULTS_ALLOWED
+
+
 # every subscript string the package passes to contract, so a new site is
 # covered as soon as it exists
 CONTRACT_SUBSCRIPTS = sorted({ast.literal_eval(call.args[0]) for _, _, call in _calls("contract")})

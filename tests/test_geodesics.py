@@ -20,7 +20,7 @@ from rtgeo.geodesics import (
 )
 from rtgeo.harness import load_config, sphere_christoffel, sphere_geodesic
 from rtgeo.rt_solver import RTConfig
-from rtgeo.transform import pushforward_curve
+from rtgeo.transform import pull_back_curve
 
 from conftest import flat_disguise_connection, identity_bundle
 
@@ -167,17 +167,7 @@ def test_forced_linear_drag(unit_chart):
 
 def test_forced_transform_oracle(unit_chart_65):
     # constant y-force through the quadratic map matches the mapped closed form
-    from rtgeo.transform import build_bundle
-    from conftest import quadratic_jacobian
-
     chart = unit_chart_65
-    X = chart.nodes
-    fwd = X.copy()
-    fwd[..., 1] = X[..., 1] + 0.5 * X[..., 0] ** 2
-    flat = fwd.reshape(-1, 2)
-    m = 2 * float(chart.h.max())
-    y_chart = Chart(flat.min(axis=0) - m, flat.max(axis=0) + m, chart.res)
-    bundle = build_bundle(chart, quadratic_jacobian(chart), forward=fwd, y_chart=y_chart)
     a = np.array([0.0, 0.25])
     # y-dynamics: straight + at^2/2; map back to x closed form
     Kx = ForceField(evaluator=lambda t, x, v: np.linalg.solve(
@@ -374,10 +364,10 @@ def test_pipeline_subchart_retry_matches_hand_sliced_pass(config, request, monke
         return state, bundle, rt_solver.optimal_connection(tilde, bundle)
 
     state, bundle, conn_y = hand_pass(cfg)
-    y0 = bundle.map.forward_at(x0)
+    y0 = bundle.forward_at(x0)
     w0 = interpolate(GridField(bundle.x_chart, bundle.jac.J), x0) @ v0
     curve_y = solve_geodesic(GeodesicProblem(conn_y, scn.t0, y0, w0, interval=scn.interval), "rk4")
-    curve = pushforward_curve(curve_y, bundle, direction="backward")
+    curve = pull_back_curve(curve_y, bundle)
 
     assert res.provenance["rt"] == {**state.summary(), "used_subchart": True}
     assert res.bundle.x_chart == sub

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtgeo import transform
-from rtgeo.charts import GridField, JacobianField, connection_field, interpolate
+from rtgeo.charts import Chart, GridField, JacobianField, connection_field, det_inverse, interpolate
 from rtgeo.curvature import riemann, transform_curvature
-from rtgeo.errors import DomainExit, InversionError, JacobianError, NonIntegrableError
+from rtgeo.errors import DomainExit, InversionError, JacobianError, NonIntegrableError, ShapeError
 from rtgeo.transform import (
+    TransformBundle,
     build_bundle,
     coderivative_identity_residual,
     dgamma_identity_residual,
     integrate_jacobian,
     invert_map,
-    pushforward_curve,
+    pull_back_curve,
     row_curl_residual,
     split_transform,
     transform_connection,
@@ -28,18 +29,28 @@ from conftest import (
 )
 
 
-def quadratic_bundle(chart, cover=False, shear=0.5):
-    X = chart.nodes
-    forward = X.copy()
-    forward[..., 1] = X[..., 1] + shear * X[..., 0] ** 2
-    y_chart = None
-    if cover:
-        from rtgeo.charts import Chart
+def shear_map(pts, shear):
+    """y = (x1, x2 + shear x1^2); ``-shear`` gives its inverse."""
+    out = pts.copy()
+    out[..., 1] = pts[..., 1] + shear * pts[..., 0] ** 2
+    return out
 
-        m = 2 * float(chart.h.max())
-        flat = forward.reshape(-1, 2)
-        y_chart = Chart(flat.min(axis=0) - m, flat.max(axis=0) + m, chart.res)
-    return build_bundle(chart, quadratic_jacobian(chart, shear), forward=forward, y_chart=y_chart)
+
+def quadratic_bundle(chart, cover=False, shear=0.5):
+    """The shear map's bundle: x(y) Newton-inverted on the inscribed y-chart,
+    or with ``cover`` sampled in closed form on a y-chart covering the image."""
+    forward = shear_map(chart.nodes, shear)
+    J = quadratic_jacobian(chart, shear)
+    if not cover:
+        return build_bundle(chart, J, forward=forward)
+    m = 2 * float(chart.h.max())
+    flat = forward.reshape(-1, 2)
+    y_chart = Chart(flat.min(axis=0) - m, flat.max(axis=0) + m, chart.res)
+    return TransformBundle(
+        forward=GridField(chart, forward, ("up",)),
+        inverse=GridField(y_chart, shear_map(y_chart.nodes, -shear), ("up",)),
+        jac=JacobianField(chart, J),
+    )
 
 
 # -- transform_connection -----------------------------------------------------
@@ -48,8 +59,7 @@ def quadratic_bundle(chart, cover=False, shear=0.5):
 def test_transform_identity_map(unit_chart_65):
     conn_y = smooth_connection(unit_chart_65)
     bundle = identity_bundle(unit_chart_65)
-    out, coverage = transform_connection(conn_y, bundle.map.forward, bundle.jac)
-    assert coverage == 1.0
+    out = transform_connection(conn_y, bundle.forward.values, bundle.jac)
     assert np.abs(out.values - conn_y.values).max() < 1e-10
 
 
@@ -57,15 +67,12 @@ def test_transform_zero_linear_map(unit_chart):
     chart = unit_chart
     A = np.array([[1.1, 0.2], [0.0, 0.9]])
     forward = np.einsum("ab,...b->...a", A, chart.nodes)
-    from rtgeo.charts import Chart
-
     ylo = forward.reshape(-1, 2).min(axis=0) - 0.05
     yhi = forward.reshape(-1, 2).max(axis=0) + 0.05
     y_chart = Chart(ylo, yhi, chart.res)
     J = np.broadcast_to(A, chart.res + (2, 2)).copy()
-    bundle = build_bundle(chart, J, forward=forward, y_chart=y_chart)
     conn_y = connection_field(y_chart, np.zeros(y_chart.res + (2, 2, 2)))
-    out, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
+    out = transform_connection(conn_y, forward, JacobianField(chart, J))
     assert np.abs(out.values).max() < 1e-12
 
 
@@ -74,9 +81,19 @@ def test_transform_quadratic_produces_flat_disguise(unit_chart_65):
     # constant component, exactly (FD is exact on the linear jacobian)
     bundle = quadratic_bundle(unit_chart_65, cover=True)
     conn_y = connection_field(bundle.y_chart, np.zeros(bundle.y_chart.res + (2, 2, 2)))
-    out, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
+    out = transform_connection(conn_y, bundle.forward.values, bundle.jac)
     want = flat_disguise_connection(unit_chart_65)
     assert np.abs(out.values - want.values).max() < 1e-11
+
+
+def test_transform_connection_refuses_a_forward_map_off_the_y_chart(unit_chart):
+    # one node whose y(x) leaves the y-chart is enough to refuse the law
+    forward = unit_chart.nodes.copy()
+    forward[0, 0] = -0.01
+    J = np.broadcast_to(np.eye(2), unit_chart.res + (2, 2)).copy()
+    conn_y = connection_field(unit_chart, np.zeros(unit_chart.res + (2, 2, 2)))
+    with pytest.raises(ShapeError, match="leaves the y-chart at 1 nodes"):
+        transform_connection(conn_y, forward, JacobianField(unit_chart, J))
 
 
 # -- split --------------------------------------------------------------------
@@ -214,15 +231,20 @@ def test_invert_quadratic_closed_form(unit_chart_65):
     # newton hits the discrete map to tau_map; closeness to the closed form
     # is then limited by the bilinear interpolation bias h^2/8
     h2 = float(bundle.x_chart.h.max()) ** 2
-    assert np.abs(bundle.map.inverse - want).max() < h2
-    # double interpolation bias bounds the round trip
-    assert bundle.map.roundtrip_error < 3 * h2
+    assert np.abs(bundle.inverse.values - want).max() < h2
+    # double interpolation bias bounds the round trip x(y(x)) on the interior
+    # nodes whose image lies on the y-chart
+    interior = bundle.x_chart.nodes[4:-4, 4:-4].reshape(-1, 2)
+    ypts = bundle.forward_at(interior)
+    ok = bundle.y_chart.contains(ypts)
+    assert ok.any()
+    assert np.abs(bundle.inverse_at(ypts[ok]) - interior[ok]).max() < 3 * h2
 
 
 # -- curves and forces --------------------------------------------------------
 
 
-def test_pushforward_identity(unit_chart_65):
+def test_pull_back_identity(unit_chart_65):
     from rtgeo.geodesics import Curve
 
     bundle = identity_bundle(unit_chart_65)
@@ -230,28 +252,31 @@ def test_pushforward_identity(unit_chart_65):
     pos = np.stack([0.3 + 0.4 * t, 0.5 + 0.1 * t], axis=1)
     vel = np.tile([0.4, 0.1], (65, 1))
     c = Curve(times=t, positions=pos, velocities=vel, truncation="velocity_ball")
-    out = pushforward_curve(c, bundle)
+    out = pull_back_curve(c, bundle)
     assert out.truncation == "velocity_ball" and out.truncated  # the cause is carried
     assert np.abs(out.positions - pos).max() < 1e-10
     assert np.abs(out.velocities - vel).max() < 1e-10
 
 
-def test_pushforward_chain_rule(unit_chart_65):
+def test_pull_back_chain_rule(unit_chart_65):
+    # the FD time derivative of the pulled-back positions x(y(t)) matches the
+    # pulled-back velocities J(x)^-1 w
     from rtgeo.geodesics import Curve
 
     bundle = quadratic_bundle(unit_chart_65)
     dt = 1 / 512
     t = np.arange(0, 0.5, dt)
     pos = np.stack([0.2 + 0.5 * t, 0.55 + 0.05 * t], axis=1)
+    assert bundle.y_chart.contains(pos).all()
     vel = np.tile([0.5, 0.05], (len(t), 1))
-    out = pushforward_curve(Curve(times=t, positions=pos, velocities=vel), bundle)
+    out = pull_back_curve(Curve(times=t, positions=pos, velocities=vel), bundle)
     fd = np.gradient(out.positions, dt, axis=0)
     # the multilinear map's time derivative carries O(h)-scale kinks
     tol = float(bundle.x_chart.h.max()) * 0.5
     assert np.abs(fd[2:-2] - out.velocities[2:-2]).max() < tol
 
 
-def test_pushforward_straight_line_is_parabola(unit_chart_65):
+def test_pull_back_straight_line_is_parabola(unit_chart_65):
     from rtgeo.geodesics import Curve
 
     bundle = quadratic_bundle(unit_chart_65)
@@ -261,12 +286,27 @@ def test_pushforward_straight_line_is_parabola(unit_chart_65):
     w0 = np.array([0.6, 0.12])
     pos_y = y0 + t[:, None] * w0
     c = Curve(times=t, positions=pos_y, velocities=np.tile(w0, (len(t), 1)))
-    back = pushforward_curve(c, bundle, direction="backward")
+    back = pull_back_curve(c, bundle)
     want1 = pos_y[:, 0]
     want2 = pos_y[:, 1] - 0.5 * pos_y[:, 0] ** 2
     h2 = float(bundle.x_chart.h.max()) ** 2
     assert np.abs(back.positions[:, 0] - want1).max() < 2 * h2
     assert np.abs(back.positions[:, 1] - want2).max() < 2 * h2
+
+
+def test_pull_back_at_is_the_spelled_out_sequence(rough_gen):
+    # x(y), J(x) and J(x)^-1 bit for bit as clipped interpolation of x(y),
+    # clipped interpolation of J at x and det_inverse give them, on a batch
+    # that includes points off the y-chart and on one point
+    bundle = rough_gen.hidden_bundle
+    ypts = bundle.y_chart.nodes.reshape(-1, 2)
+    batch = np.concatenate([ypts, ypts[:9] + 0.5, ypts[-9:] - 0.5])
+    for pts in (batch, ypts[1234]):
+        x = interpolate(GridField(bundle.y_chart, bundle.inverse.values), pts, clip=True)
+        J = interpolate(GridField(bundle.x_chart, bundle.jac.J), x, clip=True)
+        want = (x, J, det_inverse(J)[1])
+        for got, w in zip(bundle.pull_back_at(pts), want):
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
 def test_transform_force_constant_linear(unit_chart_65):
@@ -300,10 +340,10 @@ def test_riemann_commutes_with_transform(unit_chart_65):
     # curvature of the pulled-back connection == tensor-transformed curvature
     bundle = quadratic_bundle(unit_chart_65, cover=True)
     conn_y = smooth_connection(bundle.y_chart, amp=0.2)
-    conn_x, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
+    conn_x = transform_connection(conn_y, bundle.forward.values, bundle.jac)
     R_x = riemann(conn_x)
     R_y = riemann(conn_y)
-    ypts = bundle.map.forward.reshape(-1, 2)
+    ypts = bundle.forward.values.reshape(-1, 2)
     Ry_at = interpolate(GridField(bundle.y_chart, R_y.values), ypts, clip=True).reshape(
         unit_chart_65.res + (2, 2, 2, 2)
     )
@@ -323,22 +363,21 @@ def test_transform_group_property(unit_chart_65, shear, amp):
     # part's interpolation error is linear in amp (measured up to 1.1e-3 amp)
     bundle = quadratic_bundle(unit_chart_65, cover=True, shear=shear)
     conn_y = smooth_connection(bundle.y_chart, amp=amp)
-    conn_x, _ = transform_connection(conn_y, bundle.map.forward, bundle.jac)
-    # analytic inverse bundle on the y-chart (closed-form map and jacobian)
-    Y = bundle.y_chart.nodes
-    inv_fwd = Y.copy()
-    inv_fwd[..., 1] = Y[..., 1] - shear * Y[..., 0] ** 2
-    Jy = np.zeros(bundle.y_chart.res + (2, 2))
-    Jy[..., 0, 0] = 1.0
-    Jy[..., 1, 1] = 1.0
-    Jy[..., 1, 0] = -2.0 * shear * Y[..., 0]
-    inv_bundle = build_bundle(bundle.y_chart, Jy, forward=inv_fwd, y_chart=bundle.x_chart)
-    conn_back, coverage = transform_connection(
-        conn_x, inv_bundle.map.forward, inv_bundle.jac, clip_tolerance=0.75
-    )
-    assert coverage > 0.5
-    # compare only where the round trip stays inside the x-chart
-    lo, hi = bundle.x_chart.lo + 0.05, bundle.x_chart.hi - 0.05
-    ok = np.all((inv_fwd >= lo) & (inv_fwd <= hi), axis=-1)
-    gap = np.abs(conn_back.values - conn_y.values).max(axis=(-1, -2, -3))
-    assert gap[ok].max() < 1.5e-3 * amp + 1e-13
+    conn_x = transform_connection(conn_y, bundle.forward.values, bundle.jac)
+    # back through the closed-form inverse map and jacobian, on the y-chart's
+    # nodes whose image stays 0.05 inside the unit x-chart: y1 in [0.05, 0.95]
+    # and y2 - shear y1^2 in [0.05, 0.95]
+    def nodes_within(axis, a, b):
+        i = np.flatnonzero((axis >= a) & (axis <= b))
+        return slice(i[0], i[-1] + 1)
+
+    lo, hi = 0.05, 0.95
+    q = shear * np.array([lo, hi]) ** 2
+    y1, y2 = bundle.y_chart.axes
+    sl = (nodes_within(y1, lo, hi), nodes_within(y2, lo + q.max(), hi + q.min()))
+    Y = bundle.y_chart.nodes[sl]
+    sub = Chart(Y[0, 0], Y[-1, -1], Y.shape[:2])
+    inv_jac = JacobianField(sub, quadratic_jacobian(sub, -shear))
+    conn_back = transform_connection(conn_x, shear_map(Y, -shear), inv_jac)
+    gap = np.abs(conn_back.values - conn_y.values[sl]).max()
+    assert gap < 1.5e-3 * amp + 1e-13
