@@ -16,12 +16,7 @@ from .charts import (
     make_chart,
 )
 from .calculus import (
-    MatrixForm,
     NormReport,
-    coderivative,
-    exterior_derivative,
-    form_divergence,
-    laplacian,
     matrix_inner,
     mollify,
     norm_report,

@@ -1,15 +1,19 @@
 """Discrete exterior calculus on matrix-valued forms, mollification, norms.
 
-Form storage: degree 0 -> (*res, n, n); degree 1 -> (*res, n, n, n) with the
-form index LAST (``[row, col, j]``); degree 2 -> (*res, n, n, P) with
-canonical pairs i < j in lexicographic order.
+A matrix-valued form is a plain array on the chart's nodes: degree 0 is
+(*res, n, n); degree 1 is (*res, n, n, n) with the form index LAST
+(``[row, col, j]``); degree 2 is (*res, n, n, P) with the P = n(n-1)/2
+canonical pairs i < j in lexicographic order (:func:`form_pairs`).
 
-Sign conventions (fixed once, asserted by tests):
-    d   on 1-forms:  (d w)_{(i,j)} = D_i w_j - D_j w_i
-    delta           = -sum_j D_j (.)_j   (minus the divergence)
-    Delta           = delta d + d delta  (collapses to -sum_j D_j^2 per
-                      component: Delta vanishes on affine data and
-                      Delta[(x1)^2 + (x2)^2] = -4 at n = 2)
+Operators, one entry point each (signs fixed once, asserted by tests):
+    d on 0-forms:    ``chart.grad``, (d f)_j = D_j f
+    d on 1-forms:    :func:`d_one_form`, (d w)_{(i,j)} = D_i w_j - D_j w_i
+    delta on 1-forms: :func:`delta_one_form`, -sum_j D_j w_j (minus the
+                     divergence)
+    Delta on 0-forms: delta d, i.e. ``delta_one_form(chart, chart.grad(f))``;
+                     it collapses to -sum_j D_j^2 per component, vanishes on
+                     affine data, and Delta[(x1)^2 + (x2)^2] = -4 at n = 2
+    :func:`wedge` and :func:`matrix_inner` pair two 1-forms.
 """
 
 from dataclasses import asdict, dataclass
@@ -20,8 +24,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .charts import Chart, axis_products
-from .errors import DegreeError, ResolutionError, ShapeError, ConfigurationError
+from .charts import axis_products
+from .errors import ResolutionError, ShapeError, ConfigurationError
 
 HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
 # most nodes per block of contract: a 65^2 grid stays whole (smaller blocks slow
@@ -230,52 +234,17 @@ def form_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@dataclass
-class MatrixForm:
-    """Matrix-valued differential k-form sampled on a chart."""
-
-    chart: Chart
-    degree: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.chart.n
-        want = {
-            0: self.chart.res + (n, n),
-            1: self.chart.res + (n, n, n),
-            2: self.chart.res + (n, n, len(form_pairs(n))),
-        }
-        if self.degree not in want:
-            raise DegreeError(f"unsupported degree {self.degree}")
-        if self.values.shape != want[self.degree]:
-            raise ShapeError(
-                f"degree-{self.degree} form needs shape {want[self.degree]}, got {self.values.shape}"
-            )
-
-    def same_layout(self, other):
-        if self.chart != other.chart:
-            raise ShapeError("charts differ")
-        return other
-
-
 def connection_form(conn):
     """View connection samples G[mu, rho, nu] as the matrix 1-form w[mu, nu, rho]."""
-    return MatrixForm(conn.chart, 1, np.ascontiguousarray(conn.values.swapaxes(-1, -2)))
+    return np.ascontiguousarray(conn.values.swapaxes(-1, -2))
 
 
-def form_to_connection(w):
-    from .charts import connection_field
-
-    return connection_field(w.chart, np.ascontiguousarray(w.values.swapaxes(-1, -2)))
-
-
-def full_antisymmetric(w):
-    """Expand canonical 2-form storage to the full antisymmetric (..., i, j) array."""
-    n = w.chart.n
-    out = np.zeros(w.values.shape[:-1] + (n, n))
+def full_antisymmetric(vals, n):
+    """Expand a canonical 2-form (..., P) to the full antisymmetric (..., i, j) array."""
+    out = np.zeros(vals.shape[:-1] + (n, n))
     for k, (i, j) in enumerate(form_pairs(n)):
-        out[..., i, j] = w.values[..., k]
-        out[..., j, i] = -w.values[..., k]
+        out[..., i, j] = vals[..., k]
+        out[..., j, i] = -vals[..., k]
     return out
 
 
@@ -296,93 +265,20 @@ def delta_one_form(chart, vals):
     return out
 
 
-def exterior_derivative(w):
-    """d: centered second-order differences inside, one-sided at the boundary."""
-    if w.degree == 0:
-        return MatrixForm(w.chart, 1, w.chart.grad(w.values))
-    if w.degree == 1:
-        return MatrixForm(w.chart, 2, d_one_form(w.chart, w.values))
-    raise DegreeError("exterior derivative supports degrees 0 and 1 only")
-
-
-def coderivative(w):
-    """delta, the Euclidean codifferential: minus-divergence over the form index."""
-    if w.degree == 1:
-        return MatrixForm(w.chart, 0, delta_one_form(w.chart, w.values))
-    if w.degree == 2:
-        # -sum_i D_i w_{ij} = sum_i D_i w_{ji} by antisymmetry
-        return form_divergence(w)
-    raise DegreeError("coderivative supports degrees 1 and 2 only")
-
-
-def laplacian(w):
-    """Delta = delta d + d delta, literally composed from the two operators.
-
-    With delta = -div this is the positive-semidefinite geometer's Laplacian:
-    on 0-forms Delta f = -sum_j D_j D_j f, e.g. Delta[(x1)^2 + (x2)^2] = -4.
-    """
-    if w.degree == 0:
-        return coderivative(exterior_derivative(w))
-    if w.degree == 1:
-        return MatrixForm(
-            w.chart,
-            1,
-            coderivative(exterior_derivative(w)).values
-            + exterior_derivative(coderivative(w)).values,
-        )
-    raise DegreeError("laplacian supports degrees 0 and 1 only")
-
-
 def wedge(a, b):
-    """(a ^ b)_{(i,j)} = a_i b_j - a_j b_i with matrix products."""
-    if a.degree != 1 or b.degree != 1:
-        raise DegreeError("wedge is defined for pairs of 1-forms")
-    a.same_layout(b)
-    pairs = form_pairs(a.chart.n)
-    out = np.empty(a.values.shape[:-1] + (len(pairs),))
+    """(a ^ b)_{(i,j)} = a_i b_j - a_j b_i with matrix products, for 1-forms a, b."""
+    pairs = form_pairs(a.shape[-1])
+    out = np.empty(a.shape[:-1] + (len(pairs),))
     for k, (i, j) in enumerate(pairs):
-        out[..., k] = contract("...ms,...sn->...mn", a.values[..., i], b.values[..., j]) - contract(
-            "...ms,...sn->...mn", a.values[..., j], b.values[..., i]
+        out[..., k] = contract("...ms,...sn->...mn", a[..., i], b[..., j]) - contract(
+            "...ms,...sn->...mn", a[..., j], b[..., i]
         )
-    return MatrixForm(a.chart, 2, out)
+    return out
 
 
 def matrix_inner(a, b):
     """<a; b> = sum_j a_j b_j, contraction over the form index with matrix chain."""
-    if a.degree != 1 or b.degree != 1:
-        raise DegreeError("matrix inner product is defined for pairs of 1-forms")
-    a.same_layout(b)
-    out = np.einsum("...msj,...snj->...mn", a.values, b.values)  # not contract: see its kept sites
-    return MatrixForm(a.chart, 0, out)
-
-
-def matmul(A, w):
-    """Left matrix multiplication of a form by a matrix 0-form (or raw array)."""
-    Av = A.values if isinstance(A, MatrixForm) else A
-    if w.degree == 0:
-        return MatrixForm(w.chart, 0, contract("...ms,...sn->...mn", Av, w.values))
-    return MatrixForm(
-        w.chart, w.degree, contract("...ms,...snk->...mnk", Av, w.values)
-    )
-
-
-def form_divergence(w):
-    """div->: divergence over the second form index of a 2-form.
-
-    (div w)_rho = sum_tau D_tau w_{rho tau}; the remaining index stays a form
-    index, so the output is a matrix 1-form.
-    """
-    if w.degree != 2:
-        raise DegreeError("form divergence needs a degree-2 input")
-    chart, n = w.chart, w.chart.n
-    full = full_antisymmetric(w)
-    out = np.zeros(w.values.shape[:-1] + (n,))
-    for rho in range(n):
-        acc = np.zeros(w.values.shape[:-1])
-        for tau in range(n):
-            acc += chart.deriv(full[..., rho, tau], tau)
-        out[..., rho] = acc
-    return MatrixForm(chart, 1, out)
+    return np.einsum("...msj,...snj->...mn", a, b)  # not contract: see its kept sites
 
 
 # ---------------------------------------------------------------------------

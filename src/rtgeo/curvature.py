@@ -13,10 +13,9 @@ import json
 import numpy as np
 
 from .calculus import (
-    MatrixForm,
     connection_form,
     contract,
-    exterior_derivative,
+    d_one_form,
     full_antisymmetric,
     lp_norm,
     mollify,
@@ -28,11 +27,10 @@ from .errors import FittingError, ShapeError, TestFunctionError
 
 @dataclass
 class CurvatureField:
-    """Sampled R[tau, mu, nu, rho]; provenance in {'strong','weak','transformed'}."""
+    """Sampled R[tau, mu, nu, rho]."""
 
     chart: Chart
     values: np.ndarray
-    provenance: str = "strong"
 
     def __post_init__(self):
         n = self.chart.n
@@ -45,16 +43,11 @@ class CurvatureField:
 
 @dataclass
 class TestFunction:
-    """Compactly supported bump in |x - center| < radius.
-
-    profile 'exp' is the classic exp(-1/(1 - r^2)) mollifier shape; 'poly'
-    is (1 - r^2)^4, whose tamer derivatives make grid quadrature of its
-    functionals far more accurate (used by probe-style checks).
-    """
+    """Compactly supported bump (1 - r^2)^4 with r = |x - center| / radius < 1;
+    its tame derivatives keep grid quadrature of its functionals accurate."""
 
     center: np.ndarray
     radius: float
-    profile: str = "exp"
 
     __test__ = False  # keep pytest collection away
 
@@ -75,10 +68,7 @@ class TestFunction:
         r2 = ((np.atleast_2d(pts) - self.center) ** 2).sum(axis=-1) / self.radius ** 2
         out = np.zeros(r2.shape)
         inside = r2 < 1.0
-        if self.profile == "poly":
-            out[inside] = (1.0 - r2[inside]) ** 4
-        else:
-            out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+        out[inside] = (1.0 - r2[inside]) ** 4
         return out
 
     def gradient(self, pts):
@@ -87,14 +77,21 @@ class TestFunction:
         r2 = (diff ** 2).sum(axis=-1) / self.radius ** 2
         out = np.zeros(pts.shape)
         inside = r2 < 1.0
-        if self.profile == "poly":
-            factor = -8.0 * (1.0 - r2[inside]) ** 3 / self.radius ** 2
-        else:
-            psi = np.exp(-1.0 / (1.0 - r2[inside]))
-            # d/dr2 [-1/(1-r2)] = -1/(1-r2)^2
-            factor = psi * (-1.0 / (1.0 - r2[inside]) ** 2) * (2.0 / self.radius ** 2)
+        factor = -8.0 * (1.0 - r2[inside]) ** 3 / self.radius ** 2
         out[inside] = factor[:, None] * diff[inside]
         return out
+
+
+def _centre_grid(chart, margin, per_axis):
+    """``per_axis`` evenly spaced centres per axis inside a ``margin`` inset of
+    each span: the per-axis lines, and their tensor grid as (per_axis^n, n) points."""
+    spans = chart.hi - chart.lo
+    lines = [
+        np.linspace(chart.lo[k] + margin * spans[k], chart.hi[k] - margin * spans[k], per_axis)
+        for k in range(chart.n)
+    ]
+    grids = np.meshgrid(*lines, indexing="ij")
+    return lines, np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def bump_basis(chart, per_axis=5):
@@ -106,17 +103,12 @@ def bump_basis(chart, per_axis=5):
     """
     margin, overlap = 0.14, 1.6
     spans = chart.hi - chart.lo
-    centers_1d = [
-        np.linspace(chart.lo[k] + margin * spans[k], chart.hi[k] - margin * spans[k], per_axis)
-        for k in range(chart.n)
-    ]
+    lines, centers = _centre_grid(chart, margin, per_axis)
     spacing = min(
-        (c[1] - c[0]) if len(c) > 1 else spans[k] for k, c in enumerate(centers_1d)
+        (c[1] - c[0]) if len(c) > 1 else spans[k] for k, c in enumerate(lines)
     )
     cap = margin * float(spans.min()) - 2.5 * float(chart.h.max())
     radius = min(overlap * spacing / 2, cap)
-    grids = np.meshgrid(*centers_1d, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=-1)
     basis = [TestFunction(c, radius) for c in centers]
     for psi in basis:
         psi.check_support(chart)
@@ -126,10 +118,9 @@ def bump_basis(chart, per_axis=5):
 def riemann(conn):
     """Strong curvature: Riem = d Gamma + Gamma ^ Gamma (FD evaluation)."""
     w = connection_form(conn)
-    two = exterior_derivative(w).values + wedge(w, w).values
+    two = d_one_form(conn.chart, w) + wedge(w, w)
     # axes already ordered [tau=row, mu=col, nu, rho]
-    full = full_antisymmetric(MatrixForm(conn.chart, 2, two))
-    return CurvatureField(conn.chart, full, "strong")
+    return CurvatureField(conn.chart, full_antisymmetric(two, conn.chart.n))
 
 
 def _weak_functional(chart, wvals, wedge_full, psi):
@@ -164,13 +155,13 @@ def represent_weak(conn, basis):
         raise FittingError(f"bump basis Gram matrix is rank deficient (cond {cond:.1e})")
     n = chart.n
     w = connection_form(conn)
-    wedge_full = full_antisymmetric(wedge(w, w))
+    wedge_full = full_antisymmetric(wedge(w, w), n)
     weak_vals = np.stack(
-        [_weak_functional(chart, w.values, wedge_full, psi).ravel() for psi in basis], axis=0
+        [_weak_functional(chart, w, wedge_full, psi).ravel() for psi in basis], axis=0
     )  # (k, n^4)
     coef = np.linalg.solve(gram, weak_vals)  # (k, n^4)
     fitted = (psi_vals.T @ coef).reshape(chart.res + (n, n, n, n))
-    return CurvatureField(chart, fitted, "weak")
+    return CurvatureField(chart, fitted)
 
 
 def transform_curvature(R, J):
@@ -183,7 +174,7 @@ def transform_curvature(R, J):
     if J.shape[:-2] != R.values.shape[: R.chart.n] and J.ndim != 2:
         raise ShapeError("jacobian samples do not match the curvature grid")
     out = contract("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
-    return CurvatureField(R.chart, out, "transformed")
+    return CurvatureField(R.chart, out)
 
 
 @dataclass
@@ -254,27 +245,18 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     vox_y = chart_y.voxel()
     pushed_flat = pushed.reshape(chart_y.npoints, -1)
     w_y = connection_form(conn_y)
-    wedge_y = full_antisymmetric(wedge(w_y, w_y))
-    # wide polynomial probes: tame derivatives keep the functional quadrature
-    # error far below the exp profile; fall back narrower if the pullback
-    # filter starves on cramped image charts
+    wedge_y = full_antisymmetric(wedge(w_y, w_y), chart_y.n)
+    # wide probes keep the functional quadrature error small; fall back
+    # narrower if the pullback filter starves on cramped image charts
     jinv_gain = min(float(np.abs(Jinv_at).max()), 1.5)
     pad_x = np.array([p * chart_x.h[k] for k, p in enumerate(pad)])
     spans_y = chart_y.hi - chart_y.lo
     kept = []
     for margin, rad_frac in ((0.3, 0.28), (0.32, 0.22), (0.36, 0.14)):
-        centers_1d = [
-            np.linspace(chart_y.lo[k] + margin * spans_y[k], chart_y.hi[k] - margin * spans_y[k], 3)
-            for k in range(chart_y.n)
-        ]
         radius = rad_frac * float(spans_y.min())
-        grids = np.meshgrid(*centers_1d, indexing="ij")
-        probes = [
-            TestFunction(c, radius, profile="poly")
-            for c in np.stack([g.ravel() for g in grids], axis=-1)
-        ]
+        _, centres = _centre_grid(chart_y, margin, 3)
         kept = []
-        for psi in probes:
+        for psi in (TestFunction(c, radius) for c in centres):
             try:
                 psi.check_support(chart_y)
             except TestFunctionError:
@@ -293,7 +275,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
         pv = psi(ypts)
         mass = float(vox_y * pv.sum())
         lhs = (vox_y * pv @ pushed_flat).reshape(pushed.shape[chart_y.n :]) / mass
-        rhs = _weak_functional(chart_y, w_y.values, wedge_y, psi) / mass
+        rhs = _weak_functional(chart_y, w_y, wedge_y, psi) / mass
         mismatch = max(mismatch, float(np.abs(lhs - rhs).max()))
         rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
     # tolerance: probe quadrature error O((h/r)^2) at the functional scale

@@ -17,10 +17,6 @@ class ShapeError(RtgeoError):
     """Component shape or chart mismatch."""
 
 
-class DegreeError(RtgeoError):
-    """Operator applied to an unsupported form degree."""
-
-
 class ResolutionError(RtgeoError):
     """Kernel or stencil not resolvable on the grid."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .calculus import HOLDER_PAIR_FLOOR, lp_norm, mollify
 from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
-from .curvature import TestFunction, bump_basis, represent_weak, riemann
+from .curvature import bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
 from .transform import connection_law, inscribed_inset, pull_back_curve, transform_force
@@ -57,7 +57,6 @@ class Curve:
     # the rule that ended the interval: "none" (full length), "chart_exit",
     # "velocity_ball", or "domain_exit" (an RK stage point left the chart)
     truncation: str = "none"
-    method: str = "rk4"
     dt: float = 0.0
     picard_sweeps: int = 0
     non_uniqueness_candidate: bool = False
@@ -326,7 +325,6 @@ def _solve_rk4(problem, dt):
         positions=np.asarray(xs),
         velocities=np.asarray(vs),
         truncation=truncation,
-        method="rk4",
         dt=dt,
     )
 
@@ -399,7 +397,6 @@ def _solve_picard(problem, dt, tol_ode):
         positions=pos,
         velocities=vel,
         truncation=truncation,
-        method="picard",
         dt=dt,
         picard_sweeps=sweeps,
         non_uniqueness_candidate=bool(flag),
@@ -649,11 +646,7 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
         mask_all[tuple(idx)] = False
     sub, sl = _masked_subchart(chart, mask_all)
     conn_ref = sub_connection(conn_x, sub, sl)
-    basis = [
-        TestFunction(b.center, b.radius, profile="poly")
-        for b in bump_basis(sub)
-    ]
-    weak_reference = represent_weak(conn_ref, basis)
+    weak_reference = represent_weak(conn_ref, bump_basis(sub))
     conn_d, riem_d, curve_d = [], [], []
     for eps, conn_e, curve in zip(family.eps, family.conn_eps, curves):
         sub_e = sub_connection(conn_e, sub, sl)

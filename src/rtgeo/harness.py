@@ -400,17 +400,7 @@ class ExperimentReport:
         }
         if include_timings:
             payload["timings"] = self.timings
-        return json.dumps(payload, sort_keys=True, indent=1, default=_jsonify)
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}
-    return str(obj)
+        return json.dumps(payload, sort_keys=True, indent=1)
 
 
 def _identity_stage(gen, scn):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
-    coderivative,
     connection_form,
     contract,
     d_one_form,
@@ -112,12 +111,12 @@ def _solve_on_chart(conn, cfg, used_subchart):
     chart = conn.chart
     n = chart.n
     w = connection_form(conn)
-    delta_gamma = coderivative(w).values
+    delta_gamma = delta_one_form(chart, w)
     J = np.broadcast_to(np.eye(n), chart.res + (n, n)).copy()
     increments = []
     vox_p = 2 * cfg.p
     for it in range(1, cfg.max_iters + 1):
-        S = _split_coderivative(chart, J, w.values, delta_gamma)
+        S = _split_coderivative(chart, J, w, delta_gamma)
         phi = chart.dirichlet_solve(delta_one_form(chart, S), np.zeros(chart.res + (n,)))
         u = chart.dirichlet_solve(phi, chart.nodes)
         J_new = chart.grad(u)
@@ -142,7 +141,7 @@ def _solve_on_chart(conn, cfg, used_subchart):
     # the rim data u = x fix the orientation at +1, so a fold shows as det < 0
     if det.min() < 1e-6:
         raise JacobianError(f"degenerate Jacobian: min det = {det.min():.2e}")
-    S = _split_coderivative(chart, J, w.values, delta_gamma)
+    S = _split_coderivative(chart, J, w, delta_gamma)
     B = S - chart.laplace(J)
     # the coupling equation holds by the choice of B; the residuals are those
     # of the other two, and the w = 0 gauge holds at interior rows only, so
@@ -168,8 +167,7 @@ def _solve_on_chart(conn, cfg, used_subchart):
 
 def assemble_gamma_tilde(conn, state):
     """Gamma~ = Gamma_x - Jinv dJ for the converged Jacobian."""
-    tilde, _ = split_transform(conn, state.J)
-    return tilde
+    return split_transform(conn, state.J)
 
 
 def rt_bundle(state):

@@ -10,16 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    MatrixForm,
-    coderivative,
     connection_form,
     contract,
     d_one_form,
-    exterior_derivative,
-    form_to_connection,
-    laplacian,
+    delta_one_form,
     lp_norm,
-    matmul,
     matrix_inner,
     matvec,
     wedge,
@@ -77,30 +72,27 @@ def row_curl_residual(chart, J):
     return float(np.abs(d_one_form(chart, J)).max())
 
 
-def jacobian_grad(chart, J):
-    """dJ as a matrix 1-form: (dJ)[a, nu, rho] = D_rho J[a, nu] (form index last)."""
-    return MatrixForm(chart, 1, chart.grad(J))
+def inhomogeneous(Jinv, dJ):
+    """The Jinv dJ term in connection storage [mu, rho, nu]: Jinv[m,a] D_rho J[a,nu],
+    with dJ = ``chart.grad(J)`` stored [a, nu, rho]."""
+    return contract("...ma,...anr->...mrn", Jinv, dJ)
 
 
 def split_transform(conn, J, Jinv=None):
-    """Gamma~ = Gamma_x - Jinv dJ; returns (Gamma~, inhomogeneous part)."""
-    chart = conn.chart
+    """Gamma~ = Gamma_x - Jinv dJ, a connection on ``conn``'s chart."""
     if Jinv is None:
         _, Jinv = det_inverse(J)
-    dJ = jacobian_grad(chart, J)
-    inhom = matmul(Jinv, dJ)
-    tilde = connection_form(conn).values - inhom.values
-    return form_to_connection(MatrixForm(chart, 1, tilde)), inhom
+    return connection_field(conn.chart, conn.values - inhomogeneous(Jinv, conn.chart.grad(J)))
 
 
 def connection_law(Jinv, J, dJ, gy):
     """Gamma_x = Jinv J J Gamma_y + Jinv dJ per node, storage [mu, rho, nu]:
-    Jinv[m,a] J[b,r] J[g,n] Gy[a,b,g] + Jinv[m,a] D_rho J[a,nu], with dJ
-    stored [a, nu, rho].  The terms are summed into a fresh array: an
-    in-place sum changes the heap layout, which raised a geodesic_fan
-    set-up's peak RSS by 1.3 MB."""
+    Jinv[m,a] J[b,r] J[g,n] Gy[a,b,g] + :func:`inhomogeneous`.  Both terms are
+    held until they are summed into a fresh array: an in-place sum, or freeing
+    the second term before the first, changes the heap layout, which raised a
+    geodesic_fan set-up's peak RSS by 1.3-1.5 MB."""
     hom = contract("...ma,...br,...gn,...abg->...mrn", Jinv, J, J, gy)
-    inhom = contract("...ma,...anr->...mrn", Jinv, dJ)
+    inhom = inhomogeneous(Jinv, dJ)
     return hom + inhom
 
 
@@ -121,8 +113,7 @@ def transform_connection(conn_y, forward, jac):
             f"(coverage {inside.mean():.3f})"
         )
     gy = interpolate(conn_y, ypts, clip=True).reshape(chart_x.res + conn_y.comp_shape)
-    dJ = jacobian_grad(chart_x, jac.J).values
-    return connection_field(chart_x, connection_law(jac.Jinv, jac.J, dJ, gy))
+    return connection_field(chart_x, connection_law(jac.Jinv, jac.J, chart_x.grad(jac.J), gy))
 
 
 def integrate_jacobian(J_field):
@@ -250,26 +241,29 @@ def _interior_weights(chart):
     return w
 
 
+def _split_forms(conn, J):
+    """The identities' shared preamble: Jinv, and the 1-forms of Gamma_x and Gamma~."""
+    _, Jinv = det_inverse(J)
+    return Jinv, connection_form(conn), connection_form(split_transform(conn, J, Jinv))
+
+
 def coderivative_identity_residual(conn, J, p=4.0):
     """L^p residual of: delta Gamma_x = delta Gamma~ - <dJinv; dJ> + Jinv Delta J.
 
     The sign of the inner-product term is forced by the package's pinned
     conventions for delta, Delta and <.;.> (it differs from some statements
     that bind those symbols differently; only the combination is testable).
-    The norm restricts to a fixed interior region.
+    Delta J is composed as delta dJ.  The norm restricts to a fixed interior
+    region.
     """
     chart = conn.chart
-    _, Jinv = det_inverse(J)
-    tilde, _ = split_transform(conn, J, Jinv)
-    w = connection_form(conn)
-    wt = connection_form(tilde)
-    dJ = jacobian_grad(chart, J)
-    dJinv = jacobian_grad(chart, Jinv)
-    lhs = coderivative(w).values
+    Jinv, w, wt = _split_forms(conn, J)
+    dJ = chart.grad(J)
+    lhs = delta_one_form(chart, w)
     rhs = (
-        coderivative(wt).values
-        - matrix_inner(dJinv, dJ).values
-        + contract("...ma,...an->...mn", Jinv, laplacian(MatrixForm(chart, 0, J)).values)
+        delta_one_form(chart, wt)
+        - matrix_inner(chart.grad(Jinv), dJ)
+        + contract("...ma,...an->...mn", Jinv, delta_one_form(chart, dJ))
     )
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
@@ -277,14 +271,11 @@ def coderivative_identity_residual(conn, J, p=4.0):
 def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False):
     """L^p residual of: d Gamma_x = d Gamma~ + dJinv ^ dJ  (exact since d dJ = 0)."""
     chart = conn.chart
-    _, Jinv = det_inverse(J)
-    tilde, _ = split_transform(conn, J, Jinv)
-    w = connection_form(conn)
-    wt = connection_form(tilde)
-    lhs = exterior_derivative(w).values
-    rhs = exterior_derivative(wt).values
+    Jinv, w, wt = _split_forms(conn, J)
+    lhs = d_one_form(chart, w)
+    rhs = d_one_form(chart, wt)
     if not drop_wedge:
-        rhs = rhs + wedge(jacobian_grad(chart, Jinv), jacobian_grad(chart, J)).values
+        rhs = rhs + wedge(chart.grad(Jinv), chart.grad(J))
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 
@@ -298,7 +289,6 @@ def pull_back_curve(curve, bundle):
         positions=pos,
         velocities=matvec(Jinv, curve.velocities),
         truncation=curve.truncation,
-        method=curve.method,
         dt=curve.dt,
     )
 

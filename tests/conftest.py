@@ -47,7 +47,7 @@ def weak_riemann(conn, psi):
     where G is the matrix-1-form layout of the connection.
     """
     w = connection_form(conn)
-    return _weak_functional(conn.chart, w.values, full_antisymmetric(wedge(w, w)), psi)
+    return _weak_functional(conn.chart, w, full_antisymmetric(wedge(w, w), conn.chart.n), psi)
 
 
 def quadratic_jacobian(chart, shear=0.5):

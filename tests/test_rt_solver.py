@@ -113,7 +113,7 @@ def test_rt_flat_disguise_pushes_to_near_zero(unit_chart_65):
 
     conn = flat_disguise_connection(unit_chart_65)
     J = quadratic_jacobian(unit_chart_65)
-    tilde, _ = split_transform(conn, J)
+    tilde = split_transform(conn, J)
     X = unit_chart_65.nodes
     fwd = X.copy()
     fwd[..., 1] = X[..., 1] + 0.5 * X[..., 0] ** 2

@@ -11,6 +11,7 @@ from rtgeo.transform import (
     build_bundle,
     coderivative_identity_residual,
     dgamma_identity_residual,
+    inhomogeneous,
     integrate_jacobian,
     invert_map,
     pull_back_curve,
@@ -102,22 +103,22 @@ def test_transform_connection_refuses_a_forward_map_off_the_y_chart(unit_chart):
 def test_split_identity_jacobian(unit_chart_65):
     conn = smooth_connection(unit_chart_65)
     eye = np.broadcast_to(np.eye(2), unit_chart_65.res + (2, 2)).copy()
-    tilde, inhom = split_transform(conn, eye)
-    assert np.abs(inhom.values).max() < 1e-12
+    tilde = split_transform(conn, eye)
+    assert np.abs(inhomogeneous(eye, unit_chart_65.grad(eye))).max() < 1e-12
     assert np.abs(tilde.values - conn.values).max() < 1e-12
 
 
 def test_split_inverts_flat_disguise(unit_chart_65):
     conn = flat_disguise_connection(unit_chart_65)
-    tilde, inhom = split_transform(conn, quadratic_jacobian(unit_chart_65))
+    tilde = split_transform(conn, quadratic_jacobian(unit_chart_65))
     assert np.abs(tilde.values).max() < 1e-11
 
 
 def test_split_reassembly_machine_precision(unit_chart_65):
     conn = smooth_connection(unit_chart_65)
     J, _ = trig_gradient_jacobian(unit_chart_65)
-    tilde, inhom = split_transform(conn, J)
-    reassembled = tilde.values + inhom.values.swapaxes(-1, -2)
+    tilde = split_transform(conn, J)
+    reassembled = tilde.values + inhomogeneous(det_inverse(J)[1], unit_chart_65.grad(J))
     assert np.abs(reassembled - conn.values).max() < 1e-14
 
 
@@ -149,6 +150,16 @@ def test_dgamma_negative_control(unit_chart_65):
     conn = smooth_connection(unit_chart_65)
     with_term = dgamma_identity_residual(conn, J)
     dropped = dgamma_identity_residual(conn, J, drop_wedge=True)
+    assert dropped > 100 * with_term
+
+
+def test_coderivative_negative_control(unit_chart_65, monkeypatch):
+    # without the <dJinv; dJ> term the identity fails by three orders
+    J, _ = trig_gradient_jacobian(unit_chart_65)
+    conn = smooth_connection(unit_chart_65)
+    with_term = coderivative_identity_residual(conn, J)
+    monkeypatch.setattr(transform, "matrix_inner", lambda a, b: np.zeros(a.shape[:-1]))
+    dropped = coderivative_identity_residual(conn, J)
     assert dropped > 100 * with_term
 
 
