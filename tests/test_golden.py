@@ -1,0 +1,72 @@
+"""Golden reports: each shipped config's report (timings left out) at its own
+grid and at 129^2, with the run's exit code, pinned byte for byte.
+
+The BLAS thread count moves the last bits of rough_beta06's RT solve, so the
+runs happen in a subprocess that sets OPENBLAS_NUM_THREADS=2 before numpy
+loads.  A declared re-baseline rewrites the files with
+
+    PYTHONPATH=src python tests/test_golden.py tests/golden
+
+and the diff of tests/golden shows exactly which fields moved.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+CONFIGS = ("flat_disguise", "sphere", "rough_beta06")
+GRIDS = {"": None, "_129": 129}
+
+
+def write_reports(out_dir):
+    """Run every config at every grid; write ``<config><grid>.json`` and ``exit_codes.json``."""
+    from rtgeo.harness import run_experiment
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for config in CONFIGS:
+        for tag, grid in GRIDS.items():
+            report, code = run_experiment(ROOT / "configs" / f"{config}.cfg", grid=grid)
+            (out_dir / f"{config}{tag}.json").write_text(report.to_json(include_timings=False) + "\n")
+            codes[config + tag] = code
+    (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+
+
+def json_diff(a, b, path="$"):
+    """The JSON paths at which ``a`` and ``b`` differ, each with both values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(a.keys() | b.keys()):
+            if k in a and k in b:
+                out += json_diff(a[k], b[k], f"{path}.{k}")
+            else:
+                out.append(f"{path}.{k}: {a.get(k, '<absent>')!r} -> {b.get(k, '<absent>')!r}")
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diff(x, y, f"{path}[{i}]")]
+    return [] if type(a) is type(b) and a == b else [f"{path}: {a!r} -> {b!r}"]
+
+
+def test_reports_match_golden_files(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    diffs = []
+    for name in names:
+        want, got = (GOLDEN / name).read_bytes(), (tmp_path / name).read_bytes()
+        if want != got:
+            paths = json_diff(json.loads(want), json.loads(got))
+            diffs += [f"{name} {d}" for d in paths or ["bytes differ, values do not"]]
+    assert not diffs, "golden -> now:\n" + "\n".join(diffs)
+
+
+if __name__ == "__main__":
+    os.environ["OPENBLAS_NUM_THREADS"] = "2"
+    write_reports(sys.argv[1])
