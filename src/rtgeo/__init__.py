@@ -48,7 +48,6 @@ from .harness import Scenario, generate_scenario, load_config, run_experiment
 from .rt_solver import (
     RTConfig,
     RTState,
-    assemble_gamma_tilde,
     optimal_connection,
     regularity_report,
     solve_reduced_rt,

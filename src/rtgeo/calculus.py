@@ -23,11 +23,9 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .charts import axis_products
 from .errors import ResolutionError, ShapeError, ConfigurationError
 
-HOLDER_PAIR_FLOOR = 4  # pair-separation floor for Hölder quotients, in units of max(h)
 # most nodes per block of contract: a 65^2 grid stays whole (smaller blocks slow
 # its many small calls by about half at 2048), a 129^2 grid runs in 3 blocks
 CONTRACT_BLOCK = 8192
@@ -326,12 +324,9 @@ def mollify(fld, eps):
 @dataclass
 class NormReport:
     p: float
-    alpha: float
     lp: float
     w1p: float
     c0: float
-    c0alpha: float
-    pair_floor: float
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
@@ -357,30 +352,14 @@ def w1p_norm(fld, p):
     return lp_norm(fld, p) + lp_norm(gradient_field(fld), p)
 
 
-def norm_report(fld, p, alpha):
-    """L^p (h-weighted Riemann sum), W^{1,p}, C^0 and C^{0,alpha} estimates.
+def norm_report(fld, p):
+    """L^p (h-weighted Riemann sum), W^{1,p} and C^0 norms.
 
-    Pointwise magnitudes are Frobenius norms over components.  The Hölder
-    quotient is the exact maximum over node pairs with separation >= 4 max(h).
+    Pointwise magnitudes are Frobenius norms over components.  For p > n,
+    Morrey's inequality bounds the C^{0,1-n/p} norm by the W^{1,p} norm, so
+    no Hölder quotient is formed.
     """
     chart = fld.chart
     if not np.isinf(p) and p <= chart.n:
         raise ConfigurationError(f"exponent p must exceed n={chart.n} (or be inf), got {p}")
-    if not (0 < alpha <= 1):
-        raise ConfigurationError(f"alpha must lie in (0, 1], got {alpha}")
-    lp = lp_norm(fld, p)
-    w1p = w1p_norm(fld, p)
-    c0 = lp_norm(fld, np.inf)
-    floor = HOLDER_PAIR_FLOOR * float(chart.h.max())
-    coords = chart.nodes.reshape(-1, chart.n)
-    vals = fld.values.reshape(chart.npoints, -1)
-    quot = _kernels.holder_pair_max(coords, vals, alpha, floor)
-    return NormReport(
-        p=float(p),
-        alpha=float(alpha),
-        lp=lp,
-        w1p=w1p,
-        c0=c0,
-        c0alpha=c0 + quot,
-        pair_floor=floor,
-    )
+    return NormReport(p=float(p), lp=lp_norm(fld, p), w1p=w1p_norm(fld, p), c0=lp_norm(fld, np.inf))

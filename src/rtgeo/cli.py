@@ -54,7 +54,6 @@ def _parser():
     nrm = sub.add_parser("norms", help="norm report for a field CSV")
     nrm.add_argument("field")
     nrm.add_argument("--p", type=float, default=4.0)
-    nrm.add_argument("--alpha", type=float, default=0.5)
     return ap
 
 
@@ -142,7 +141,7 @@ def cmd_geodesic(args):
 
 def cmd_norms(args):
     fld = load_field(args.field)
-    rep = norm_report(fld, args.p, args.alpha)
+    rep = norm_report(fld, args.p)
     print(rep.to_json())
     return 0
 

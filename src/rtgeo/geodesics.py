@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .calculus import HOLDER_PAIR_FLOOR, lp_norm, mollify
+from .calculus import lp_norm, mollify
 from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
@@ -26,6 +26,7 @@ VELOCITY_BALL = 1.0
 _BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
 DEFAULT_INTERVAL = 1.0
 PICARD_MAX_SWEEPS = 400
+HOLDER_PAIR_FLOOR = 4  # pair-separation floor of the time-series Hölder quotient, in steps dt
 
 
 @dataclass
@@ -688,8 +689,7 @@ def unit_ball_volume(n):
 def _time_holder_norm(times, values, alpha, dt):
     mag = np.linalg.norm(values, axis=1)
     c0 = float(mag.max())
-    coords = times[:, None]
-    quot = _kernels.holder_pair_max(coords, values, alpha, HOLDER_PAIR_FLOOR * dt)
+    quot = _kernels.holder_pair_max(times, values, alpha, HOLDER_PAIR_FLOOR * dt)
     return c0 + quot
 
 

@@ -560,11 +560,13 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
                 scn.checks.get("interval_min", 0.5)
             )
 
-        # uniform a-priori bound for every mollified curve
+        # uniform a-priori bound for every mollified curve, at the Morrey exponent
+        n = gen.conn_x.chart.n
+        alpha = 1.0 - n / scn.p
         gb = []
         for conn_e, curve in zip(fam.conn_eps, curves):
             c0 = lp_norm(conn_e, np.inf)
-            gb.append(uniform_bound_check(curve, c0, reg["x"].alpha, gen.conn_x.chart.n))
+            gb.append(uniform_bound_check(curve, c0, alpha, n))
         report.stages["uniform_bound"] = gb
         report.flags["uniform_bound"] = all(g["holds"] for g in gb)
 

@@ -165,11 +165,6 @@ def _solve_on_chart(conn, cfg, used_subchart):
     )
 
 
-def assemble_gamma_tilde(conn, state):
-    """Gamma~ = Gamma_x - Jinv dJ for the converged Jacobian."""
-    return split_transform(conn, state.J)
-
-
 def rt_bundle(state):
     """Coordinate bundle from the converged state (integrates the Jacobian)."""
     return build_bundle(state.chart, state.J)
@@ -180,7 +175,7 @@ def regularize(conn, cfg, suffix=""):
     RT solve, coordinate bundle, Gamma~ on the solved chart, Gamma_y on the y-chart."""
     state = staged("rt_solve" + suffix, lambda: solve_reduced_rt(conn, cfg))
     bundle = staged("integrate_jacobian" + suffix, lambda: rt_bundle(state))
-    tilde = staged("gamma_tilde" + suffix, lambda: assemble_gamma_tilde(state.conn, state))
+    tilde = staged("gamma_tilde" + suffix, lambda: split_transform(state.conn, state.J))
     conn_y = staged("optimal_connection" + suffix, lambda: optimal_connection(tilde, bundle))
     return state, bundle, conn_y
 
@@ -197,10 +192,8 @@ def optimal_connection(tilde, bundle):
 
 
 def regularity_report(conn_x, conn_y, p):
-    """Norm reports of the incoming and regularized connections at the Morrey
-    exponent alpha = 1 - n/p, and the ratio of their W^{1,p} norms."""
-    n = conn_x.chart.n
-    alpha = 1.0 - n / p
-    rep_x = norm_report(conn_x, p, alpha)
-    rep_y = norm_report(conn_y, p, alpha)
+    """Norm reports of the incoming and regularized connections, and the ratio
+    of their W^{1,p} norms."""
+    rep_x = norm_report(conn_x, p)
+    rep_y = norm_report(conn_y, p)
     return {"x": rep_x, "y": rep_y, "w1p_ratio": rep_y.w1p / max(rep_x.w1p, 1e-300)}

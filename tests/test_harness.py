@@ -475,11 +475,13 @@ def test_cli_geodesic_straight_line(tmp_path, unit_chart):
 def test_cli_norms(tmp_path, unit_chart):
     field = tmp_path / "f.csv"
     dump_field(GridField(unit_chart, unit_chart.nodes[..., :1].copy(), ("down",)), field)
-    out = _cli("norms", str(field), "--p", "4", "--alpha", "0.5")
+    out = _cli("norms", str(field), "--p", "4")
     assert out.returncode == 0, out.stderr
     rep = json.loads(out.stdout)
-    assert set(rep) == {"p", "alpha", "lp", "w1p", "c0", "c0alpha", "pair_floor"}
+    assert set(rep) == {"p", "lp", "w1p", "c0"}
     assert rep["c0"] == pytest.approx(1.0)
+    # the report forms no Hölder quotient, so there is no exponent to pass
+    assert _cli("norms", str(field), "--alpha", "0.5").returncode == 2
 
 
 def test_cli_rt_solve(tmp_path, unit_chart):
