@@ -1,7 +1,8 @@
 """The Hölder quotient of a time series, ``holder_pair_max``.
 
-perfbench traces ``holder_pair_max`` and reads ``HAVE_NUMBA`` under these
-names, so both stay in this module.
+Nothing in rtgeo calls it.  perfbench/spans.py traces ``holder_pair_max`` and
+perfbench/run.py reads ``HAVE_NUMBA`` under these names, so both stay in this
+module until the benchmark drops them (ROADMAP item 15).
 """
 
 import importlib.util

@@ -5,16 +5,14 @@ A curve solves  gamma'' + Gamma(gamma) gamma' gamma' = K(t, gamma, gamma')
 as the first-order system u = (gamma, v).  Connections are either sampled
 fields (multilinear interpolation along the curve) or closed-form
 evaluators; intervals truncate at chart exit and at the velocity ball
-|v - v0| <= 1, the normalization under which the uniform bound holds.
+|v - v0| <= 1, the normalization of the local existence interval.
 """
 
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-import math
 
 import numpy as np
 
-from . import _kernels
 from .calculus import lp_norm, mollify
 from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import bump_basis, represent_weak, riemann
@@ -26,7 +24,6 @@ VELOCITY_BALL = 1.0
 _BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
 DEFAULT_INTERVAL = 1.0
 PICARD_MAX_SWEEPS = 400
-HOLDER_PAIR_FLOOR = 4  # pair-separation floor of the time-series Hölder quotient, in steps dt
 
 
 @dataclass
@@ -680,32 +677,6 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
 # ---------------------------------------------------------------------------
 # appendix-style runtime checks
 # ---------------------------------------------------------------------------
-
-
-def unit_ball_volume(n):
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-
-
-def _time_holder_norm(times, values, alpha, dt):
-    mag = np.linalg.norm(values, axis=1)
-    c0 = float(mag.max())
-    quot = _kernels.holder_pair_max(times, values, alpha, HOLDER_PAIR_FLOOR * dt)
-    return c0 + quot
-
-
-def uniform_bound_check(curve, gamma_c0, alpha, n):
-    """Both sides of the a-priori bound for curves with |I| <= 1, |v - v0| <= 1."""
-    bn = unit_ball_volume(n)
-    lhs = _time_holder_norm(curve.times, curve.positions, alpha, curve.dt) + _time_holder_norm(
-        curve.times, curve.velocities, alpha, curve.dt
-    )
-    rhs = (
-        bn * gamma_c0
-        + bn ** 2
-        + float(np.linalg.norm(curve.positions[0]))
-        + float(np.linalg.norm(curve.velocities[0]))
-    )
-    return {"lhs": float(lhs), "rhs": float(rhs), "holds": bool(lhs <= rhs)}
 
 
 def gronwall_uniqueness_check(problem, delta0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import lp_norm, matvec, mollifier_radius, mollify, w1p_norm
+from .calculus import matvec, mollifier_radius, mollify, w1p_norm
 from .charts import Chart, JacobianField, connection_field, det_inverse, dump_curve, dump_field
 from .curvature import lemma_b1_check
 from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
@@ -24,7 +24,6 @@ from .geodesics import (
     gronwall_uniqueness_check,
     mollified_family,
     solve_mollified,
-    uniform_bound_check,
     weak_solution_pipeline,
 )
 from .rt_solver import RTConfig, regularity_report, regularize
@@ -559,16 +558,6 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             report.flags["common_interval"] = conv.common_interval >= float(
                 scn.checks.get("interval_min", 0.5)
             )
-
-        # uniform a-priori bound for every mollified curve, at the Morrey exponent
-        n = gen.conn_x.chart.n
-        alpha = 1.0 - n / scn.p
-        gb = []
-        for conn_e, curve in zip(fam.conn_eps, curves):
-            c0 = lp_norm(conn_e, np.inf)
-            gb.append(uniform_bound_check(curve, c0, alpha, n))
-        report.stages["uniform_bound"] = gb
-        report.flags["uniform_bound"] = all(g["holds"] for g in gb)
 
         rep = timed("lemma_b1", lambda: lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=scn.p))
         report.stages["lemma_b1"] = json.loads(rep.to_json())

@@ -368,6 +368,8 @@ UNREFERENCED_ALLOWED = {
     "curvature.transform_curvature",
     # perfbench/run.py and perfbench/spans.py read it
     "geodesics.Curve.truncated",
+    # perfbench/spans.py traces it by name; goes with ROADMAP item 15
+    "_kernels.holder_pair_max",
 }
 
 

@@ -8,18 +8,15 @@ from rtgeo import cli, geodesics, rt_solver
 from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
 from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
 from rtgeo.geodesics import (
-    Curve,
     GeodesicProblem,
     convergence_report,
     gronwall_uniqueness_check,
     mollified_family,
     solve_geodesic,
     solve_mollified,
-    uniform_bound_check,
-    unit_ball_volume,
     weak_solution_pipeline,
 )
-from rtgeo.harness import load_config, run_experiment, sphere_christoffel, sphere_geodesic
+from rtgeo.harness import load_config, sphere_christoffel, sphere_geodesic
 from rtgeo.rt_solver import RTConfig
 from rtgeo.transform import pull_back_curve, split_transform
 
@@ -442,65 +439,6 @@ def test_solve_mollified_common_interval(rough_family):
 
 
 # -- appendix checks ----------------------------------------------------------
-
-
-def test_unit_ball_volume():
-    assert unit_ball_volume(2) == pytest.approx(np.pi)
-    assert unit_ball_volume(3) == pytest.approx(4 * np.pi / 3)
-
-
-def test_uniform_bound_zero_connection(unit_chart):
-    conn = zero_connection(unit_chart)
-    c = solve_geodesic(GeodesicProblem(conn, 0.0, [0.1, 0.5], [0.8, 0.0], interval=1.0), "rk4")
-    rep = uniform_bound_check(c, gamma_c0=0.0, alpha=1 - 2 / 2.2, n=2)
-    assert rep["holds"]
-    assert rep["rhs"] >= np.pi ** 2
-
-
-def test_uniform_bound_mollified_family(rough_family):
-    prob, pipe, fam, curves = rough_family
-    alpha = 1 - 2 / 2.2
-    for conn_e, c in zip(fam.conn_eps, curves):
-        c0 = float(np.sqrt((conn_e.values.reshape(conn_e.chart.npoints, -1) ** 2).sum(axis=1)).max())
-        rep = uniform_bound_check(c, c0, alpha, 2)
-        assert rep["holds"], rep
-
-
-def test_uniform_bound_sphere():
-    chart = Chart((np.pi / 4, -0.15), (3 * np.pi / 4, 1.15), (65, 65))
-    conn = connection_field(
-        chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2))
-    )
-    c = solve_geodesic(GeodesicProblem(conn, 0.0, [np.pi / 2, 0.0], [0.0, 1.0], interval=1.0), "rk4")
-    c0 = float(np.sqrt((conn.values.reshape(chart.npoints, -1) ** 2).sum(axis=1)).max())
-    rep = uniform_bound_check(c, c0, 1 - 2 / 2.2, 2)
-    assert rep["holds"]
-
-
-def test_uniform_bound_fails_on_a_velocity_jump():
-    # the straight line of the zero connection holds the bound; the same line
-    # with its velocity kicked by 4 at t = 1/2 leaves the ball |v - v0| <= 1
-    # that the bound assumes, and breaks it
-    times = np.linspace(0.0, 1.0, 257)
-    dt = float(times[1])
-    x0, v0 = np.array([0.1, 0.5]), np.array([0.8, 0.0])
-    kick = np.where(times[:, None] >= 0.5, [0.0, 4.0], 0.0)
-    for dv, holds in ((0.0 * kick, True), (kick, False)):
-        vel = v0 + dv
-        pos = x0 + v0 * times[:, None] + dv * (times[:, None] - 0.5)
-        rep = uniform_bound_check(Curve(times, pos, vel, dt=dt), gamma_c0=0.0, alpha=1 - 2 / 2.2, n=2)
-        assert rep["holds"] is holds, rep
-
-
-def test_uniform_bound_flag_reads_the_comparison(monkeypatch):
-    # wiring control on a shipped config: with the b_n terms of the bound
-    # dropped, rhs is |x0| + |v0| = 2.57 and every mollified sphere curve
-    # (lhs 3.9 to 4.4) exceeds it, so the flag and the exit code turn
-    monkeypatch.setattr(geodesics, "unit_ball_volume", lambda n: 0.0)
-    report, code = run_experiment("configs/sphere.cfg")
-    assert [g["holds"] for g in report.stages["uniform_bound"]] == [False] * 3
-    assert [k for k, ok in report.flags.items() if not ok] == ["uniform_bound"]
-    assert code == 1
 
 
 def test_gronwall_zero_perturbation_coincides(unit_chart_65):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 import subprocess
 import sys
@@ -359,6 +360,23 @@ def test_ladder_rung_fields_are_the_full_runs(monkeypatch):
     for got, want in ((rung_x, gen.conn_x), (rung_y, conn_y)):
         assert repr(got.chart) == repr(want.chart)
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_regularity_gain_fails_when_the_ladder_never_refines(monkeypatch):
+    # negative control: with the rung's resolution dropped, every rung is the
+    # run's own 65^2 chart, so W^{1,p} of Gamma_x cannot grow; the flag turns,
+    # alone, and sets the exit code
+    from rtgeo import harness
+
+    def same_chart(scn, resolution, **changes):
+        return replace(scn, **changes)
+
+    monkeypatch.setattr(harness, "replace", same_chart)
+    report, code = run_experiment("configs/rough_beta06.cfg")
+    lad = report.stages["regularity_ladder"]
+    assert (lad["x_growth"], lad["y_variation"]) == (1.0, 0.0)
+    assert [k for k, ok in report.flags.items() if not ok] == ["regularity_gain"]
+    assert code == 1
 
 
 def test_failed_stage_is_the_innermost(tmp_path, capsys):

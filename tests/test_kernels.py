@@ -2,6 +2,7 @@
 reference, and mollification against an n-fold tap sum of the
 tensor-product bump."""
 
+from pathlib import Path
 import subprocess
 import sys
 
@@ -93,6 +94,24 @@ def test_holder_rejects_non_finite_samples(res, bad):
     vals[5, 1] = bad
     with pytest.raises(SamplingError, match=r"first bad node index 5\b"):
         _kernels.holder_pair_max(times, vals, 0.5, 0.25)
+
+
+def test_tracer_installs_after_a_bare_package_import():
+    # perfbench/spans.py looks each traced module up in sys.modules, and
+    # perfbench/run.py installs the tracer before it imports rtgeo._kernels
+    # itself, so `import rtgeo` alone must load the kernel module
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import rtgeo\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def tensor_reference_mollify(fld, eps):
