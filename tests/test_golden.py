@@ -1,5 +1,6 @@
 """Golden reports: each shipped config's report (timings left out) at its own
-grid and at 129^2, with the run's exit code, pinned byte for byte.
+grid and at 129^2, with the run's exit code, and the stdout of
+``rtgeo check-identities`` on each config, pinned byte for byte.
 
 The BLAS thread count moves the last bits of rough_beta06's RT solve, so the
 runs happen in a subprocess that sets OPENBLAS_NUM_THREADS=2 before numpy
@@ -10,6 +11,8 @@ loads.  A declared re-baseline rewrites the files with
 and the diff of tests/golden shows exactly which fields moved.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -23,7 +26,9 @@ GRIDS = {"": None, "_129": 129}
 
 
 def write_reports(out_dir):
-    """Run every config at every grid; write ``<config><grid>.json`` and ``exit_codes.json``."""
+    """Run every config at every grid; write ``<config><grid>.json``,
+    ``exit_codes.json`` and each config's ``<config>_identities.json``."""
+    from rtgeo import cli
     from rtgeo.harness import run_experiment
 
     out_dir = Path(out_dir)
@@ -34,6 +39,10 @@ def write_reports(out_dir):
             report, code = run_experiment(ROOT / "configs" / f"{config}.cfg", grid=grid)
             (out_dir / f"{config}{tag}.json").write_text(report.to_json(include_timings=False) + "\n")
             codes[config + tag] = code
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            cli.main(["check-identities", str(ROOT / "configs" / f"{config}.cfg")])
+        (out_dir / f"{config}_identities.json").write_text(stdout.getvalue())
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
