@@ -26,8 +26,8 @@ from .calculus import (
     wedge,
 )
 from .curvature import (
-    CurvatureField,
     TestFunction,
+    curvature_field,
     lemma_b1_check,
     represent_weak,
     riemann,

@@ -294,6 +294,13 @@ def mollifier_radius(chart, eps):
     return rad
 
 
+def mollifier_band(chart, eps):
+    """Cells per axis, ceil(eps / h) + 2, to drop at each end so that every kept
+    node lies at least eps + 2h inside the chart: an eps kernel centred nearer
+    the rim is truncated, and derivatives of mollified data read two cells further."""
+    return [int(np.ceil(eps / h)) + 2 for h in chart.h]
+
+
 def mollify(fld, eps):
     """Normalized convolution with the tensor-product bump prod_k (1 - s_k^2)^4.
 

@@ -156,7 +156,7 @@ class Chart:
         values move into the right-hand side.  Each axis product is one GEMM
         that moves the axis from first to last (V^-1) or last to first (V).
         """
-        inner = (slice(1, -1),) * self.n
+        inner = self.inset((1,) * self.n)
         u = np.array(np.broadcast_to(boundary, source.shape), dtype=float)
         u[inner] = 0.0
         rhs = source[inner] - self._rim_lift(u)
@@ -178,7 +178,7 @@ class Chart:
         nonzero term per axis, and adding those in axis order onto +0.0 sums
         as the stencil rows and ``laplace``'s axis sum do.
         """
-        inner = (slice(1, -1),) * self.n
+        inner = self.inset((1,) * self.n)
         lift = np.zeros(tuple(r - 2 for r in self.res) + u.shape[self.n :])
         for ax, (m, (_, (ends, (_, coefs)))) in enumerate(zip(self.res, self._stencils)):
             reads = ((1, ends[0, 1, 0], 0), (2, coefs[0], 0), (m - 3, coefs[-1], -1), (m - 2, ends[1, 0, -1], -1))
@@ -209,13 +209,14 @@ class Chart:
         strides = np.array([int(np.prod(self.res[k + 1 :])) for k in range(self.n)])
         return strides, [int(np.dot(c, strides)) for c in _corner_nodes((0,) * self.n)]
 
-    def sub_chart(self):
-        """Centered sub-chart at half the radius, grid-aligned."""
-        cut = [int(round(r * 0.25)) for r in self.res]
-        lo = self.lo + np.array([c * self.h[k] for k, c in enumerate(cut)])
-        hi = self.hi - np.array([c * self.h[k] for k, c in enumerate(cut)])
-        res = tuple(self.res[k] - 2 * cut[k] for k in range(self.n))
-        return Chart(lo, hi, res), tuple(slice(c, self.res[k] - c) for k, c in enumerate(cut))
+    def inset(self, cells):
+        """Node slices that drop ``cells[k]`` nodes at each end of axis k."""
+        return tuple(slice(c, m - c) for c, m in zip(cells, self.res))
+
+    def window(self, sl):
+        """The chart on the node slices ``sl``; its bounds are the parent's node coordinates."""
+        axes = [ax[s] for ax, s in zip(self.axes, sl)]
+        return Chart([a[0] for a in axes], [a[-1] for a in axes], [len(a) for a in axes])
 
     def __eq__(self, other):
         return (
@@ -346,9 +347,9 @@ def connection_field(chart, values):
     return f
 
 
-def sub_connection(conn, sub, sl):
-    """``conn`` re-sliced at the node slices ``sl`` onto their sub-chart ``sub``."""
-    return connection_field(sub, np.ascontiguousarray(conn.values[sl]))
+def sub_connection(conn, sl):
+    """``conn`` re-sliced at the node slices ``sl`` onto their window of its chart."""
+    return connection_field(conn.chart.window(sl), np.ascontiguousarray(conn.values[sl]))
 
 
 def _minor(J, rows, cols):

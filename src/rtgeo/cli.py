@@ -117,7 +117,7 @@ def cmd_rt_solve(args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        dump_field(GridField(state.chart, state.J, ("up", "down")), out / "jacobian.csv")
+        dump_field(GridField(state.conn.chart, state.J, ("up", "down")), out / "jacobian.csv")
         dump_field(conn_y, out / "gamma_y.csv")
         dump_field(bundle.forward, out / "map_forward.csv")
         dump_field(bundle.inverse, out / "map_inverse.csv")

@@ -18,27 +18,21 @@ from .calculus import (
     d_one_form,
     full_antisymmetric,
     lp_norm,
+    mollifier_band,
     mollify,
     wedge,
 )
-from .charts import Chart, GridField, connection_field, det_inverse, interpolate
+from .charts import GridField, connection_field, det_inverse, interpolate
 from .errors import FittingError, ShapeError, TestFunctionError
 
 
-@dataclass
-class CurvatureField:
-    """Sampled R[tau, mu, nu, rho]."""
-
-    chart: Chart
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.chart.n
-        if self.values.shape != self.chart.res + (n, n, n, n):
-            raise ShapeError("curvature components must be (*res, n, n, n, n)")
-
-    def as_field(self):
-        return GridField(self.chart, self.values, ("up", "down", "down", "down"))
+def curvature_field(chart, values):
+    """Curvature components R[tau, mu, nu, rho]."""
+    n = chart.n
+    f = GridField(chart, values, ("up", "down", "down", "down"))
+    if f.comp_shape != (n, n, n, n):
+        raise ShapeError(f"curvature components must be (n,n,n,n), got {f.comp_shape}")
+    return f
 
 
 @dataclass
@@ -120,7 +114,7 @@ def riemann(conn):
     w = connection_form(conn)
     two = d_one_form(conn.chart, w) + wedge(w, w)
     # axes already ordered [tau=row, mu=col, nu, rho]
-    return CurvatureField(conn.chart, full_antisymmetric(two, conn.chart.n))
+    return curvature_field(conn.chart, full_antisymmetric(two, conn.chart.n))
 
 
 def _weak_functional(chart, wvals, wedge_full, psi):
@@ -161,7 +155,7 @@ def represent_weak(conn, basis):
     )  # (k, n^4)
     coef = np.linalg.solve(gram, weak_vals)  # (k, n^4)
     fitted = (psi_vals.T @ coef).reshape(chart.res + (n, n, n, n))
-    return CurvatureField(chart, fitted)
+    return curvature_field(chart, fitted)
 
 
 def transform_curvature(R, J):
@@ -174,7 +168,7 @@ def transform_curvature(R, J):
     if J.shape[:-2] != R.values.shape[: R.chart.n] and J.ndim != 2:
         raise ShapeError("jacobian samples do not match the curvature grid")
     out = contract("...td,...am,...bn,...cr,...dabc->...tmnr", Jinv, J, J, J, R.values)
-    return CurvatureField(R.chart, out)
+    return curvature_field(R.chart, out)
 
 
 @dataclass
@@ -223,14 +217,14 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     Rx = riemann(connection_field(chart_x, smoothed.values))
     # blank the rim band where truncated kernels and one-sided stencils
     # corrupt the strong evaluation; probes are filtered to stay clear of it
-    pad = [int(np.ceil((eps + 2 * chart_x.h[k]) / chart_x.h[k])) for k in range(chart_x.n)]
+    band = mollifier_band(chart_x, eps)
     clean = np.zeros(chart_x.res, dtype=bool)
-    clean[tuple(slice(c, -c) for c in pad)] = True
+    clean[chart_x.inset(band)] = True
     Rx.values[~clean] = 0.0
     # push to y-components at the y-nodes: x = inverse(y), contract with J(x)
     ypts = chart_y.nodes.reshape(-1, chart_y.n)
     xpts, J_at, Jinv_at = bundle.pull_back_at(ypts)
-    Rx_at = interpolate(Rx.as_field(), xpts, clip=True)
+    Rx_at = interpolate(Rx, xpts, clip=True)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     if drop_jacobian_factor:
         pushed = contract("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)
@@ -249,7 +243,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     # wide probes keep the functional quadrature error small; fall back
     # narrower if the pullback filter starves on cramped image charts
     jinv_gain = min(float(np.abs(Jinv_at).max()), 1.5)
-    pad_x = np.array([p * chart_x.h[k] for k, p in enumerate(pad)])
+    pad_x = np.multiply(band, chart_x.h)
     spans_y = chart_y.hi - chart_y.lo
     kept = []
     for margin, rad_frac in ((0.3, 0.28), (0.32, 0.22), (0.36, 0.14)):

@@ -13,8 +13,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .calculus import lp_norm, mollify
-from .charts import Chart, GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
+from .calculus import lp_norm, mollifier_band, mollify
+from .charts import GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
 from .rt_solver import RTConfig, regularize
@@ -589,34 +589,17 @@ def _fit_rate(eps, vals):
     return float(coef[0])
 
 
-def _masked_subchart(chart, mask):
-    """Grid-aligned all-true rectangle around the chart center."""
-    sl = [slice(0, chart.res[k]) for k in range(chart.n)]
-    center = tuple(r // 2 for r in chart.res)
-    if not mask[center]:
+def _masked_subchart(mask):
+    """Node slices of ``mask``'s bounding box, which must hold the chart
+    center, be all true, and span at least 8 nodes per axis."""
+    if not mask[tuple(r // 2 for r in mask.shape)]:
         raise RtgeoError("mollified family does not cover the chart center")
-    for _ in range(3):
-        for ax in range(chart.n):
-            view = mask[tuple(sl[:ax] + [slice(None)] + sl[ax + 1 :])]
-            other = tuple(k for k in range(chart.n) if k != ax)
-            line = view.all(axis=other)
-            i = center[ax]
-            lo = i
-            while lo > 0 and line[lo - 1]:
-                lo -= 1
-            hi = i
-            while hi < chart.res[ax] - 1 and line[hi + 1]:
-                hi += 1
-            sl[ax] = slice(lo, hi + 1)
-    sl = tuple(sl)
+    sl = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask))
     if not mask[sl].all():
         raise RtgeoError("mollified family mask is not rectangular around the center")
-    res = tuple(s.stop - s.start for s in sl)
-    if min(res) < 8:
+    if min(s.stop - s.start for s in sl) < 8:
         raise RtgeoError("mollified family covers too little of the chart")
-    lo = [chart.axes[k][sl[k].start] for k in range(chart.n)]
-    hi = [chart.axes[k][sl[k].stop - 1] for k in range(chart.n)]
-    return Chart(lo, hi, res), sl
+    return sl
 
 
 def convergence_report(family, curves, reference, conn_x, p=2.2):
@@ -629,25 +612,20 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
     connection's L^{2p} distance).
     """
     chart = conn_x.chart
-    mask_all = np.ones(chart.res, dtype=bool)
+    # keep only the nodes clear of the rim band where truncated mollifier
+    # kernels (widest at the largest eps) bias the rebuilt maps, before fixing
+    # the region
+    mask_all = np.zeros(chart.res, dtype=bool)
+    mask_all[chart.inset(mollifier_band(chart, max(family.eps)))] = True
     for m in family.masks:
         mask_all &= m
-    # exclude the band where truncated mollifier kernels bias the rebuilt
-    # maps (within eps_max of the x-chart rim) before fixing the region
-    eps_max = max(family.eps)
-    for ax in range(chart.n):
-        cells = int(np.ceil(eps_max / chart.h[ax])) + 2
-        idx = [slice(None)] * chart.n
-        idx[ax] = slice(0, cells)
-        mask_all[tuple(idx)] = False
-        idx[ax] = slice(chart.res[ax] - cells, chart.res[ax])
-        mask_all[tuple(idx)] = False
-    sub, sl = _masked_subchart(chart, mask_all)
-    conn_ref = sub_connection(conn_x, sub, sl)
+    sl = _masked_subchart(mask_all)
+    conn_ref = sub_connection(conn_x, sl)
+    sub = conn_ref.chart
     weak_reference = represent_weak(conn_ref, bump_basis(sub))
     conn_d, riem_d, curve_d = [], [], []
     for eps, conn_e, curve in zip(family.eps, family.conn_eps, curves):
-        sub_e = sub_connection(conn_e, sub, sl)
+        sub_e = sub_connection(conn_e, sl)
         conn_d.append(lp_norm(GridField(sub, sub_e.values - conn_ref.values), 2 * p))
         R_e = riemann(sub_e)
         riem_d.append(lp_norm(GridField(sub, R_e.values - weak_reference.values), p))

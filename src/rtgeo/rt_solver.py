@@ -59,7 +59,7 @@ class RTConfig:
 
 @dataclass
 class RTState:
-    chart: object
+    conn: object             # the connection solved on: its half-radius window after a retry
     iterations: int
     J: np.ndarray
     B: np.ndarray
@@ -69,7 +69,6 @@ class RTState:
     det_min: float = 0.0
     curl_residual: float = 0.0
     used_subchart: bool = False
-    conn: object = None      # the connection solved on: the sub-chart slice after a retry
 
     def summary(self):
         return {
@@ -104,7 +103,8 @@ def solve_reduced_rt(conn, cfg=None):
     except (SolverError, JacobianError):
         if not cfg.retry_subchart:
             raise
-        return _solve_on_chart(sub_connection(conn, *conn.chart.sub_chart()), cfg, used_subchart=True)
+        half = conn.chart.inset([round(0.25 * r) for r in conn.chart.res])
+        return _solve_on_chart(sub_connection(conn, half), cfg, used_subchart=True)
 
 
 def _solve_on_chart(conn, cfg, used_subchart):
@@ -147,11 +147,11 @@ def _solve_on_chart(conn, cfg, used_subchart):
     # of the other two, and the w = 0 gauge holds at interior rows only, so
     # its residual is interior-weighted
     interior = np.zeros(chart.res)
-    interior[(slice(3, -3),) * n] = 1.0
+    interior[chart.inset([3] * n)] = 1.0
     r12 = lp_norm(GridField(chart, d_one_form(chart, B) - d_one_form(chart, S)), cfg.p)
     r13 = lp_norm(GridField(chart, delta_one_form(chart, B)), cfg.p, interior)
     return RTState(
-        chart=chart,
+        conn=conn,
         iterations=len(increments),
         J=J,
         B=B,
@@ -161,13 +161,12 @@ def _solve_on_chart(conn, cfg, used_subchart):
         det_min=float(det.min()),
         curl_residual=row_curl_residual(chart, J),
         used_subchart=used_subchart,
-        conn=conn,
     )
 
 
 def rt_bundle(state):
     """Coordinate bundle from the converged state (integrates the Jacobian)."""
-    return build_bundle(state.chart, state.J)
+    return build_bundle(state.conn.chart, state.J)
 
 
 def regularize(conn, cfg, suffix=""):

@@ -199,12 +199,9 @@ MIN_INSCRIBED_RES = next(r for r in range(2, 64) if r - 2 * inscribed_inset(r) >
 def inscribed_y_chart(chart_x, forward):
     """Largest axis-aligned rectangle safely inside the image of the inset
     x-chart (:func:`inscribed_inset`), on a grid of the x-chart's resolution."""
-    n = chart_x.n
-    cells = [inscribed_inset(r) for r in chart_x.res]
-    sl = tuple(slice(c, -c) for c in cells)
-    img = forward[sl]
+    img = forward[chart_x.inset([inscribed_inset(r) for r in chart_x.res])]
     lo, hi = [], []
-    for k in range(n):
+    for k in range(chart_x.n):
         low_face = np.take(img[..., k], 0, axis=k)
         high_face = np.take(img[..., k], -1, axis=k)
         lo.append(float(low_face.max()))
@@ -236,8 +233,7 @@ def _interior_weights(chart):
     """Mask off 8% of each span at the rim (the identities are interior
     statements; composed one-sided closures lose an order there)."""
     w = np.zeros(chart.res)
-    cells = [max(2, int(round(0.08 * (chart.res[k] - 1)))) for k in range(chart.n)]
-    w[tuple(slice(c, -c) for c in cells)] = 1.0
+    w[chart.inset([max(2, int(round(0.08 * (m - 1)))) for m in chart.res])] = 1.0
     return w
 
 
@@ -268,14 +264,12 @@ def coderivative_identity_residual(conn, J, p=4.0):
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 
-def dgamma_identity_residual(conn, J, p=4.0, drop_wedge=False):
+def dgamma_identity_residual(conn, J, p=4.0):
     """L^p residual of: d Gamma_x = d Gamma~ + dJinv ^ dJ  (exact since d dJ = 0)."""
     chart = conn.chart
     Jinv, w, wt = _split_forms(conn, J)
     lhs = d_one_form(chart, w)
-    rhs = d_one_form(chart, wt)
-    if not drop_wedge:
-        rhs = rhs + wedge(chart.grad(Jinv), chart.grad(J))
+    rhs = d_one_form(chart, wt) + wedge(chart.grad(Jinv), chart.grad(J))
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 

@@ -23,6 +23,7 @@ from rtgeo.charts import (
     interpolate,
     load_field,
     make_chart,
+    sub_connection,
 )
 from rtgeo.errors import ConfigurationError, DomainExit, JacobianError, SamplingError, SolverError
 from rtgeo.geodesics import _sampled_rhs
@@ -600,3 +601,34 @@ def test_connection_field_shape(unit_chart):
 
     with pytest.raises(ShapeError):
         connection_field(unit_chart, np.zeros(unit_chart.res + (2, 2)))
+
+
+def test_inset_drops_cells_at_both_ends_of_each_axis():
+    chart = Chart((0.0, -1.0), (1.0, 2.0), (33, 17))
+    assert chart.inset([3, 0]) == (slice(3, 30), slice(0, 17))
+    assert chart.nodes[chart.inset([3, 0])].shape == (27, 17, 2)
+    assert chart.inset([0, 0]) == (slice(0, 33), slice(0, 17))
+
+
+def test_window_bounds_are_the_parent_node_coordinates():
+    chart = Chart((0.1, -1.0), (0.9, 2.0), (33, 17))
+    sl = (slice(2, 29), slice(5, 17))
+    win = chart.window(sl)
+    assert win.res == (27, 12)
+    assert win.lo.tolist() == [chart.axes[0][2], chart.axes[1][5]]
+    assert win.hi.tolist() == [chart.axes[0][28], chart.axes[1][16]]
+    assert chart.window(chart.inset([0, 0])) == chart
+    with pytest.raises(ConfigurationError):
+        chart.window(chart.inset([13, 0]))  # 7 nodes on axis 0
+
+
+def test_sub_connection_slices_values_onto_the_window():
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (33, 33))
+    conn = connection_field(chart, np.random.default_rng(5).standard_normal(chart.res + (2, 2, 2)))
+    sl = chart.inset([8, 4])
+    sub = sub_connection(conn, sl)
+    assert sub.chart == chart.window(sl)
+    assert sub.chart.res == (17, 25)
+    assert sub.variance == conn.variance
+    assert sub.values.flags.c_contiguous
+    assert sub.values.tobytes() == np.ascontiguousarray(conn.values[8:25, 4:29]).tobytes()

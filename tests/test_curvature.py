@@ -224,9 +224,9 @@ def test_transform_curvature_diagonal_brute_force(unit_chart):
     rng = np.random.default_rng(4)
     vals = rng.standard_normal(unit_chart.res + (2, 2, 2, 2))
     vals = vals - vals.swapaxes(-1, -2)  # enforce antisymmetry
-    from rtgeo.curvature import CurvatureField
+    from rtgeo.curvature import curvature_field
 
-    R = CurvatureField(unit_chart, vals)
+    R = curvature_field(unit_chart, vals)
     J = np.broadcast_to(np.diag([2.0, 1.0]), unit_chart.res + (2, 2)).copy()
     got = transform_curvature(R, J).values
     Jm = np.diag([2.0, 1.0])
@@ -250,9 +250,9 @@ def test_transform_curvature_round_trip_and_composition(unit_chart):
     rng = np.random.default_rng(8)
     vals = rng.standard_normal(unit_chart.res + (2, 2, 2, 2))
     vals = vals - vals.swapaxes(-1, -2)
-    from rtgeo.curvature import CurvatureField
+    from rtgeo.curvature import curvature_field
 
-    R = CurvatureField(unit_chart, vals)
+    R = curvature_field(unit_chart, vals)
     J1 = np.broadcast_to(np.array([[1.0, 0.3], [0.1, 0.9]]), unit_chart.res + (2, 2)).copy()
     J2 = np.broadcast_to(np.array([[1.2, -0.2], [0.0, 1.1]]), unit_chart.res + (2, 2)).copy()
     back = transform_curvature(transform_curvature(R, J1), np.linalg.inv(J1))

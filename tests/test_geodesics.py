@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtgeo import cli, geodesics, rt_solver
-from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate
+from rtgeo.charts import Chart, ForceField, GridField, connection_field, dump_field, interpolate, sub_connection
 from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
 from rtgeo.geodesics import (
     GeodesicProblem,
@@ -352,8 +352,8 @@ def test_pipeline_subchart_retry_matches_hand_sliced_pass(config, request, monke
     prob = GeodesicProblem(conn, scn.t0, x0, v0, interval=scn.interval)
     res = weak_solution_pipeline(conn, prob, rt_config=cfg)
 
-    sub, slc = full.sub_chart()
-    sub_conn = connection_field(sub, np.ascontiguousarray(conn.values[slc]))
+    half = full.inset([round(0.25 * r) for r in full.res])
+    sub, sub_conn = full.window(half), sub_connection(conn, half)
 
     def hand_pass(rt_cfg):
         state = rt_solver.solve_reduced_rt(sub_conn, rt_cfg)  # the sub-chart is let through
@@ -406,6 +406,29 @@ def test_family_identity_zero(unit_chart_65):
         cells = int(np.ceil(eps / unit_chart_65.h.max())) + 2
         sl = (slice(cells, -cells), slice(cells, -cells))
         assert np.abs(conn_e.values[sl]).max() < 1e-10
+
+
+def test_masked_subchart_is_the_bounding_box():
+    mask = np.zeros((33, 33), dtype=bool)
+    mask[5:30, 10:20] = True
+    assert geodesics._masked_subchart(mask) == (slice(5, 30), slice(10, 20))
+
+
+@pytest.mark.parametrize(
+    "true, false, message",
+    [
+        ((slice(0, 10), slice(None)), None, "does not cover the chart center"),
+        ((slice(4, 29), slice(4, 29)), (4, 4), "is not rectangular"),
+        ((slice(12, 20), slice(14, 21)), None, "covers too little"),
+    ],
+)
+def test_masked_subchart_refusals(true, false, message):
+    mask = np.zeros((33, 33), dtype=bool)
+    mask[true] = True
+    if false is not None:
+        mask[false] = False
+    with pytest.raises(RtgeoError, match=message):
+        geodesics._masked_subchart(mask)
 
 
 def test_family_convergence_rough(rough_gen, rough_family):

@@ -64,9 +64,9 @@ def test_rt_jacobian_integrable(rough_rt_state):
     assert state.curl_residual < 1e-9
     from rtgeo.charts import JacobianField
 
-    fwd, disc = integrate_jacobian(JacobianField(state.chart, state.J))
+    fwd, disc = integrate_jacobian(JacobianField(state.conn.chart, state.J))
     # path discrepancy is trapezoid-quadrature level even for exact gradients
-    assert disc < 10 * float(state.chart.h.max()) ** 2
+    assert disc < 10 * float(state.conn.chart.h.max()) ** 2
     # staircase reintegration reproduces the solver's own potentials up to
     # an additive constant per row
     shift = fwd - state.potentials
