@@ -119,10 +119,10 @@ def contract(subscripts, *operands):
 
     Kept ``np.einsum`` sites, each for the stated reason:
 
-    - ``geodesics._solve_picard`` (``tmrn,tr,tn->tm``): batches of 17-257
-      time nodes, where this helper's per-call overhead loses at every
-      size (on a 2-vCPU VM, 35-44 us against einsum's 6-15 us at 17-129
-      rows and 40 us against 28 us at 257).
+    - ``geodesics._gamma_vv_nodes`` (``tmk,tk->tm``): Picard's batches of
+      17-257 time nodes, where this helper's per-call overhead loses at
+      every size (on a 2-vCPU VM, 38-46 us against einsum's 4-8 us at 17,
+      129 and 257 rows).
     - ``curvature._weak_functional``: its two sums run over 1,365-2,025
       nodes, not over small labels.
     - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index

@@ -101,74 +101,74 @@ def _tuple(items):
     return f"({', '.join(items)},)"
 
 
-def _sampled_source(n):
-    """``sampled(lo, h, hi, top, rows)`` binds a chart's geometry and a field's
-    (*res, n^3) rows and returns ``(t, x, v) -> -Gamma(x) v v``:
-    :meth:`Chart.contains`'s bounds test, then :func:`charts.interpolate`'s
-    cell, fractions, weights and corner sum, term by term on Python floats.
-    The 2^n corner rows of the last cell visited stay in closure cells.
+def _stage_source(n, sampled, forced, t, xs, vs, out):
+    """Lines of one RK4 stage that set the names ``out`` to gamma'' at time
+    ``t``, position names ``xs`` and velocity names ``vs``.
+
+    A closed-form connection is the call ``F(x, v)``.  A sampled one is
+    :meth:`Chart.contains`'s bounds test, whose failure ends the march with
+    "domain_exit", then :func:`charts.interpolate`'s cell, fractions, weights
+    and corner sum, term by term on Python floats, and the contraction.  The
+    2^n corner rows of the last cell visited stay in the march's locals.  A
+    force adds the components of ``K(t, x, v)``, called first.
     """
     ax = range(n)
-    C = n ** 3
-    # corner order and weight products as the batch path states them; a
-    # product starts from its first factor, which 1.0 times it is
-    offsets = _corner_nodes((0,) * n)
-    weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
-    rows = [_names(f"r{c}_", C) for c in range(len(offsets))]
-    kept = [r for row in rows for r in row]
-    cell, xs, vs, gs = _names("c", n), _names("x", n), _names("v", n), _names("g", C)
-    src = [
-        "def sampled(lo, h, hi, top, rows):",
-        *(f"    {', '.join(_names(a, n))}, = {a}" for a in ("lo", "h", "hi", "top")),
-        f"    {', '.join(cell)}, = {_tuple(['-1'] * n)}",
-        f"    {' = '.join(kept)} = 0.0",
-        "",
-        "    def rhs(t, x, v):",
-        f"        nonlocal {', '.join(cell + kept)}",
-        f"        {', '.join(xs)}, = x",
-        f"        if not ({' and '.join(f'lo{k} <= x{k} <= hi{k}' for k in ax)}):",
-        "            raise DomainExit(list(x))",
-    ]
-    for k in ax:
-        src += [
-            f"        t{k} = (x{k} - lo{k}) / h{k}",
-            f"        i{k} = int(t{k})",
-            f"        if i{k} > top{k}:",
-            f"            i{k} = top{k}",
-            f"        f{k} = t{k} - i{k}",
+    lines = [f"{', '.join(_names('q', n))}, = K({t}, {_tuple(xs)}, {_tuple(vs)})"] if forced else []
+    if not sampled:
+        if not forced:
+            return lines + [f"{', '.join(out)}, = F({_tuple(xs)}, {_tuple(vs)})"]
+        exprs = _names("a", n)
+        lines.append(f"{', '.join(exprs)}, = F({_tuple(xs)}, {_tuple(vs)})")
+    else:
+        # corner order and weight products as the batch path states them; a
+        # product starts from its first factor, which 1.0 times it is
+        offsets = _corner_nodes((0,) * n)
+        weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
+        corners = [_names(f"r{c}_", n ** 3) for c in range(len(offsets))]
+        gs = _names("g", n ** 3)
+        lines += [
+            f"if not ({' and '.join(f'glo{k} <= {x} <= ghi{k}' for k, x in zip(ax, xs))}):",
+            '    return ts, xs, vs, "domain_exit"',
         ]
-    src.append(f"        if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
-    src.append(f"            {', '.join(cell)}, = {_tuple(_names('i', n))}")
-    for row, off in zip(rows, offsets):
-        idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
-        src.append(f"            {', '.join(row)}, = rows[{idx}].tolist()")
-    src += [f"        e{k} = 1 - f{k}" for k in ax]
-    src += [f"        w{c} = {w}" for c, w in enumerate(weights)]
-    for j, g in enumerate(gs):
-        src.append(f"        {g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(rows))}")
-    src += [
-        f"        {', '.join(vs)}, = v",
-        f"        return {_tuple(_contraction_rows(gs, vs))}",
-        "",
-        "    return rhs",
-    ]
-    return src
+        for k, x in zip(ax, xs):
+            lines += [
+                f"s{k} = ({x} - glo{k}) / gh{k}",
+                f"i{k} = int(s{k})",
+                f"if i{k} > top{k}:",
+                f"    i{k} = top{k}",
+                f"f{k} = s{k} - i{k}",
+            ]
+        lines.append(f"if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
+        lines.append(f"    {', '.join(_names('c', n))}, = {_tuple(_names('i', n))}")
+        for row, off in zip(corners, offsets):
+            idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
+            lines.append(f"    {', '.join(row)}, = rows[{idx}].tolist()")
+        lines += [f"e{k} = 1 - f{k}" for k in ax]
+        lines += [f"w{c} = {w}" for c, w in enumerate(weights)]
+        for j, g in enumerate(gs):
+            lines.append(f"{g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(corners))}")
+        exprs = _contraction_rows(gs, vs)
+    return lines + [f"{o} = {e} + q{m}" if forced else f"{o} = {e}" for m, (o, e) in enumerate(zip(out, exprs))]
 
 
-def _march_source(n):
-    """``march(F, t, x, v, steps, half, dt, sixth, lo, hi)``: the fixed-step
-    RK4 loop on Python floats, returning the node lists and the truncation.
+def _march_source(n, sampled, forced):
+    """``march(F, K, t, x, v, steps, half, dt, sixth, lo, hi, grid)``: the
+    fixed-step RK4 loop on Python floats, returning the flat node lists and
+    the truncation.
 
-    A step is straight-line code: the stages ``x + half*k`` and the update
+    ``grid`` is a sampled field's ``(lo, h, hi, top, rows)``, whose stages
+    :func:`_stage_source` writes inline; ``F`` is a closed-form connection's
+    ``(x, v) -> -Gamma(x) v v`` and ``K`` a force's ``(t, x, v) -> K``.  A
+    step is straight-line code: the stages ``x + half*k`` and the update
     ``x + sixth*(((k1 + 2k2) + 2k3) + k4)`` element by element in the order
-    numpy gives the array expressions.  A DomainExit in a stage, a step that
-    ends off ``[lo, hi]`` (no test when ``lo`` is None), or one that ends
-    outside the velocity ball stops the loop before that step.  The ball's
-    sum of squares settles the points surely inside; the rest go to
-    :func:`_outside_ball`.
+    numpy gives the array expressions.  A stage point off the field's chart
+    (or a DomainExit from ``F`` or ``K``), a step that ends off ``[lo, hi]``
+    (no test when ``lo`` is None), or one that ends outside the velocity
+    ball stops the loop before that step.  The ball's sum of squares settles
+    the points surely inside; the rest go to :func:`_outside_ball`.
     """
     ax = range(n)
-    xs, vs, ys, us, bs, ds = (_names(s, n) for s in ("x", "v", "y", "u", "b", "d"))
+    xs, vs, ys, us, bs, ds, ps = (_names(s, n) for s in ("x", "v", "y", "u", "b", "d", "p"))
     k1v, k2x, k2v, k3x, k3v, k4x, k4v = (
         _names(f"{k}_", n) for k in ("k1v", "k2x", "k2v", "k3x", "k3v", "k4x", "k4v")
     )
@@ -182,8 +182,11 @@ def _march_source(n):
     def advance(y, k1, k2, k3, k4):
         return [f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
-    return [
-        "def march(F, t, x, v, steps, half, dt, sixth, lo, hi):",
+    def stage(t, pos, vel, out):
+        return [f"            {line}" for line in _stage_source(n, sampled, forced, t, pos, vel, out)]
+
+    src = [
+        "def march(F, K, t, x, v, steps, half, dt, sixth, lo, hi, grid):",
         f"    {', '.join(xs)}, = x",
         f"    {', '.join(vs)}, = v",
         f"    {', '.join(bs)}, = start = v",
@@ -191,17 +194,28 @@ def _march_source(n):
         "    if bounded:",
         f"        {', '.join(_names('lo', n))}, = lo",
         f"        {', '.join(_names('hi', n))}, = hi",
+    ]
+    if sampled:
+        src += [
+            f"    {', '.join(_tuple(_names(a, n)) for a in ('glo', 'gh', 'ghi', 'top'))}, rows = grid",
+            f"    {', '.join(_names('c', n))}, = {_tuple(['-1'] * n)}",
+            f"    {' = '.join(f'r{c}_{j}' for c in range(2 ** n) for j in range(n ** 3))} = 0.0",
+        ]
+    return src + [
         "    surely_inside, outside = _BALL_INSIDE, _outside_ball",
-        "    ts, xs, vs = [t], [x], [v]",
+        "    ts, xs, vs = [t], list(x), list(v)",
         "    for _ in range(steps):",
         "        try:",
-        f"            {', '.join(k1v)}, = F(t, x, v)",
+        *stage("t", xs, vs, k1v),
         *assign(k2x, axpy(vs, "half", k1v)),
-        f"            {', '.join(k2v)}, = F(t + half, {_tuple(axpy(xs, 'half', vs))}, {_tuple(k2x)})",
+        *assign(ps, axpy(xs, "half", vs)),
+        *stage("t + half", ps, k2x, k2v),
         *assign(k3x, axpy(vs, "half", k2v)),
-        f"            {', '.join(k3v)}, = F(t + half, {_tuple(axpy(xs, 'half', k2x))}, {_tuple(k3x)})",
+        *assign(ps, axpy(xs, "half", k2x)),
+        *stage("t + half", ps, k3x, k3v),
         *assign(k4x, axpy(vs, "dt", k3v)),
-        f"            {', '.join(k4v)}, = F(t + dt, {_tuple(axpy(xs, 'dt', k3x))}, {_tuple(k4x)})",
+        *assign(ps, axpy(xs, "dt", k3x)),
+        *stage("t + dt", ps, k4x, k4v),
         "        except DomainExit:",
         '            return ts, xs, vs, "domain_exit"',
         *assign(ys, advance(xs, vs, k2x, k3x, k4x), "        "),
@@ -213,19 +227,18 @@ def _march_source(n):
         '            return ts, xs, vs, "velocity_ball"',
         "        t = t + dt",
         f"        {', '.join(xs + vs)} = {', '.join(ys + us)}",
-        f"        x, v = {_tuple(xs)}, {_tuple(vs)}",
         "        ts.append(t)",
-        "        xs.append(x)",
-        "        vs.append(v)",
+        f"        xs += {_tuple(xs)}",
+        f"        vs += {_tuple(vs)}",
         '    return ts, xs, vs, "none"',
     ]
 
 
-def _kernel_source(n):
-    """Python source of the straight-line RK4 kernels for dimension ``n``:
-    ``contraction(G, v)`` on a flat component list, ``sampled`` and ``march``.
-    Every expression keeps the array code's operation order, so the results
-    are its bits."""
+def _kernel_source(n, sampled, forced):
+    """Python source of the straight-line RK4 kernels for dimension ``n``
+    and one kind of right-hand side: ``contraction(G, v)`` on a flat
+    component list and ``march``.  Every expression keeps the array code's
+    operation order, so the results are its bits."""
     gs, vs = _names("g", n ** 3), _names("v", n)
     contraction = [
         "def contraction(G, v):",
@@ -233,48 +246,16 @@ def _kernel_source(n):
         f"    {', '.join(vs)}, = v",
         f"    return {_tuple(_contraction_rows(gs, vs))}",
     ]
-    return "\n\n".join("\n".join(part) for part in (contraction, _sampled_source(n), _march_source(n))) + "\n"
+    return "\n\n".join("\n".join(part) for part in (contraction, _march_source(n, sampled, forced))) + "\n"
 
 
 @lru_cache(maxsize=None)
-def _rk4_kernels(n):
-    """``(march, contraction, sampled)`` for dimension ``n``, compiled once per n."""
+def _rk4_kernels(n, sampled, forced):
+    """``(march, contraction)`` for dimension ``n`` and one kind of
+    right-hand side, compiled once per kind."""
     ns = {"DomainExit": DomainExit, "_BALL_INSIDE": _BALL_INSIDE, "_outside_ball": _outside_ball}
-    exec(compile(_kernel_source(n), f"<rk4 kernels n={n}>", "exec"), ns)
-    return ns["march"], ns["contraction"], ns["sampled"]
-
-
-def _sampled_rhs(fld):
-    """``(t, x, v) -> -Gamma(x) v v`` on tuples of floats for a sampled connection."""
-    chart = fld.chart
-    sampled = _rk4_kernels(chart.n)[2]
-    top = [r - 2 for r in chart.res]
-    rows = fld.values.reshape(chart.res + (-1,))
-    return sampled(chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), top, rows)
-
-
-def _rhs(problem):
-    """(t, x, v) -> gamma'' on tuples of floats.
-
-    A sampled field runs the generated right-hand side; a closed-form
-    connection and a force are called on arrays and their outputs flattened.
-    """
-    conn, force = problem.connection, problem.force
-    if callable(conn) and not isinstance(conn, GridField):
-        contraction = _rk4_kernels(len(problem.x0))[1]
-
-        def gamma_vv(t, x, v):
-            return contraction(np.ravel(conn(np.array(x))).tolist(), v)
-    else:
-        gamma_vv = _sampled_rhs(conn)
-    if force is None:
-        return gamma_vv
-
-    def F(t, x, v):
-        K = np.ravel(force(t, np.array(x), np.array(v))).tolist()
-        return [a + k for a, k in zip(gamma_vv(t, x, v), K)]
-
-    return F
+    exec(compile(_kernel_source(n, sampled, forced), f"<rk4 kernels n={n}>", "exec"), ns)
+    return ns["march"], ns["contraction"]
 
 
 def default_dt(problem):
@@ -307,21 +288,36 @@ def _outside_ball(v, v0):
 
 def _solve_rk4(problem, dt):
     """Classical fixed-step RK4 on u = (gamma, v): the generated
-    :func:`_march_source` loop on tuples of Python floats, element by element
-    in the order numpy gives the array expressions, so the curve is bit for
-    bit the array loop's."""
+    :func:`_march_source` loop on Python floats, element by element in the
+    order numpy gives the array expressions, so the curve is bit for bit the
+    array loop's.  A sampled field's stages run inline; a closed-form
+    connection and a force are called on arrays and their outputs flattened."""
     dt = dt or default_dt(problem)
-    march = _rk4_kernels(len(problem.x0))[0]
+    conn, force = problem.connection, problem.force
+    n = len(problem.x0)
+    sampled = not callable(conn) or isinstance(conn, GridField)
+    march, contraction = _rk4_kernels(n, sampled, force is not None)
+    F = K = grid = None
+    if sampled:
+        fc = conn.chart
+        top, rows = [r - 2 for r in fc.res], conn.values.reshape(fc.res + (-1,))
+        grid = (fc.lo.tolist(), fc.h.tolist(), fc.hi.tolist(), top, rows)
+    else:
+        def F(x, v):
+            return contraction(np.ravel(conn(np.array(x))).tolist(), v)
+    if force is not None:
+        def K(t, x, v):
+            return np.ravel(force(t, np.array(x), np.array(v))).tolist()
     chart = problem.chart
     lo, hi = (None, None) if chart is None else (chart.lo.tolist(), chart.hi.tolist())
     x0, v0, steps = tuple(problem.x0.tolist()), tuple(problem.v0.tolist()), int(round(problem.interval / dt))
-    ts, xs, vs, truncation = march(_rhs(problem), problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, lo, hi)
+    ts, xs, vs, truncation = march(F, K, problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, lo, hi, grid)
     if len(ts) == 1 and truncation != "none":
         raise DomainExit(problem.x0)
     return Curve(
-        times=np.asarray(ts),
-        positions=np.asarray(xs),
-        velocities=np.asarray(vs),
+        times=np.array(ts),
+        positions=np.array(xs).reshape(-1, n),
+        velocities=np.array(vs).reshape(-1, n),
         truncation=truncation,
         dt=dt,
     )
@@ -329,9 +325,20 @@ def _solve_rk4(problem, dt):
 
 def _grad_max(conn):
     """max |grad Gamma| over the nodes of a sampled connection (FD gradient),
-    one axis derivative at a time."""
-    chart = conn.chart
-    return max(float(np.abs(chart.deriv(conn.values, ax)).max()) for ax in range(chart.n))
+    one axis derivative at a time.  A field's values are not changed after
+    it is built, so the estimate is made once per field object and kept on it."""
+    lip = vars(conn).get("_grad_max")
+    if lip is None:
+        chart = conn.chart
+        lip = conn._grad_max = max(float(np.abs(chart.deriv(conn.values, ax)).max()) for ax in range(chart.n))
+    return lip
+
+
+def _gamma_vv_nodes(G, vel):
+    """``-Gamma v v`` at each node: the (T, n, n, n) components ``G`` against
+    the products v_r v_n, one two-operand contraction over the n^2 pairs."""
+    T, n = vel.shape
+    return -np.einsum("tmk,tk->tm", G.reshape(T, n, n * n), (vel[:, :, None] * vel[:, None, :]).reshape(T, n * n))
 
 
 def _solve_picard(problem, dt, tol_ode):
@@ -357,7 +364,7 @@ def _solve_picard(problem, dt, tol_ode):
     sweeps = 0
     for sweeps in range(1, PICARD_MAX_SWEEPS + 1):
         G = gamma_at(pos)
-        acc = -np.einsum("tmrn,tr,tn->tm", G, vel, vel)
+        acc = _gamma_vv_nodes(G, vel)
         if force is not None:
             acc = acc + np.stack([force(ts[i], pos[i], vel[i]) for i in range(len(ts))])
         # trapezoidal cumulative integrals, v0 and x0 at the first node
@@ -407,17 +414,21 @@ def _last_inside(problem, pos, kmax, vel=None, v0=None):
 
     A NaN position is off the chart.  The ball test is ``np.linalg.norm``'s
     own formula for an axis, ``sqrt(add.reduce(d*d))``, so a NaN velocity is
-    not outside it (NaN > 1 is false), as with the norm.
+    not outside it (NaN > 1 is false), as with the norm.  When every node is
+    on the chart and every sum of squares is surely inside the ball, one
+    bounds test and one maximum settle it.
     """
-    if problem.chart is not None:
-        out = problem.chart.first_outside(pos[: kmax + 1])
-        if out is not None:
-            return max(out - 1, 0)
+    chart = problem.chart
+    pos = pos[: kmax + 1]
+    if chart is not None and not ((pos >= chart.lo) & (pos <= chart.hi)).all():
+        return max(int(chart.contains(pos).argmin()) - 1, 0)
     if vel is not None:
         d = vel[: kmax + 1] - v0
-        out = np.sqrt(np.add.reduce(d * d, axis=1)) > VELOCITY_BALL
-        if out.any():
-            return max(int(out.argmax()) - 1, 0)
+        d2 = np.add.reduce(d * d, axis=1)
+        if not d2.max() <= _BALL_INSIDE:
+            out = np.sqrt(d2) > VELOCITY_BALL
+            if out.any():
+                return max(int(out.argmax()) - 1, 0)
     return kmax
 
 
@@ -612,6 +623,9 @@ def convergence_report(family, curves, reference, conn_x, p=2.2):
     connection's L^{2p} distance).
     """
     chart = conn_x.chart
+    if family.conn_eps[0].chart != chart:
+        raise RtgeoError(f"the mollified family lives on {family.conn_eps[0].chart!r}, the rough "
+                         f"connection on {chart!r}; their masks cannot be combined")
     # keep only the nodes clear of the rim band where truncated mollifier
     # kernels (widest at the largest eps) bias the rebuilt maps, before fixing
     # the region

@@ -10,13 +10,14 @@ from rtgeo.errors import DomainExit, RtgeoError, SolverError, StageError
 from rtgeo.geodesics import (
     GeodesicProblem,
     convergence_report,
+    default_dt,
     gronwall_uniqueness_check,
     mollified_family,
     solve_geodesic,
     solve_mollified,
     weak_solution_pipeline,
 )
-from rtgeo.harness import load_config, sphere_christoffel, sphere_geodesic
+from rtgeo.harness import load_config, run_experiment, sphere_christoffel, sphere_geodesic
 from rtgeo.rt_solver import RTConfig
 from rtgeo.transform import pull_back_curve, split_transform
 
@@ -339,6 +340,22 @@ def test_pipeline_names_initial_data_stage(config, request, monkeypatch):
     assert isinstance(err.value.cause, DomainExit)
 
 
+def test_convergence_report_after_a_subchart_retry_names_both_charts(tmp_path, monkeypatch):
+    # with x0 at the centre the pipeline survives the retry, so the mollified
+    # family lives on the half-radius x-chart while the rough connection keeps
+    # the full one: a stage error naming both, not a numpy broadcast error
+    text = open("configs/flat_disguise.cfg").read().replace("x0 = 0.16, 0.55", "x0 = 0.5, 0.5")
+    cfg = tmp_path / "centred.cfg"
+    cfg.write_text(text)
+    force_subchart_retry(monkeypatch, Chart((0.0, 0.0), (1.0, 1.0), (65, 65)))
+    report, code = run_experiment(str(cfg))
+    assert code == 1
+    assert report.failed_stage == "convergence_report"
+    error = report.stages["convergence_report"]["error"]
+    assert "Chart([0.25,0.75]x[0.25,0.75], res=(33, 33))" in error
+    assert "Chart([0,1]x[0,1], res=(65, 65))" in error
+
+
 @pytest.mark.parametrize("config", sorted(CONFIG_GENS))
 def test_pipeline_subchart_retry_matches_hand_sliced_pass(config, request, monkeypatch, tmp_path, capsys):
     """Guard for the retry path: the pipeline and ``rtgeo rt-solve`` after a forced
@@ -603,12 +620,17 @@ def reference_case(case):
     if case == "forced":
         drag = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
         return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=drag), None
-    # n = 3: a smooth sampled field with every component nonzero, on uneven axes
-    chart = Chart((-1.0, -0.5, -0.8), (1.0, 1.2, 0.9), (9, 10, 11))
+    return wavy_n3_problem((9, 10, 11)), "stage"
+
+
+def wavy_n3_problem(res):
+    """n = 3: a smooth sampled field with every component nonzero, on uneven
+    axes of ``res`` nodes; the curve leaves the chart inside an RK stage."""
+    chart = Chart((-1.0, -0.5, -0.8), (1.0, 1.2, 0.9), res)
     pts = chart.nodes.reshape(-1, 3)
     waves = np.random.default_rng(3).normal(size=(3, 27))
     vals = 0.8 * np.sin(pts @ waves + np.arange(27)).reshape(chart.res + (3, 3, 3))
-    return GeodesicProblem(connection_field(chart, vals), 0.0, [0.1, 0.2, 0.0], [1.5, -0.9, 0.5]), "stage"
+    return GeodesicProblem(connection_field(chart, vals), 0.0, [0.1, 0.2, 0.0], [1.5, -0.9, 0.5])
 
 
 @pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "closed_form", "unbounded", "forced"])
@@ -630,6 +652,85 @@ def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
         assert a.tobytes() == b.tobytes()
     assert p.truncated == (cause is not None)
     assert p.truncation == PICARD_TRUNCATION[cause]
+
+
+@pytest.mark.parametrize("case, cause", [(None, None), ("chart", "stage"), ("forced", None), ("n3", "stage")])
+def test_fused_march_keeps_rk4_bits_at_the_default_step(case, cause):
+    """Long curves at the default step, each crossing 20 or more cells, so the
+    inline stages load and reuse many cells: sampled, sampled with a drag
+    force, and n = 3, two of them ended by a stage point off the chart."""
+    prob = wavy_n3_problem((25, 27, 29)) if case == "n3" else reference_case(case)[0]
+    ts, xs, vs, truncated, got_cause = rk4_reference(prob, default_dt(prob))
+    assert got_cause == cause
+    chart = prob.connection.chart
+    cells = np.minimum(((xs - chart.lo) / chart.h).astype(int), np.array(chart.res) - 2)
+    assert len(set(map(tuple, cells.tolist()))) >= 20
+    c = solve_geodesic(prob, "rk4")
+    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert c.truncation == RK4_TRUNCATION[cause]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_march_evaluates_its_stages_inline(n):
+    """Guard: the march for a sampled, unforced field reads the field's rows
+    itself and calls no right-hand side; the closed-form march calls ``F``."""
+    assert "F(" not in geodesics._kernel_source(n, True, False)
+    assert "rows[" in geodesics._kernel_source(n, True, False)
+    assert "F(" in geodesics._kernel_source(n, False, False)
+
+
+def fan_problems(conn, scn, seed, count=512, directions=16):
+    """The benchmark fan's stratified IVP draw on ``conn``'s chart: a jittered
+    grid of directions x speeds in [0.3, 1], x0 a Latin hypercube over the
+    middle half of the chart."""
+    chart = conn.chart
+    rng = np.random.default_rng(seed)
+    cells = np.arange(count)
+    angle = 2 * np.pi * (cells % directions + rng.random(count)) / directions
+    speed = 0.3 + 0.7 * (cells // directions + rng.random(count)) / (count // directions)
+    frac = (np.stack([rng.permutation(count), rng.permutation(count)], axis=1) + rng.random((count, 2))) / count
+    x0s = chart.lo + (0.25 + 0.5 * frac) * (chart.hi - chart.lo)
+    v0s = speed[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return [GeodesicProblem(conn, scn.t0, x0, v0, interval=scn.interval) for x0, v0 in zip(x0s, v0s)]
+
+
+def test_picard_contraction_matches_three_operand_einsum(sphere_gen, monkeypatch):
+    """Picard's two-operand contraction over v (x) v against the three-operand
+    einsum on 32 seed-1 fan IVPs, one per direction and speed row: the same
+    sweeps, lengths and cuts, positions within 1e-14."""
+    problems = fan_problems(sphere_gen.conn_x, sphere_gen.scenario, seed=1)
+    problems = [problems[16 * i + i % 16] for i in range(32)]
+    new = [solve_geodesic(p, "picard") for p in problems]
+    monkeypatch.setattr(geodesics, "_gamma_vv_nodes", lambda G, vel: -np.einsum("tmrn,tr,tn->tm", G, vel, vel))
+    old = [solve_geodesic(p, "picard") for p in problems]
+    for a, b in zip(new, old):
+        assert (a.picard_sweeps, len(a.times), a.truncation) == (b.picard_sweeps, len(b.times), b.truncation)
+        assert np.abs(a.positions - b.positions).max() <= 1e-14
+    assert any(a.positions.tobytes() != b.positions.tobytes() for a, b in zip(new, old))  # the orders differ
+
+
+def test_picard_estimates_lipschitz_once_per_field(monkeypatch):
+    """Two Picard solves on one field differentiate it once per axis; a second
+    field object is differentiated afresh, and the flag is a fresh estimate's."""
+    calls = []
+    deriv = Chart.deriv
+
+    def counted(self, values, ax):
+        calls.append(ax)
+        return deriv(self, values, ax)
+
+    monkeypatch.setattr(Chart, "deriv", counted)
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (17, 17))
+    vals = 10.0 * np.random.default_rng(6).standard_normal(chart.res + (2, 2, 2))
+    first, second = connection_field(chart, vals), connection_field(chart, vals.copy())
+    curves = [solve_geodesic(GeodesicProblem(f, 0.0, [0.5, 0.5], [0.1, 0.0], interval=0.25), "picard")
+              for f in (first, first)]
+    assert len(calls) == 2
+    curves.append(solve_geodesic(GeodesicProblem(second, 0.0, [0.5, 0.5], [0.1, 0.0], interval=0.25), "picard"))
+    assert len(calls) == 4
+    flag = geodesics._grad_max(connection_field(chart, vals)) * 0.25 > 50.0
+    assert flag and all(c.non_uniqueness_candidate == flag for c in curves)
 
 
 def test_unbounded_closed_form_keeps_nan_steps():
@@ -713,7 +814,7 @@ def contraction_inputs(draw):
 
 
 def generated_contraction(G, v):
-    return geodesics._rk4_kernels(len(v))[1](G, v)
+    return geodesics._rk4_kernels(len(v), False, False)[1](G, v)
 
 
 def matches_einsum(contract, G, v):
