@@ -1,6 +1,7 @@
 """Golden reports: each shipped config's report (timings left out) at its own
-grid and at 129^2, with the run's exit code, and the stdout of
-``rtgeo check-identities`` on each config, pinned byte for byte.
+grid and at 129^2, with the run's exit code, the stdout of
+``rtgeo check-identities`` on each config, and a digest of every IVP curve in
+``ivp_curves.json``, pinned byte for byte.
 
 The BLAS thread count moves the last bits of rough_beta06's RT solve, so the
 runs happen in a subprocess that sets OPENBLAS_NUM_THREADS=2 before numpy
@@ -12,6 +13,7 @@ and the diff of tests/golden shows exactly which fields moved.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -44,6 +46,39 @@ def write_reports(out_dir):
             cli.main(["check-identities", str(ROOT / "configs" / f"{config}.cfg")])
         (out_dir / f"{config}_identities.json").write_text(stdout.getvalue())
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    write_ivp_curves(out_dir)
+
+
+def curve_digest(curve):
+    """sha256 over a curve's times, positions, velocities and truncation."""
+    h = hashlib.sha256()
+    for a in (curve.times, curve.positions, curve.velocities):
+        h.update(a.tobytes())
+    h.update(curve.truncation.encode())
+    return h.hexdigest()
+
+
+def write_ivp_curves(out_dir):
+    """``ivp_curves.json``: the truncation and :func:`curve_digest` of each RK4
+    and Picard curve on every 4th IVP of the seed-1 geodesic fan, and on the
+    reference cases of tests/test_geodesics.py at dt 1/32 and the default dt."""
+    from rtgeo.geodesics import default_dt, solve_geodesic
+    from rtgeo.harness import generate_scenario, load_config
+    from test_geodesics import SPHERE_IVPS, fan_problems, reference_case
+
+    scn, _ = load_config(str(ROOT / "configs" / "sphere.cfg"))
+    fan = fan_problems(generate_scenario(scn).conn_x, scn, seed=1)
+    runs = [(f"fan_{i:03d}", fan[i], None) for i in range(0, len(fan), 4)]
+    for case in (*SPHERE_IVPS, "forced", "n3"):
+        prob = reference_case(case)[0]
+        tag = case or "none"
+        runs += [(f"{tag}_dt_1/32", prob, 1 / 32), (f"{tag}_dt_default", prob, default_dt(prob))]
+    curves = {}
+    for name, prob, dt in runs:
+        for method in ("rk4", "picard"):
+            c = solve_geodesic(prob, method, dt=dt)
+            curves[f"{name}_{method}"] = {"truncation": c.truncation, "sha256": curve_digest(c)}
+    (out_dir / "ivp_curves.json").write_text(json.dumps(curves, indent=1) + "\n")
 
 
 def json_diff(a, b, path="$"):
@@ -74,6 +109,12 @@ def test_reports_match_golden_files(tmp_path):
             paths = json_diff(json.loads(want), json.loads(got))
             diffs += [f"{name} {d}" for d in paths or ["bytes differ, values do not"]]
     assert not diffs, "golden -> now:\n" + "\n".join(diffs)
+
+
+def test_ivp_curves_cover_every_truncation_cause():
+    curves = json.loads((GOLDEN / "ivp_curves.json").read_text())
+    rk4 = {c["truncation"] for name, c in curves.items() if name.endswith("_rk4")}
+    assert rk4 == {"none", "chart_exit", "velocity_ball", "domain_exit"}
 
 
 if __name__ == "__main__":
