@@ -195,7 +195,7 @@ class LemmaReport:
         )
 
 
-def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
+def lemma_b1_check(conn_x, bundle, conn_y, p=4.0):
     """Tensoriality of the weak curvature under the bundle's coordinate change.
 
     The check transports the strong components of an epsilon-mollified
@@ -206,8 +206,6 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     read only the basis, never Gamma_x).
     Only component-transformation consistency is checked; absent a metric
     there is no invariant volume element and no functional equality.
-
-    ``drop_jacobian_factor`` omits one contraction; the negative control.
     """
     chart_x = conn_x.chart
     chart_y = conn_y.chart
@@ -226,12 +224,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p=4.0, drop_jacobian_factor=False):
     xpts, J_at, Jinv_at = bundle.pull_back_at(ypts)
     Rx_at = interpolate(Rx, xpts, clip=True)
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
-    if drop_jacobian_factor:
-        pushed = contract("...dt,...ma,...rc,...tmbr->...dabc", J_at, Jinv_at, Jinv_at, Rx_at)
-    else:
-        pushed = contract(
-            "...dt,...ma,...nb,...rc,...tmnr->...dabc", J_at, Jinv_at, Jinv_at, Jinv_at, Rx_at
-        )
+    pushed = contract("...dt,...ma,...nb,...rc,...tmnr->...dabc", J_at, Jinv_at, Jinv_at, Jinv_at, Rx_at)
     pushed = pushed.reshape(chart_y.res + Rx_at.shape[1:])
     # functional-level comparison, unit-mass normalized so the mismatch reads
     # as a local average of curvature components; probes whose pulled-back

@@ -2,14 +2,14 @@
 mollified-family machinery whose smooth solutions converge to it.
 
 A curve solves  gamma'' + Gamma(gamma) gamma' gamma' = K(t, gamma, gamma')
-as the first-order system u = (gamma, v).  Connections are either sampled
-fields (multilinear interpolation along the curve) or closed-form
-evaluators; intervals truncate at chart exit and at the velocity ball
-|v - v0| <= 1, the normalization of the local existence interval.
+as the first-order system u = (gamma, v).  The connection is a sampled field
+on its own chart, interpolated multilinearly along the curve; intervals
+truncate at chart exit and at the velocity ball sum((v - v0)^2) <= 1, the
+normalization of the local existence interval.
 """
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,30 +21,33 @@ from .rt_solver import RTConfig, regularize
 from .transform import connection_law, inscribed_inset, pull_back_curve, transform_force
 
 VELOCITY_BALL = 1.0
-_BALL_INSIDE = VELOCITY_BALL ** 2 * (1 - 1e-9)   # squared |v - v0| surely inside the ball
 DEFAULT_INTERVAL = 1.0
 PICARD_MAX_SWEEPS = 400
 
 
 @dataclass
 class GeodesicProblem:
-    connection: object            # ConnectionField (GridField) or callable x -> (n,n,n)
+    connection: GridField         # the sampled connection; its chart bounds the curve
     t0: float
     x0: np.ndarray
     v0: np.ndarray
     force: object = None          # optional ForceField
     interval: float = DEFAULT_INTERVAL
-    chart: object = None          # required for domain truncation with callables
 
     def __post_init__(self):
+        if not isinstance(self.connection, GridField):
+            raise RtgeoError(f"the connection must be sampled on a chart (a GridField), "
+                             f"not {type(self.connection).__name__}")
         self.x0 = np.asarray(self.x0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
-        chart = self.chart or getattr(self.connection, "chart", None)
-        self.chart = chart
-        if chart is not None and not chart.contains(self.x0)[0]:
+        if not self.chart.contains(self.x0)[0]:
             raise DomainExit(self.x0)
         if not np.all(np.isfinite(self.v0)):
             raise RtgeoError("non-finite initial velocity")
+
+    @property
+    def chart(self):
+        return self.connection.chart
 
 
 @dataclass
@@ -101,11 +104,10 @@ def _tuple(items):
     return f"({', '.join(items)},)"
 
 
-def _stage_source(n, sampled, forced, t, xs, vs, out):
+def _stage_source(n, forced, t, xs, vs, out):
     """Lines of one RK4 stage that set the names ``out`` to gamma'' at time
     ``t``, position names ``xs`` and velocity names ``vs``.
 
-    A closed-form connection is the call ``F(x, v)``.  A sampled one is
     :meth:`Chart.contains`'s bounds test, whose failure ends the march with
     "domain_exit", then :func:`charts.interpolate`'s cell, fractions, weights
     and corner sum, term by term on Python floats, and the contraction.  The
@@ -114,58 +116,50 @@ def _stage_source(n, sampled, forced, t, xs, vs, out):
     """
     ax = range(n)
     lines = [f"{', '.join(_names('q', n))}, = K({t}, {_tuple(xs)}, {_tuple(vs)})"] if forced else []
-    if not sampled:
-        if not forced:
-            return lines + [f"{', '.join(out)}, = F({_tuple(xs)}, {_tuple(vs)})"]
-        exprs = _names("a", n)
-        lines.append(f"{', '.join(exprs)}, = F({_tuple(xs)}, {_tuple(vs)})")
-    else:
-        # corner order and weight products as the batch path states them; a
-        # product starts from its first factor, which 1.0 times it is
-        offsets = _corner_nodes((0,) * n)
-        weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
-        corners = [_names(f"r{c}_", n ** 3) for c in range(len(offsets))]
-        gs = _names("g", n ** 3)
+    # corner order and weight products as the batch path states them; a
+    # product starts from its first factor, which 1.0 times it is
+    offsets = _corner_nodes((0,) * n)
+    weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
+    corners = [_names(f"r{c}_", n ** 3) for c in range(len(offsets))]
+    gs = _names("g", n ** 3)
+    lines += [
+        f"if not ({' and '.join(f'glo{k} <= {x} <= ghi{k}' for k, x in zip(ax, xs))}):",
+        '    return ts, xs, vs, "domain_exit"',
+    ]
+    for k, x in zip(ax, xs):
         lines += [
-            f"if not ({' and '.join(f'glo{k} <= {x} <= ghi{k}' for k, x in zip(ax, xs))}):",
-            '    return ts, xs, vs, "domain_exit"',
+            f"s{k} = ({x} - glo{k}) / gh{k}",
+            f"i{k} = int(s{k})",
+            f"if i{k} > top{k}:",
+            f"    i{k} = top{k}",
+            f"f{k} = s{k} - i{k}",
         ]
-        for k, x in zip(ax, xs):
-            lines += [
-                f"s{k} = ({x} - glo{k}) / gh{k}",
-                f"i{k} = int(s{k})",
-                f"if i{k} > top{k}:",
-                f"    i{k} = top{k}",
-                f"f{k} = s{k} - i{k}",
-            ]
-        lines.append(f"if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
-        lines.append(f"    {', '.join(_names('c', n))}, = {_tuple(_names('i', n))}")
-        for row, off in zip(corners, offsets):
-            idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
-            lines.append(f"    {', '.join(row)}, = rows[{idx}].tolist()")
-        lines += [f"e{k} = 1 - f{k}" for k in ax]
-        lines += [f"w{c} = {w}" for c, w in enumerate(weights)]
-        for j, g in enumerate(gs):
-            lines.append(f"{g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(corners))}")
-        exprs = _contraction_rows(gs, vs)
+    lines.append(f"if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
+    lines.append(f"    {', '.join(_names('c', n))}, = {_tuple(_names('i', n))}")
+    for row, off in zip(corners, offsets):
+        idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
+        lines.append(f"    {', '.join(row)}, = rows[{idx}].tolist()")
+    lines += [f"e{k} = 1 - f{k}" for k in ax]
+    lines += [f"w{c} = {w}" for c, w in enumerate(weights)]
+    for j, g in enumerate(gs):
+        lines.append(f"{g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(corners))}")
+    exprs = _contraction_rows(gs, vs)
     return lines + [f"{o} = {e} + q{m}" if forced else f"{o} = {e}" for m, (o, e) in enumerate(zip(out, exprs))]
 
 
-def _march_source(n, sampled, forced):
-    """``march(F, K, t, x, v, steps, half, dt, sixth, lo, hi, grid)``: the
-    fixed-step RK4 loop on Python floats, returning the flat node lists and
-    the truncation.
+def _march_source(n, forced):
+    """``march(K, t, x, v, steps, half, dt, sixth, grid)``: the fixed-step
+    RK4 loop on Python floats, returning the flat node lists and the
+    truncation.
 
-    ``grid`` is a sampled field's ``(lo, h, hi, top, rows)``, whose stages
-    :func:`_stage_source` writes inline; ``F`` is a closed-form connection's
-    ``(x, v) -> -Gamma(x) v v`` and ``K`` a force's ``(t, x, v) -> K``.  A
-    step is straight-line code: the stages ``x + half*k`` and the update
-    ``x + sixth*(((k1 + 2k2) + 2k3) + k4)`` element by element in the order
-    numpy gives the array expressions.  A stage point off the field's chart
-    (or a DomainExit from ``F`` or ``K``), a step that ends off ``[lo, hi]``
-    (no test when ``lo`` is None), or one that ends outside the velocity
-    ball stops the loop before that step.  The ball's sum of squares settles
-    the points surely inside; the rest go to :func:`_outside_ball`.
+    ``grid`` is the field's ``(lo, h, hi, top, rows)``, whose stages
+    :func:`_stage_source` writes inline; ``K`` is a force's
+    ``(t, x, v) -> K``.  A step is straight-line code: the stages
+    ``x + half*k`` and the update ``x + sixth*(((k1 + 2k2) + 2k3) + k4)``
+    element by element in the order numpy gives the array expressions.  A
+    stage point off the chart (or a DomainExit from ``K``), a step that ends
+    off the chart, or one that ends with sum((v - v0)^2) > VELOCITY_BALL^2
+    stops the loop before that step.
     """
     ax = range(n)
     xs, vs, ys, us, bs, ds, ps = (_names(s, n) for s in ("x", "v", "y", "u", "b", "d", "p"))
@@ -183,26 +177,16 @@ def _march_source(n, sampled, forced):
         return [f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     def stage(t, pos, vel, out):
-        return [f"            {line}" for line in _stage_source(n, sampled, forced, t, pos, vel, out)]
+        return [f"            {line}" for line in _stage_source(n, forced, t, pos, vel, out)]
 
-    src = [
-        "def march(F, K, t, x, v, steps, half, dt, sixth, lo, hi, grid):",
+    return "\n".join([
+        "def march(K, t, x, v, steps, half, dt, sixth, grid):",
         f"    {', '.join(xs)}, = x",
         f"    {', '.join(vs)}, = v",
-        f"    {', '.join(bs)}, = start = v",
-        "    bounded = lo is not None",
-        "    if bounded:",
-        f"        {', '.join(_names('lo', n))}, = lo",
-        f"        {', '.join(_names('hi', n))}, = hi",
-    ]
-    if sampled:
-        src += [
-            f"    {', '.join(_tuple(_names(a, n)) for a in ('glo', 'gh', 'ghi', 'top'))}, rows = grid",
-            f"    {', '.join(_names('c', n))}, = {_tuple(['-1'] * n)}",
-            f"    {' = '.join(f'r{c}_{j}' for c in range(2 ** n) for j in range(n ** 3))} = 0.0",
-        ]
-    return src + [
-        "    surely_inside, outside = _BALL_INSIDE, _outside_ball",
+        f"    {', '.join(bs)}, = v",
+        f"    {', '.join(_tuple(_names(a, n)) for a in ('glo', 'gh', 'ghi', 'top'))}, rows = grid",
+        f"    {', '.join(_names('c', n))}, = {_tuple(['-1'] * n)}",
+        f"    {' = '.join(f'r{c}_{j}' for c in range(2 ** n) for j in range(n ** 3))} = 0.0",
         "    ts, xs, vs = [t], list(x), list(v)",
         "    for _ in range(steps):",
         "        try:",
@@ -220,10 +204,10 @@ def _march_source(n, sampled, forced):
         '            return ts, xs, vs, "domain_exit"',
         *assign(ys, advance(xs, vs, k2x, k3x, k4x), "        "),
         *assign(us, advance(vs, k1v, k2v, k3v, k4v), "        "),
-        f"        if bounded and not ({' and '.join(f'lo{k} <= y{k} <= hi{k}' for k in ax)}):",
+        f"        if not ({' and '.join(f'glo{k} <= y{k} <= ghi{k}' for k in ax)}):",
         '            return ts, xs, vs, "chart_exit"',
         *assign(ds, [f"u{k} - b{k}" for k in ax], "        "),
-        f"        if not {' + '.join(f'd{k} * d{k}' for k in ax)} <= surely_inside and outside({_tuple(us)}, start):",
+        f"        if {' + '.join(f'd{k} * d{k}' for k in ax)} > {VELOCITY_BALL ** 2!r}:",
         '            return ts, xs, vs, "velocity_ball"',
         "        t = t + dt",
         f"        {', '.join(xs + vs)} = {', '.join(ys + us)}",
@@ -231,39 +215,20 @@ def _march_source(n, sampled, forced):
         f"        xs += {_tuple(xs)}",
         f"        vs += {_tuple(vs)}",
         '    return ts, xs, vs, "none"',
-    ]
-
-
-def _kernel_source(n, sampled, forced):
-    """Python source of the straight-line RK4 kernels for dimension ``n``
-    and one kind of right-hand side: ``contraction(G, v)`` on a flat
-    component list and ``march``.  Every expression keeps the array code's
-    operation order, so the results are its bits."""
-    gs, vs = _names("g", n ** 3), _names("v", n)
-    contraction = [
-        "def contraction(G, v):",
-        f"    {', '.join(gs)}, = G",
-        f"    {', '.join(vs)}, = v",
-        f"    return {_tuple(_contraction_rows(gs, vs))}",
-    ]
-    return "\n\n".join("\n".join(part) for part in (contraction, _march_source(n, sampled, forced))) + "\n"
+    ]) + "\n"
 
 
 @lru_cache(maxsize=None)
-def _rk4_kernels(n, sampled, forced):
-    """``(march, contraction)`` for dimension ``n`` and one kind of
-    right-hand side, compiled once per kind."""
-    ns = {"DomainExit": DomainExit, "_BALL_INSIDE": _BALL_INSIDE, "_outside_ball": _outside_ball}
-    exec(compile(_kernel_source(n, sampled, forced), f"<rk4 kernels n={n}>", "exec"), ns)
-    return ns["march"], ns["contraction"]
+def _rk4_march(n, forced):
+    """The :func:`_march_source` march for dimension ``n``, with or without a
+    force, compiled once."""
+    ns = {"DomainExit": DomainExit}
+    exec(compile(_march_source(n, forced), f"<rk4 march n={n}>", "exec"), ns)
+    return ns["march"]
 
 
 def default_dt(problem):
-    chart = problem.chart
-    base = 1.0 / 256
-    if chart is not None:
-        base = min(base, float(chart.h.min()))
-    return base
+    return min(1.0 / 256, float(problem.chart.h.min()))
 
 
 def solve_geodesic(problem, method="rk4", dt=None, tol_ode=1e-12):
@@ -274,44 +239,24 @@ def solve_geodesic(problem, method="rk4", dt=None, tol_ode=1e-12):
     raise RtgeoError(f"unknown method '{method}'")
 
 
-def _outside_ball(v, v0):
-    """``np.linalg.norm(v - v0) > VELOCITY_BALL`` for sequences of floats.
-
-    A Python sum of squares settles the points clearly inside; the rest, and
-    NaN, go to the norm itself, whose BLAS rounding draws the boundary.
-    """
-    d2 = sum((a - b) * (a - b) for a, b in zip(v, v0))
-    if d2 <= _BALL_INSIDE:
-        return False
-    return bool(np.linalg.norm(np.array(v) - np.array(v0)) > VELOCITY_BALL)
-
-
 def _solve_rk4(problem, dt):
     """Classical fixed-step RK4 on u = (gamma, v): the generated
     :func:`_march_source` loop on Python floats, element by element in the
     order numpy gives the array expressions, so the curve is bit for bit the
-    array loop's.  A sampled field's stages run inline; a closed-form
-    connection and a force are called on arrays and their outputs flattened."""
+    array loop's.  The field's stages run inline; a force is called on
+    arrays and its output flattened."""
     dt = dt or default_dt(problem)
-    conn, force = problem.connection, problem.force
+    conn, force, chart = problem.connection, problem.force, problem.chart
     n = len(problem.x0)
-    sampled = not callable(conn) or isinstance(conn, GridField)
-    march, contraction = _rk4_kernels(n, sampled, force is not None)
-    F = K = grid = None
-    if sampled:
-        fc = conn.chart
-        top, rows = [r - 2 for r in fc.res], conn.values.reshape(fc.res + (-1,))
-        grid = (fc.lo.tolist(), fc.h.tolist(), fc.hi.tolist(), top, rows)
-    else:
-        def F(x, v):
-            return contraction(np.ravel(conn(np.array(x))).tolist(), v)
+    K = None
     if force is not None:
         def K(t, x, v):
             return np.ravel(force(t, np.array(x), np.array(v))).tolist()
-    chart = problem.chart
-    lo, hi = (None, None) if chart is None else (chart.lo.tolist(), chart.hi.tolist())
+    top, rows = [r - 2 for r in chart.res], conn.values.reshape(chart.res + (-1,))
+    grid = (chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), top, rows)
     x0, v0, steps = tuple(problem.x0.tolist()), tuple(problem.v0.tolist()), int(round(problem.interval / dt))
-    ts, xs, vs, truncation = march(F, K, problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, lo, hi, grid)
+    march = _rk4_march(n, force is not None)
+    ts, xs, vs, truncation = march(K, problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, grid)
     if len(ts) == 1 and truncation != "none":
         raise DomainExit(problem.x0)
     return Curve(
@@ -343,10 +288,7 @@ def _gamma_vv_nodes(G, vel):
 
 def _solve_picard(problem, dt, tol_ode):
     dt = dt or default_dt(problem)
-    conn = problem.connection
-    closed_form = callable(conn) and not isinstance(conn, GridField)
-    gamma_at = conn if closed_form else partial(interpolate, conn)
-    force = problem.force
+    conn, force = problem.connection, problem.force
     x0, v0 = problem.x0, problem.v0
     K = int(round(problem.interval / dt))
     ts = problem.t0 + dt * np.arange(K + 1)
@@ -363,8 +305,7 @@ def _solve_picard(problem, dt, tol_ode):
     grow = 0
     sweeps = 0
     for sweeps in range(1, PICARD_MAX_SWEEPS + 1):
-        G = gamma_at(pos)
-        acc = _gamma_vv_nodes(G, vel)
+        acc = _gamma_vv_nodes(interpolate(conn, pos), vel)
         if force is not None:
             acc = acc + np.stack([force(ts[i], pos[i], vel[i]) for i in range(len(ts))])
         # trapezoidal cumulative integrals, v0 and x0 at the first node
@@ -380,7 +321,7 @@ def _solve_picard(problem, dt, tol_ode):
         k_in = _last_inside(problem, pos, len(ts) - 1, vel=vel, v0=v0)
         if k_in < len(ts) - 1:
             # the first node cut is the one the rule stopped at
-            off_chart = problem.chart is not None and problem.chart.first_outside(pos[k_in + 1]) is not None
+            off_chart = problem.chart.first_outside(pos[k_in + 1]) is not None
             truncation = "chart_exit" if off_chart else "velocity_ball"
             ts, pos, vel = ts[: k_in + 1], pos[: k_in + 1], vel[: k_in + 1]
         if inc < tol_ode:
@@ -395,8 +336,7 @@ def _solve_picard(problem, dt, tol_ode):
         else:
             grow = 0
         inc_prev = inc
-    lip = 0.0 if closed_form else _grad_max(conn)
-    flag = lip * problem.interval > 50.0
+    flag = _grad_max(conn) * problem.interval > 50.0
     return Curve(
         times=ts,
         positions=pos,
@@ -410,25 +350,21 @@ def _solve_picard(problem, dt, tol_ode):
 
 def _last_inside(problem, pos, kmax, vel=None, v0=None):
     """Last node index up to ``kmax`` before the first node off the chart, else
-    before the first with |v - v0| > VELOCITY_BALL; 0 at the earliest.
+    before the first with sum((v - v0)^2) > VELOCITY_BALL^2; 0 at the earliest.
 
-    A NaN position is off the chart.  The ball test is ``np.linalg.norm``'s
-    own formula for an axis, ``sqrt(add.reduce(d*d))``, so a NaN velocity is
-    not outside it (NaN > 1 is false), as with the norm.  When every node is
-    on the chart and every sum of squares is surely inside the ball, one
-    bounds test and one maximum settle it.
+    The sum runs over the axes in order, as the RK4 march's does.  A NaN
+    position is off the chart; a NaN velocity is not outside the ball (NaN > 1
+    is false).  When every node is on the chart, one bounds test settles the
+    chart rule.
     """
     chart = problem.chart
     pos = pos[: kmax + 1]
-    if chart is not None and not ((pos >= chart.lo) & (pos <= chart.hi)).all():
+    if not ((pos >= chart.lo) & (pos <= chart.hi)).all():
         return max(int(chart.contains(pos).argmin()) - 1, 0)
     if vel is not None:
-        d = vel[: kmax + 1] - v0
-        d2 = np.add.reduce(d * d, axis=1)
-        if not d2.max() <= _BALL_INSIDE:
-            out = np.sqrt(d2) > VELOCITY_BALL
-            if out.any():
-                return max(int(out.argmax()) - 1, 0)
+        out = sum(d * d for d in (vel[: kmax + 1] - v0).T) > VELOCITY_BALL ** 2
+        if out.any():
+            return max(int(out.argmax()) - 1, 0)
     return kmax
 
 
@@ -481,9 +417,7 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
             w0 = bundle.jac.at(x0) @ w0
             if force is not None:
                 force = transform_force(force, bundle)
-        return GeodesicProblem(
-            connection=passes[-1][2], t0=problem.t0, x0=y0, v0=w0, force=force, interval=problem.interval
-        )
+        return replace(problem, connection=passes[-1][2], x0=y0, v0=w0, force=force)
 
     def pull_back(curve):
         for _, bundle, _ in reversed(passes):
@@ -557,15 +491,7 @@ def solve_mollified(family, problem):
     """rk4 solve per family member; the realized intervals must share t0."""
     curves = []
     for eps, conn_e in zip(family.eps, family.conn_eps):
-        p = GeodesicProblem(
-            connection=conn_e,
-            t0=problem.t0,
-            x0=problem.x0,
-            v0=problem.v0,
-            force=problem.force,
-            interval=problem.interval,
-        )
-        curves.append(solve_geodesic(p, "rk4"))
+        curves.append(solve_geodesic(replace(problem, connection=conn_e), "rk4"))
     common = min(c.interval for c in curves)
     if common <= 0:
         worst = family.eps[int(np.argmin([c.interval for c in curves]))]
@@ -678,21 +604,10 @@ def gronwall_uniqueness_check(problem, delta0):
     The Lipschitz constant of the first-order field is estimated from the
     sampled connection's FD gradient and C0 norm over the velocity ball.
     """
-    if not isinstance(problem.connection, GridField):
-        raise RtgeoError("gronwall_uniqueness_check needs a sampled connection (a GridField) for its Lipschitz estimate")
     base = solve_geodesic(problem, "rk4")
     pert_dir = np.zeros_like(problem.v0)
     pert_dir[0] = 1.0
-    p2 = GeodesicProblem(
-        connection=problem.connection,
-        t0=problem.t0,
-        x0=problem.x0,
-        v0=problem.v0 + delta0 * pert_dir,
-        force=problem.force,
-        interval=problem.interval,
-        chart=problem.chart,
-    )
-    pert = solve_geodesic(p2, "rk4")
+    pert = solve_geodesic(replace(problem, v0=problem.v0 + delta0 * pert_dir), "rk4")
     k = min(len(base.times), len(pert.times))
     sep = np.sqrt(
         np.linalg.norm(base.positions[:k] - pert.positions[:k], axis=1) ** 2

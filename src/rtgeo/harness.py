@@ -227,7 +227,6 @@ class GeneratedScenario:
     hidden_bundle: TransformBundle       # inscribed y-chart, checker-only
     conn_y_true: object                  # on the inscribed y-chart
     reference: object                    # closed-form reference curve factory
-    map_obj: object
 
     def reference_curve(self, times):
         return self.reference(times)
@@ -279,7 +278,6 @@ def generate_scenario(scn):
         hidden_bundle=hidden_bundle,
         conn_y_true=conn_y_true,
         reference=reference,
-        map_obj=mp,
     )
 
 

@@ -117,11 +117,9 @@ def transform_connection(conn_y, forward, jac):
 
 
 def integrate_jacobian(J_field):
-    """Integrate J = dy/dx to a forward map by staircase trapezoid paths from
-    the central node Q, with y(Q) = Q.
+    """Integrate J = dy/dx to the forward map y(x) by staircase trapezoid
+    paths from the central node Q, axis 0 first, with y(Q) = Q.
 
-    Two axis orders are integrated; the first is kept, their discrepancy is
-    the path-independence diagnostic.  Returns (forward, discrepancy).
     Raises NonIntegrableError when the row curl exceeds TAU_CURL (the field
     is not a gradient).
     """
@@ -135,26 +133,18 @@ def integrate_jacobian(J_field):
         )
     n = chart.n
     base = tuple(r // 2 for r in chart.res)
-    yQ = chart.nodes[base]
-
-    def staircase(order):
-        y = np.broadcast_to(yQ, chart.res + (n,))
-        for k, ax in enumerate(order):
-            # the leg's integrand on the line where the not-yet-integrated
-            # axes sit at Q, kept as unit axes; trapezoid sums outward from Q
-            line = tuple(slice(b, b + 1) if a in order[k + 1 :] else slice(None) for a, b in enumerate(base))
-            f = np.moveaxis(J[line + (slice(None), ax)], ax, 0)
-            trap = 0.5 * chart.h[ax] * (f[1:] + f[:-1])
-            zero = np.zeros_like(f[:1])
-            up = np.add.accumulate(np.concatenate([zero, trap[base[ax] :]]), axis=0)
-            down = np.subtract.accumulate(np.concatenate([zero, trap[: base[ax]][::-1]]), axis=0)
-            y = y + np.moveaxis(np.concatenate([down[::-1], up[1:]]), 0, ax)
-        return y
-
-    fwd = staircase(list(range(n)))
-    rev = staircase(list(range(n - 1, -1, -1)))
-    discrepancy = float(np.abs(fwd - rev).max())
-    return fwd, discrepancy
+    y = np.broadcast_to(chart.nodes[base], chart.res + (n,))
+    for ax in range(n):
+        # the leg's integrand on the line where the not-yet-integrated axes
+        # sit at Q, kept as unit axes; trapezoid sums outward from Q
+        line = tuple(slice(b, b + 1) if a > ax else slice(None) for a, b in enumerate(base))
+        f = np.moveaxis(J[line + (slice(None), ax)], ax, 0)
+        trap = 0.5 * chart.h[ax] * (f[1:] + f[:-1])
+        zero = np.zeros_like(f[:1])
+        up = np.add.accumulate(np.concatenate([zero, trap[base[ax] :]]), axis=0)
+        down = np.subtract.accumulate(np.concatenate([zero, trap[: base[ax]][::-1]]), axis=0)
+        y = y + np.moveaxis(np.concatenate([down[::-1], up[1:]]), 0, ax)
+    return y
 
 
 def invert_map(forward_field, y_chart, J):
@@ -217,7 +207,7 @@ def build_bundle(chart_x, J, forward=None):
     inscribed y-chart (:func:`inscribed_y_chart`), where it must converge."""
     jac = J if isinstance(J, JacobianField) else JacobianField(chart_x, J)
     if forward is None:
-        forward, _ = integrate_jacobian(jac)
+        forward = integrate_jacobian(jac)
     fwd = GridField(chart_x, forward, ("up",))
     y_chart = inscribed_y_chart(chart_x, forward)
     inverse, _ = invert_map(fwd, y_chart, jac.J)

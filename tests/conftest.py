@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from rtgeo import curvature
 from rtgeo.calculus import connection_form, full_antisymmetric, wedge
 from rtgeo.charts import Chart, GridField, JacobianField, connection_field
 from rtgeo.curvature import _weak_functional
@@ -48,6 +49,21 @@ def weak_riemann(conn, psi):
     """
     w = connection_form(conn)
     return _weak_functional(conn.chart, w, full_antisymmetric(wedge(w, w), conn.chart.n), psi)
+
+
+def drop_jacobian_factor(monkeypatch):
+    """Negative control for Lemma B.1: the push of R_x to y-components loses
+    its Jinv factor on the second lower index, so R_x's third index lands
+    there unmapped."""
+    real = curvature.contract
+
+    def contract(subscripts, *operands):
+        if subscripts == "...dt,...ma,...nb,...rc,...tmnr->...dabc":
+            J, Jinv, _, _, R = operands
+            return real("...dt,...ma,...rc,...tmbr->...dabc", J, Jinv, Jinv, R)
+        return real(subscripts, *operands)
+
+    monkeypatch.setattr(curvature, "contract", contract)
 
 
 def quadratic_jacobian(chart, shear=0.5):

@@ -403,8 +403,6 @@ def test_every_definition_has_a_caller_in_the_package():
 # parameters with a default that no call in src/rtgeo passes: the test hooks,
 # each with its reason
 UNPASSED_DEFAULTS_ALLOWED = {
-    # negative controls
-    "curvature.lemma_b1_check(drop_jacobian_factor)",
     # tests tighten Picard's tolerance for their oracles
     "geodesics.solve_geodesic(tol_ode)",
     # ROADMAP item 7: only tests run the uniqueness mode

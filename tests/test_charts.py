@@ -225,7 +225,7 @@ def inline_stage(fld):
         f"        nonlocal {', '.join(kept)}",
         f"        {', '.join(xs)}, = x",
         f"        {', '.join(vs)}, = v",
-        *(f"        {line}" for line in geodesics._stage_source(n, True, False, "t", xs, vs, out)),
+        *(f"        {line}" for line in geodesics._stage_source(n, False, "t", xs, vs, out)),
         f"        return ({', '.join(out)},)",
         "    return stage",
     ]

@@ -14,7 +14,7 @@ from rtgeo.curvature import (
 from rtgeo.errors import FittingError, TestFunctionError
 from rtgeo.harness import sphere_christoffel
 
-from conftest import flat_disguise_connection, smooth_connection, weak_riemann
+from conftest import drop_jacobian_factor, flat_disguise_connection, smooth_connection, weak_riemann
 
 
 def sphere_chart(m=65):
@@ -272,15 +272,10 @@ def test_lemma_b1_pass_all_scenarios(flat_gen, rough_gen, sphere_gen):
         assert rep.passed, rep
 
 
-def test_lemma_b1_negative_control(control_gen):
+def test_lemma_b1_negative_control(control_gen, monkeypatch):
     good = lemma_b1_check(control_gen.conn_x, control_gen.hidden_bundle, control_gen.conn_y_true, p=2.2)
-    bad = lemma_b1_check(
-        control_gen.conn_x,
-        control_gen.hidden_bundle,
-        control_gen.conn_y_true,
-        p=2.2,
-        drop_jacobian_factor=True,
-    )
+    drop_jacobian_factor(monkeypatch)
+    bad = lemma_b1_check(control_gen.conn_x, control_gen.hidden_bundle, control_gen.conn_y_true, p=2.2)
     assert good.passed
     assert not bad.passed
     assert bad.distance > 5 * good.distance

@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rtgeo.geodesics import (
     solve_mollified,
     weak_solution_pipeline,
 )
-from rtgeo.harness import load_config, run_experiment, sphere_christoffel, sphere_geodesic
+from rtgeo.harness import _map_object, load_config, run_experiment, sphere_christoffel
 from rtgeo.rt_solver import RTConfig
 from rtgeo.transform import pull_back_curve, split_transform
 
@@ -28,11 +29,39 @@ def zero_connection(chart):
     return connection_field(chart, np.zeros(chart.res + (2, 2, 2)))
 
 
-def flat_evaluator(pts):
-    pts = np.atleast_2d(pts)
-    out = np.zeros(pts.shape[:-1] + (2, 2, 2))
-    out[..., 1, 0, 0] = 1.0
-    return out[0] if np.asarray(pts).ndim == 1 else out
+def constant_connection(chart, component, value):
+    """The connection whose one component ``component`` is ``value``
+    everywhere on ``chart`` and whose others are zero."""
+    vals = np.zeros(chart.res + (2, 2, 2))
+    vals[(...,) + component] = value
+    return connection_field(chart, vals)
+
+
+def flat_constant():
+    """Gamma^2_11 = 1 on a chart that holds every curve below."""
+    return constant_connection(Chart((-1.0, -1.0), (1.0, 1.0), (17, 17)), (1, 0, 0), 1.0)
+
+
+def strong_pull(chart):
+    """A constant pull, Gamma^2_11 = 30, that takes |v - v0| to 1 before any
+    chart edge from x0 = (0.1, 0.9), v0 = (0.2, 0)."""
+    return constant_connection(chart, (1, 0, 0), 30.0)
+
+
+def bent_line(x0, v0, t):
+    """Gamma^2_12 = Gamma^2_21 = 2: x1'' = 0 and x2'' = -4 v1 v2, so
+    x1 = x1(0) + v1 t and x2' = v2(0) exp(-4 v1 t)."""
+    rate = np.exp(-4 * v0[0] * t)
+    pos = np.stack([x0[0] + v0[0] * t, x0[1] + v0[1] * (1 - rate) / (4 * v0[0])], axis=1)
+    vel = np.stack([np.full_like(t, v0[0]), v0[1] * rate], axis=1)
+    return pos, vel
+
+
+def bent_connection():
+    """Gamma^2_12 = Gamma^2_21 = 2 on a 17^2 unit chart."""
+    vals = np.zeros((17, 17, 2, 2, 2))
+    vals[..., 1, 0, 1] = vals[..., 1, 1, 0] = 2.0
+    return connection_field(Chart((0.0, 0.0), (1.0, 1.0), (17, 17)), vals)
 
 
 def parabola_reference(x0, v0, t):
@@ -75,22 +104,22 @@ def test_sphere_equator_great_circle():
 
 
 def test_rk4_step_halving_ratio_closed_form():
-    # tilted great circle with the closed-form coefficient evaluator isolates
-    # the time discretization error
-    x0 = np.array([np.pi / 2, 0.1])
-    v0 = np.array([0.35, 0.55])
+    # a constant field, which multilinear interpolation reproduces, against
+    # its closed-form curve isolates the time discretization error
+    x0 = np.array([0.1, 0.2])
+    v0 = np.array([0.8, 0.6])
     errs = {}
     for dt in (1 / 256, 1 / 512):
-        prob = GeodesicProblem(sphere_christoffel, 0.0, x0, v0, interval=1.0)
+        prob = GeodesicProblem(bent_connection(), 0.0, x0, v0, interval=1.0)
         c = solve_geodesic(prob, "rk4", dt=dt)
-        pos, vel = sphere_geodesic(x0, v0, c.times)
+        pos, vel = bent_line(x0, v0, c.times)
         errs[dt] = np.abs(c.positions - pos).max() + np.abs(c.velocities - vel).max()
     ratio = errs[1 / 256] / errs[1 / 512]
     assert 12.0 <= ratio <= 20.0
 
 
 def test_picard_rk4_agreement_contraction_regime():
-    prob = GeodesicProblem(flat_evaluator, 0.0, np.array([0.0, 0.0]), np.array([0.6, 0.1]), interval=0.5)
+    prob = GeodesicProblem(flat_constant(), 0.0, np.array([0.0, 0.0]), np.array([0.6, 0.1]), interval=0.5)
     a = solve_geodesic(prob, "rk4", dt=1 / 2048)
     b = solve_geodesic(prob, "picard", dt=1 / 2048, tol_ode=1e-13)
     assert a.c1_distance(b) < 1e-6
@@ -122,16 +151,9 @@ def test_domain_truncation_and_immediate_exit(unit_chart):
 
 
 def test_velocity_ball_truncation(unit_chart):
-    # strong constant pull: |v - v0| reaches 1 before the chart edge
-    def strong(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[:-1] + (2, 2, 2))
-        out[..., 1, 0, 0] = 30.0
-        return out[0] if np.asarray(pts).ndim == 1 else out
-
-    prob = GeodesicProblem(strong, 0.0, np.array([0.1, 0.9]), np.array([0.2, 0.0]), interval=1.0, chart=None)
+    prob = GeodesicProblem(strong_pull(unit_chart), 0.0, np.array([0.1, 0.9]), np.array([0.2, 0.0]), interval=1.0)
     c = solve_geodesic(prob, "rk4", dt=1 / 256)
-    assert c.truncated
+    assert c.truncation == "velocity_ball"
     assert np.linalg.norm(c.velocities - c.velocities[0], axis=1).max() <= 1.0 + 1e-9
 
 
@@ -227,7 +249,8 @@ def test_pipeline_carries_a_force(rough_gen, mode):
     # the kink map leaves x2 alone, so the constant force a = (0, 0.5) is the
     # same vector in the hidden flat y: y(t) = y0 + w0 t + a t^2 / 2, pulled
     # back through the inverse map; without the force the curve misses it
-    scn, mp = rough_gen.scenario, rough_gen.map_obj
+    scn = rough_gen.scenario
+    mp = _map_object(scn)
     x0, v0, a = np.asarray(scn.x0), np.asarray(scn.v0), np.array([0.0, 0.5])
     y0, w0 = mp.forward(x0[None])[0], mp.jacobian(x0[None])[0] @ v0
 
@@ -281,7 +304,7 @@ def test_pipeline_steps_on_the_x_time_grid():
 
 
 def test_c1_distance_refuses_different_time_grids():
-    prob = GeodesicProblem(flat_evaluator, 0.0, np.array([0.0, 0.0]), np.array([0.6, 0.1]), interval=0.5)
+    prob = GeodesicProblem(flat_constant(), 0.0, np.array([0.0, 0.0]), np.array([0.6, 0.1]), interval=0.5)
     coarse = solve_geodesic(prob, "rk4", dt=1 / 256)
     assert coarse.c1_distance(solve_geodesic(prob, "rk4", dt=1 / 256)) == 0.0
     with pytest.raises(RtgeoError, match="time grids differ"):
@@ -506,54 +529,60 @@ def test_gronwall_flat_disguise_envelope(unit_chart_65):
 
 
 
-def test_gronwall_refuses_a_closed_form_connection(monkeypatch):
-    # the Lipschitz estimate reads sampled values; a callable is refused by
-    # name before either RK4 solve runs
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_geodesic ran")
-
-    monkeypatch.setattr(geodesics, "solve_geodesic", no_solve)
-    prob = GeodesicProblem(sphere_christoffel, 0.0, [np.pi / 2, 0.0], [0.0, 1.0], interval=0.3)
-    with pytest.raises(RtgeoError, match="GridField"):
-        gronwall_uniqueness_check(prob, 1e-6)
+def test_geodesic_problem_refuses_a_closed_form_connection():
+    # the solvers read a sampled connection on its own chart; a callable, or
+    # bare samples with no chart, is refused by name when the problem is built
+    samples = np.zeros((17, 17, 2, 2, 2))
+    for conn in (sphere_christoffel, samples):
+        with pytest.raises(RtgeoError, match="GridField"):
+            GeodesicProblem(conn, 0.0, [np.pi / 2, 0.0], [0.0, 1.0], interval=0.3)
 
 
 # -- RK4 and Picard against the per-step reference ----------------------------
 
 
-def rk4_reference(problem, dt):
-    """The RK4 loop on arrays, with batch ``interpolate`` (or the closed form),
-    ``einsum``, ``chart.contains`` and ``np.linalg.norm`` at every step;
-    returns the curve arrays, the truncation flag and which rule stopped it."""
+def outside_ball(v, v0):
+    """The velocity ball's one rule: sum((v - v0)^2) > 1, summed over the axes
+    in order; NaN is not outside."""
+    return sum(d * d for d in np.asarray(v - v0).T) > 1.0
+
+
+def rk4_step(problem, t, x, v, dt):
+    """One RK4 step on arrays, with batch ``interpolate`` and ``einsum``."""
     conn, force = problem.connection, problem.force
     n = len(problem.x0)
 
     def F(t, x, v):
-        G = conn(x) if callable(conn) else interpolate(conn, x)
-        a = -np.einsum("mrn,r,n->m", np.reshape(G, (n, n, n)), v, v)
+        a = -np.einsum("mrn,r,n->m", np.reshape(interpolate(conn, x), (n, n, n)), v, v)
         return a if force is None else a + force(t, x, v)
 
+    k1x, k1v = v, F(t, x, v)
+    k2x = v + 0.5 * dt * k1v
+    k2v = F(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+    k3x = v + 0.5 * dt * k2v
+    k3v = F(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+    k4x = v + dt * k3v
+    k4v = F(t + dt, x + dt * k3x, k4x)
+    return x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x), v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+
+
+def rk4_reference(problem, dt):
+    """The RK4 loop on arrays, :func:`rk4_step`, ``chart.contains`` and
+    :func:`outside_ball` at every step; returns the curve arrays, the
+    truncation flag and which rule stopped it."""
     x, v = problem.x0.copy(), problem.v0.copy()
     ts, xs, vs = [problem.t0], [x.copy()], [v.copy()]
     t, cause = problem.t0, None
     for _ in range(int(round(problem.interval / dt))):
         try:
-            k1x, k1v = v, F(t, x, v)
-            k2x = v + 0.5 * dt * k1v
-            k2v = F(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-            k3x = v + 0.5 * dt * k2v
-            k3v = F(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = F(t + dt, x + dt * k3x, k4x)
+            xn, vn = rk4_step(problem, t, x, v, dt)
         except DomainExit:
             cause = "stage"
             break
-        xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vn = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if problem.chart is not None and not problem.chart.contains(xn)[0]:
+        if not problem.chart.contains(xn)[0]:
             cause = "chart"
             break
-        if np.linalg.norm(vn - problem.v0) > 1.0:
+        if outside_ball(vn, problem.v0):
             cause = "ball"
             break
         t, x, v = t + dt, xn, vn
@@ -565,14 +594,13 @@ def rk4_reference(problem, dt):
 
 def last_inside_reference(problem, pos, kmax, vel=None, v0=None):
     """Picard's truncation rule as two scans over the nodes."""
-    ok = np.ones(len(pos), bool) if problem.chart is None else problem.chart.contains(pos)
+    ok = problem.chart.contains(pos)
     for k in range(kmax + 1):
         if not ok[k]:
             return max(k - 1, 0)
     if vel is not None:
-        dev = np.linalg.norm(vel - v0, axis=1)
         for k in range(kmax + 1):
-            if dev[k] > 1.0:
+            if outside_ball(vel[k], v0):
                 return max(k - 1, 0)
     return kmax
 
@@ -595,28 +623,15 @@ RK4_TRUNCATION = {None: "none", "stage": "domain_exit", "chart": "chart_exit", "
 PICARD_TRUNCATION = {**RK4_TRUNCATION, "stage": "chart_exit"}
 
 
-def strong_pull(pts):
-    """A constant pull that takes |v - v0| to 1 before any chart edge."""
-    pts = np.atleast_2d(pts)
-    out = np.zeros(pts.shape[:-1] + (2, 2, 2))
-    out[..., 1, 0, 0] = 30.0
-    return out[0] if np.asarray(pts).ndim == 1 else out
-
-
 def reference_case(case):
     """The problem and its stopping cause: the sampled sphere per SPHERE_IVPS
-    cause, or one more kind of right-hand side."""
+    cause, with a drag force, or n = 3."""
     chart = Chart((np.pi / 4, -0.15), (3 * np.pi / 4, 1.15), (65, 65))
     conn = connection_field(
         chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2))
     )
     if case in SPHERE_IVPS:
         return GeodesicProblem(conn, 0.0, *SPHERE_IVPS[case], interval=1.0), case
-    if case == "closed_form":
-        prob = GeodesicProblem(sphere_christoffel, 0.0, [1.726, 0.788], [-2.106, -1.81], chart=chart)
-        return prob, "ball"
-    if case == "unbounded":
-        return GeodesicProblem(strong_pull, 0.0, [0.1, 0.9], [0.2, 0.0], chart=None), "ball"
     if case == "forced":
         drag = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
         return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=drag), None
@@ -633,7 +648,7 @@ def wavy_n3_problem(res):
     return GeodesicProblem(connection_field(chart, vals), 0.0, [0.1, 0.2, 0.0], [1.5, -0.9, 0.5])
 
 
-@pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "closed_form", "unbounded", "forced"])
+@pytest.mark.parametrize("case", [*SPHERE_IVPS, "n3", "forced"])
 def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
     prob, cause = reference_case(case)
     ts, xs, vs, truncated, got_cause = rk4_reference(prob, 1 / 32)
@@ -673,11 +688,11 @@ def test_fused_march_keeps_rk4_bits_at_the_default_step(case, cause):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampled_march_evaluates_its_stages_inline(n):
-    """Guard: the march for a sampled, unforced field reads the field's rows
-    itself and calls no right-hand side; the closed-form march calls ``F``."""
-    assert "F(" not in geodesics._kernel_source(n, True, False)
-    assert "rows[" in geodesics._kernel_source(n, True, False)
-    assert "F(" in geodesics._kernel_source(n, False, False)
+    """Guard: the march reads the field's rows itself and calls no right-hand
+    side; only the forced march calls ``K``."""
+    assert "rows[" in geodesics._march_source(n, False)
+    assert "K(" not in geodesics._march_source(n, False)
+    assert "K(" in geodesics._march_source(n, True)
 
 
 def fan_problems(conn, scn, seed, count=512, directions=16):
@@ -733,27 +748,11 @@ def test_picard_estimates_lipschitz_once_per_field(monkeypatch):
     assert flag and all(c.non_uniqueness_candidate == flag for c in curves)
 
 
-def test_unbounded_closed_form_keeps_nan_steps():
-    """With no chart, a step is judged by the velocity ball alone: a NaN
-    position is not an exit and ``norm(NaN) > 1`` is false, so the curve
-    runs its full interval, bit for bit the array loop's."""
-
-    def blows_up(x):
-        out = strong_pull(x) / 30.0
-        return out * np.nan if x[0] > 0.2 else out
-
-    prob = GeodesicProblem(blows_up, 0.0, [0.1, 0.9], [0.4, 0.0], interval=0.5, chart=None)
-    ts, xs, vs, truncated, cause = rk4_reference(prob, 1 / 32)
-    c = solve_geodesic(prob, "rk4", dt=1 / 32)
-    assert not truncated and c.truncation == "none" and np.isnan(c.positions[-1]).all()
-    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_last_inside_matches_reference_scans():
     """Picard's cut against the two scans: a NaN position is off the chart, a
-    NaN velocity is not outside the ball (``norm`` gives NaN, and NaN > 1 is
-    false) while an infinite one is, and the chart rule wins over the ball."""
+    NaN velocity is not outside the ball (its sum of squares is NaN, and
+    NaN > 1 is false) while an infinite one is, and the chart rule wins over
+    the ball."""
     chart = Chart((0.0, -1.0), (1.0, 2.0), (17, 17))
     prob = GeodesicProblem(zero_connection(chart), 0.0, [0.5, 0.5], [0.3, -0.2])
     v0 = prob.v0
@@ -813,8 +812,24 @@ def contraction_inputs(draw):
     return G, v
 
 
+@lru_cache(maxsize=None)
+def compiled_contraction(n):
+    """``contraction(G, v)`` on a flat component list, compiled from the
+    march's :func:`geodesics._contraction_rows`."""
+    gs, vs = geodesics._names("g", n ** 3), geodesics._names("v", n)
+    src = [
+        "def contraction(G, v):",
+        f"    {', '.join(gs)}, = G",
+        f"    {', '.join(vs)}, = v",
+        f"    return {geodesics._tuple(geodesics._contraction_rows(gs, vs))}",
+    ]
+    ns = {}
+    exec("\n".join(src), ns)
+    return ns["contraction"]
+
+
 def generated_contraction(G, v):
-    return geodesics._rk4_kernels(len(v), False, False)[1](G, v)
+    return compiled_contraction(len(v))(G, v)
 
 
 def matches_einsum(contract, G, v):
@@ -855,9 +870,9 @@ def test_contract_check_rejects_other_order():
 
 
 def test_kernels_compile_once_per_dimension():
-    """Solves on different charts of one dimension share the compiled kernels;
+    """Solves on different charts of one dimension share the compiled march;
     a new dimension compiles once."""
-    kernels = geodesics._rk4_kernels
+    kernels = geodesics._rk4_march
     kernels.cache_clear()
 
     def solve(lo, hi, res, x0, v0):
@@ -875,22 +890,37 @@ def test_kernels_compile_once_per_dimension():
 
 
 def test_velocity_ball_guard_matches_norm():
-    """The step's ball test against ``np.linalg.norm(vn - v0) > 1`` where the
-    two can part: |vn - v0| within a few ulps of 1, NaN and inf, and a spread
-    of radii through the Python sum of squares' fast path."""
+    """One ball rule, sum((v - v0)^2) > 1 summed over the axes in order, in the
+    RK4 march and in Picard's cut, where it parts from ``np.linalg.norm(v -
+    v0) > 1``: |v - v0| within a few ulps of 1, and NaN and inf in the cut."""
     rng = np.random.default_rng(9)
     ulp = np.finfo(float).eps
-    cases = []
-    for n in (1, 2, 3):
-        radii = np.concatenate([1 + rng.integers(-4, 5, 4000) * ulp, rng.uniform(0, 1.5, 1000)])
-        for radius in radii:
-            v0 = rng.uniform(-2, 2, n)
-            d = rng.standard_normal(n)
-            cases.append((v0 + radius * (d / np.linalg.norm(d)), v0))
-    cases += [(np.array([np.nan, 0.2]), np.zeros(2)), (np.array([0.1, np.inf]), np.zeros(2))]
-    parted = 0
-    for vn, v0 in cases:
-        want = np.linalg.norm(vn - v0) > 1.0
-        assert geodesics._outside_ball(vn.tolist(), v0.tolist()) == want
-        parted += (sum((a - b) ** 2 for a, b in zip(vn, v0)) > 1.0) != want
-    assert parted > 0  # the sum of squares alone would decide some of these wrongly
+    dt = 0.25
+    seen, parted = set(), 0
+    for n in (2, 3):
+        chart = Chart((-10.0,) * n, (10.0,) * n, (8,) * n)
+        conn = connection_field(chart, np.zeros(chart.res + (n, n, n)))
+        for k in rng.integers(-4, 5, 300):
+            # two steps under the constant force a take v0 to radius 1 within
+            # a few ulps; the first ends at radius 1/2
+            v0, d = rng.uniform(-2, 2, n), rng.standard_normal(n)
+            a = (1 + k * ulp) * d / np.linalg.norm(d) / (2 * dt)
+            prob = GeodesicProblem(conn, 0.0, np.zeros(n), v0, force=ForceField(lambda t, x, v, a=a: a),
+                                   interval=2 * dt)
+            x1, v1 = rk4_step(prob, 0.0, prob.x0, v0, dt)
+            v2 = rk4_step(prob, dt, x1, v1, dt)[1]
+            out = outside_ball(v2, v0)
+            c = solve_geodesic(prob, "rk4", dt=dt)
+            assert c.truncation == ("velocity_ball" if out else "none")
+            assert c.velocities[1].tobytes() == v1.tobytes() and len(c.times) == 2 + (not out)
+            vel = np.stack([v0, v1, v2])
+            assert geodesics._last_inside(prob, np.zeros((3, n)), 2, vel=vel, v0=v0) == 2 - out
+            seen.add(out)
+            parted += out != (np.linalg.norm(v2 - v0) > 1.0)
+    assert seen == {True, False}
+    assert parted > 0  # the norm would decide some of these the other way
+    prob = GeodesicProblem(conn, 0.0, np.zeros(n), np.zeros(n))  # the n = 3 field
+    for bad, want in ((np.nan, 2), (np.inf, 1), (-np.inf, 1)):
+        vel = np.zeros((3, n))
+        vel[2, 1] = bad
+        assert geodesics._last_inside(prob, np.zeros((3, n)), 2, vel=vel, v0=prob.v0) == want

@@ -8,7 +8,7 @@ import pytest
 
 from rtgeo.charts import GridField, dump_field
 from rtgeo.errors import ConfigurationError
-from rtgeo.harness import Scenario, generate_scenario, load_config, run_experiment
+from rtgeo.harness import Scenario, _map_object, generate_scenario, load_config, run_experiment
 from rtgeo.rt_solver import RTConfig
 
 
@@ -411,7 +411,7 @@ def test_blinding_tamper(rough_gen):
     assert np.array_equal(before.positions, after.positions)
     # restore for other tests
     pts = rough_gen.conn_x.chart.nodes.reshape(-1, 2)
-    rough_gen.hidden_bundle.jac.J[...] = rough_gen.map_obj.jacobian(pts).reshape(
+    rough_gen.hidden_bundle.jac.J[...] = _map_object(rough_gen.scenario).jacobian(pts).reshape(
         rough_gen.conn_x.chart.res + (2, 2)
     )
 

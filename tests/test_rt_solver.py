@@ -59,14 +59,12 @@ def test_rt_eq12_and_orientation(rough_rt_state, rough_gen):
 
 
 def test_rt_jacobian_integrable(rough_rt_state):
-    # gradient-exact rows: curl at machine precision, staircase agrees
+    # gradient-exact rows: curl at machine precision
     state = rough_rt_state
     assert state.curl_residual < 1e-9
     from rtgeo.charts import JacobianField
 
-    fwd, disc = integrate_jacobian(JacobianField(state.conn.chart, state.J))
-    # path discrepancy is trapezoid-quadrature level even for exact gradients
-    assert disc < 10 * float(state.conn.chart.h.max()) ** 2
+    fwd = integrate_jacobian(JacobianField(state.conn.chart, state.J))
     # staircase reintegration reproduces the solver's own potentials up to
     # an additive constant per row
     shift = fwd - state.potentials
