@@ -108,11 +108,12 @@ def _stage_source(n, forced, t, xs, vs, out):
     """Lines of one RK4 stage that set the names ``out`` to gamma'' at time
     ``t``, position names ``xs`` and velocity names ``vs``.
 
-    :meth:`Chart.contains`'s bounds test, whose failure ends the march with
-    "domain_exit", then :func:`charts.interpolate`'s cell, fractions, weights
-    and corner sum, term by term on Python floats, and the contraction.  The
-    2^n corner rows of the last cell visited stay in the march's locals.  A
-    force adds the components of ``K(t, x, v)``, called first.
+    The stage is :meth:`Chart.contains`'s bounds test, whose failure ends
+    the march with "domain_exit", then :func:`charts.interpolate`'s cell,
+    fractions, weights and corner sum, term by term on Python floats, and
+    the contraction.  The 2^n corner rows of the last cell visited stay in
+    the march's locals.  A force adds the components of ``K(t, x, v)``,
+    called first.
     """
     ax = range(n)
     lines = [f"{', '.join(_names('q', n))}, = K({t}, {_tuple(xs)}, {_tuple(vs)})"] if forced else []
