@@ -102,9 +102,9 @@ def test_rk4_step_halving_ratio_closed_form():
     # its closed-form curve isolates the time discretization error
     x0 = np.array([0.1, 0.2])
     v0 = np.array([0.8, 0.6])
+    bent = constant_connection(Chart((0.0, 0.0), (1.0, 1.0), (17, 17)), {(1, 0, 1): 2.0, (1, 1, 0): 2.0})
     errs = {}
     for dt in (1 / 256, 1 / 512):
-        bent = constant_connection(Chart((0.0, 0.0), (1.0, 1.0), (17, 17)), {(1, 0, 1): 2.0, (1, 1, 0): 2.0})
         prob = GeodesicProblem(bent, 0.0, x0, v0, interval=1.0)
         c = solve_geodesic(prob, "rk4", dt=dt)
         pos, vel = bent_line(x0, v0, c.times)
