@@ -123,8 +123,8 @@ def contract(subscripts, *operands):
       17-257 time nodes, where this helper's per-call overhead loses at
       every size (on a 2-vCPU VM, 38-46 us against einsum's 4-8 us at 17,
       129 and 257 rows).
-    - ``curvature._weak_functional``: its two sums run over 1,365-2,025
-      nodes, not over small labels.
+    - ``curvature._weak_functional``: its two sums run over the nodes of a
+      bump's support (7-994 in the shipped runs), not over small labels.
     - ``calculus.matrix_inner`` (``...msj,...snj->...mn``): the form index
       j is the last memory axis of both forms, the SIMD-lane case above.
     """
@@ -350,13 +350,9 @@ def lp_norm(fld, p, weights=None):
     return float((chart.quad_weights.ravel() * mag ** p).sum() ** (1.0 / p))
 
 
-def gradient_field(fld):
-    return fld.copy(values=fld.chart.grad(fld.values))
-
-
 def w1p_norm(fld, p):
     """W^{1,p} norm: L^p of the field plus L^p of its gradient."""
-    return lp_norm(fld, p) + lp_norm(gradient_field(fld), p)
+    return lp_norm(fld, p) + lp_norm(fld.copy(values=fld.chart.grad(fld.values)), p)
 
 
 def norm_report(fld, p):

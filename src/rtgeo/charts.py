@@ -419,10 +419,6 @@ class JacobianField:
         """The J samples, which :func:`interpolate` reads in place as a field's values."""
         return self.J
 
-    def at(self, pts, clip=False):
-        """J interpolated at x-chart points, as :func:`interpolate` does it."""
-        return interpolate(self, pts, clip=clip)
-
 
 @dataclass
 class ForceField:
@@ -460,21 +456,30 @@ def dump_field(fld, path):
 
 
 def load_field(path):
+    """Read a :func:`dump_field` CSV.  A missing header key, a value that does
+    not parse, or a body without one row of n + prod(shape) columns per node
+    raises :class:`ConfigurationError` naming the file."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# chart"):
             raise ConfigurationError(f"{path}: missing chart header")
         meta = dict(tok.split("=", 1) for tok in header[2:].split() if "=" in tok)
-        n = int(meta["n"])
-        bounds = [tuple(float(v) for v in b.split(":")) for b in meta["bounds"].split(",")]
-        res = tuple(int(r) for r in meta["res"].split(","))
-        shape_tokens = meta["shape"].split(",") if meta["shape"] else []
-        comp_shape = tuple(int(t[:-1]) for t in shape_tokens)
-        variance = tuple({"u": "up", "d": "down", "f": "form"}[t[-1]] for t in shape_tokens)
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    chart = make_chart(n, bounds, res)
-    comps = rows[:, n:]
-    return GridField(chart, comps.reshape(chart.res + comp_shape), variance)
+        try:
+            n = int(meta["n"])
+            bounds = [(float(lo), float(hi)) for lo, hi in (b.split(":") for b in meta["bounds"].split(","))]
+            res = tuple(int(r) for r in meta["res"].split(","))
+            shape_tokens = meta["shape"].split(",") if meta["shape"] else []
+            comp_shape = tuple(int(t[:-1]) for t in shape_tokens)
+            variance = tuple(("up", "down", "form")["udf".index(t[-1])] for t in shape_tokens)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except KeyError as e:
+            raise ConfigurationError(f"{path}: chart header has no {e.args[0]}=") from e
+        except ValueError as e:
+            raise ConfigurationError(f"{path}: does not parse: {e}") from e
+    chart, columns = make_chart(n, bounds, res), n + int(np.prod(comp_shape))
+    if rows.shape != (chart.npoints, columns):
+        raise ConfigurationError(f"{path}: {rows.shape[0]} rows of {rows.shape[1]} columns, not {chart.npoints} of {columns}")
+    return GridField(chart, rows[:, n:].reshape(chart.res + comp_shape), variance)
 
 
 def dump_curve(curve, path):

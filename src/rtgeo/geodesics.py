@@ -17,7 +17,7 @@ from .calculus import lp_norm, mollifier_band, mollify
 from .charts import GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import bump_basis, represent_weak, riemann
 from .errors import DomainExit, RtgeoError, SolverError, staged
-from .rt_solver import RTConfig, regularize
+from .rt_solver import regularize
 from .transform import connection_law, inscribed_inset, pull_back_curve, transform_force
 
 VELOCITY_BALL = 1.0
@@ -232,7 +232,7 @@ def default_dt(problem):
     return min(1.0 / 256, float(problem.chart.h.min()))
 
 
-def solve_geodesic(problem, method="rk4", dt=None, tol_ode=1e-12):
+def solve_geodesic(problem, method, dt=None, tol_ode=1e-12):
     if method == "rk4":
         return _solve_rk4(problem, dt)
     if method == "picard":
@@ -382,7 +382,7 @@ class PipelineResult:
     provenance: dict
 
 
-def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
+def weak_solution_pipeline(conn, problem, rt_config, mode="existence"):
     """Regularize by coordinate change, solve classically there, pull back.
 
     existence: one elliptic pass; the transformed connection is Hölder
@@ -397,10 +397,9 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
     """
     if mode not in ("existence", "uniqueness"):
         raise RtgeoError(f"unknown mode '{mode}'")
-    cfg = rt_config or RTConfig()
-    passes = [regularize(conn, cfg)]
+    passes = [regularize(conn, rt_config)]
     if mode == "uniqueness":
-        passes.append(regularize(passes[0][2], replace(cfg, retry_subchart=False), "_second"))
+        passes.append(regularize(passes[0][2], replace(rt_config, retry_subchart=False), "_second"))
     prov = {"mode": mode, "y_chart": repr(passes[0][2].chart)}
     for (state, _, _), key in zip(passes, ("rt", "rt_second")):
         prov[key] = state.summary()
@@ -410,12 +409,12 @@ def weak_solution_pipeline(conn, problem, mode="existence", rt_config=None):
         and :func:`transform_force`."""
         y0, w0, force = problem.x0, problem.v0, problem.force
         for _, bundle, _ in passes:
-            x0, y0 = y0, bundle.forward_at(y0)
+            x0, y0 = y0, interpolate(bundle.forward, y0)
             if not bundle.y_chart.contains(y0)[0]:
                 inset = [inscribed_inset(r) for r in bundle.x_chart.res]
                 raise DomainExit(y0, f"y(x0) = {y0} left the inscribed y-chart {bundle.y_chart!r}, the image "
                                      f"of the x-chart {bundle.x_chart!r} inset {inset} cells per side")
-            w0 = bundle.jac.at(x0) @ w0
+            w0 = interpolate(bundle.jac, x0) @ w0
             if force is not None:
                 force = transform_force(force, bundle)
         return replace(problem, connection=passes[-1][2], x0=y0, v0=w0, force=force)
@@ -540,7 +539,7 @@ def _masked_subchart(mask):
     return sl
 
 
-def convergence_report(family, curves, reference, conn_x, p=2.2):
+def convergence_report(family, curves, reference, conn_x, p):
     """Distances of the mollified family to the rough data and the weak curve.
 
     Metrics restrict to the common sub-chart where every family member is

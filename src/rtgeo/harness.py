@@ -136,7 +136,7 @@ class QuadraticMap:
     """y1 = x1, y2 = x2 + s x1^2/2; pushes the flat connection to a single
     constant component of size s."""
 
-    def __init__(self, shear=1.0):
+    def __init__(self, shear):
         self.shear = shear
 
     def forward(self, pts):
@@ -420,19 +420,20 @@ def _identity_stage(gen, scn):
 
 
 def _regularity_ladder(scn, rtcfg, grids, own):
-    """W^{1,p} of Gamma_x and Gamma_y across the grid ladder; ``own`` is the
-    run's (Gamma_x, Gamma_y), which the rung at the run's resolution reads; any
-    other rung builds just those two (pull-back, one regularizing pass)."""
+    """W^{1,p} of Gamma_x and Gamma_y across the grid ladder; the rung at the run's
+    resolution reads ``own``, the two norms the regularity stage computed; any
+    other rung builds its two fields (pull-back, one regularizing pass)."""
     out = {"grids": list(grids), "w1p_x": [], "w1p_y": []}
     for m in grids:
         if (m, m) == tuple(scn.resolution):
-            conn_x, conn_y = own
+            w1p_x, w1p_y = own
         else:
             s = replace(scn, resolution=(m, m))
             conn_x = _pull_back(s, _map_object(s))[0]
             conn_y = regularize(conn_x, rtcfg, f"_rung{m}")[2]
-        out["w1p_x"].append(w1p_norm(conn_x, scn.p))
-        out["w1p_y"].append(w1p_norm(conn_y, scn.p))
+            w1p_x, w1p_y = w1p_norm(conn_x, scn.p), w1p_norm(conn_y, scn.p)
+        out["w1p_x"].append(w1p_x)
+        out["w1p_y"].append(w1p_y)
     out["x_growth"] = out["w1p_x"][-1] / out["w1p_x"][0]
     ys = out["w1p_y"]
     out["y_variation"] = max(ys) / min(ys) - 1.0
@@ -564,7 +565,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         if ladder:
             lad = timed(
                 "regularity_ladder",
-                lambda: _regularity_ladder(scn, rtcfg, ladder, (gen.conn_x, pipe.conn_y)),
+                lambda: _regularity_ladder(scn, rtcfg, ladder, (reg["x"].w1p, reg["y"].w1p)),
             )
             report.stages["regularity_ladder"] = lad
             report.flags["regularity_gain"] = (

@@ -60,7 +60,6 @@ class RTConfig:
 @dataclass
 class RTState:
     conn: object             # the connection solved on: its half-radius window after a retry
-    iterations: int
     J: np.ndarray
     B: np.ndarray
     potentials: np.ndarray
@@ -69,6 +68,10 @@ class RTState:
     det_min: float = 0.0
     curl_residual: float = 0.0
     used_subchart: bool = False
+
+    @property
+    def iterations(self):
+        return len(self.increments)
 
     def summary(self):
         return {
@@ -90,14 +93,13 @@ def _split_coderivative(chart, J, conn_form_vals, delta_gamma):
     return S
 
 
-def solve_reduced_rt(conn, cfg=None):
+def solve_reduced_rt(conn, cfg):
     """Undamped fixed-point solve J <- T(J) for (J, B) on the connection's chart.
 
     Retries once on the half-radius centered sub-chart if the increments stop
     contracting, ``max_iters`` runs out, or the Jacobian folds (the
     underlying theory is local).
     """
-    cfg = cfg or RTConfig()
     try:
         return _solve_on_chart(conn, cfg, used_subchart=False)
     except (SolverError, JacobianError):
@@ -152,7 +154,6 @@ def _solve_on_chart(conn, cfg, used_subchart):
     r13 = lp_norm(GridField(chart, delta_one_form(chart, B)), cfg.p, interior)
     return RTState(
         conn=conn,
-        iterations=len(increments),
         J=J,
         B=B,
         potentials=u,
@@ -164,16 +165,11 @@ def _solve_on_chart(conn, cfg, used_subchart):
     )
 
 
-def rt_bundle(state):
-    """Coordinate bundle from the converged state (integrates the Jacobian)."""
-    return build_bundle(state.conn.chart, state.J)
-
-
 def regularize(conn, cfg, suffix=""):
     """One regularizing pass, each step under its stage label (``suffix`` appended):
     RT solve, coordinate bundle, Gamma~ on the solved chart, Gamma_y on the y-chart."""
     state = staged("rt_solve" + suffix, lambda: solve_reduced_rt(conn, cfg))
-    bundle = staged("integrate_jacobian" + suffix, lambda: rt_bundle(state))
+    bundle = staged("integrate_jacobian" + suffix, lambda: build_bundle(state.conn.chart, state.J))
     tilde = staged("gamma_tilde" + suffix, lambda: split_transform(state.conn, state.J))
     conn_y = staged("optimal_connection" + suffix, lambda: optimal_connection(tilde, bundle))
     return state, bundle, conn_y

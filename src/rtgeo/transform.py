@@ -52,10 +52,6 @@ class TransformBundle:
     def y_chart(self):
         return self.inverse.chart
 
-    def forward_at(self, pts):
-        """y(x) at x-chart points; a point off the x-chart raises :class:`DomainExit`."""
-        return interpolate(self.forward, pts)
-
     def inverse_at(self, pts):
         """x(y) at y-points, clipped to the y-chart."""
         return interpolate(self.inverse, pts, clip=True)
@@ -63,7 +59,7 @@ class TransformBundle:
     def pull_back_at(self, ypts):
         """x(y), J(x) and J(x)^-1 at y-chart points, both interpolations clipped."""
         x = self.inverse_at(ypts)
-        J = self.jac.at(x, clip=True)
+        J = interpolate(self.jac, x, clip=True)
         return x, J, det_inverse(J)[1]
 
 
@@ -233,7 +229,7 @@ def _split_forms(conn, J):
     return Jinv, connection_form(conn), connection_form(split_transform(conn, J, Jinv))
 
 
-def coderivative_identity_residual(conn, J, p=4.0):
+def coderivative_identity_residual(conn, J, p):
     """L^p residual of: delta Gamma_x = delta Gamma~ - <dJinv; dJ> + Jinv Delta J.
 
     The sign of the inner-product term is forced by the package's pinned
@@ -254,7 +250,7 @@ def coderivative_identity_residual(conn, J, p=4.0):
     return lp_norm(GridField(chart, lhs - rhs), p, _interior_weights(chart))
 
 
-def dgamma_identity_residual(conn, J, p=4.0):
+def dgamma_identity_residual(conn, J, p):
     """L^p residual of: d Gamma_x = d Gamma~ + dJinv ^ dJ  (exact since d dJ = 0)."""
     chart = conn.chart
     Jinv, w, wt = _split_forms(conn, J)

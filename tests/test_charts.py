@@ -356,10 +356,10 @@ def test_jacobian_field_at_interpolates_samples(unit_chart):
     jf = JacobianField(unit_chart, J)
     pts = rng.uniform(-0.2, 1.2, size=(50, 2))
     want = interpolate(GridField(unit_chart, J), pts, clip=True)
-    assert jf.at(pts, clip=True).tobytes() == want.tobytes()
-    assert jf.at(pts[0], clip=True).shape == (2, 2)
+    assert interpolate(jf, pts, clip=True).tobytes() == want.tobytes()
+    assert interpolate(jf, pts[0], clip=True).shape == (2, 2)
     with pytest.raises(DomainExit):
-        jf.at(np.array([1.2, 0.5]))
+        interpolate(jf, np.array([1.2, 0.5]))
 
 
 @pytest.mark.parametrize("res", [(33, 33), (65, 65), (9, 10, 11)], ids=["n=2-33", "n=2-65", "n=3"])

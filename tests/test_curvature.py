@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rtgeo.calculus import lp_norm, mollify
+from rtgeo.calculus import connection_form, full_antisymmetric, lp_norm, mollify, wedge
 from rtgeo.charts import Chart, GridField, connection_field
 from rtgeo.curvature import (
     TestFunction,
+    _weak_functional,
     bump_basis,
     lemma_b1_check,
     represent_weak,
@@ -152,6 +153,29 @@ def test_weak_riemann_linear_in_psi_and_continuous_in_gamma(unit_chart):
     nd = lp_norm(GridField(chart, conn_a.values - conn_b.values), 2 * p)
     bound = 2 * (grad_norm + psi_max) * (1 + na + nb) * nd
     assert gap <= bound
+
+
+def full_sum_functional(chart, wvals, wedge_full, psi):
+    """The weak functional with both sums over every chart node: the reference
+    that the support-restricted sums of ``_weak_functional`` reproduce bit for bit."""
+    pts = chart.nodes.reshape(-1, chart.n)
+    wv = wvals.reshape((chart.npoints,) + wvals.shape[chart.n :])
+    wf = wedge_full.reshape((chart.npoints,) + wedge_full.shape[chart.n :])
+    A = np.einsum("Ntmr,Nv->tmvr", wv, psi.gradient(pts))
+    return chart.voxel() * (-(A - A.swapaxes(-1, -2)) + np.einsum("Ntmij,N->tmij", wf, psi(pts)))
+
+
+@pytest.mark.parametrize("m", [33, 65, 129])
+def test_weak_functional_support_sums_match_full_sums(m):
+    # every bump of the basis, on a unit-scale and a wide-magnitude random Gamma
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (m, m))
+    rng = np.random.default_rng(m)
+    for scale in (1.0, 10.0 ** rng.uniform(-3, 3, chart.res + (2, 2, 2))):
+        w = connection_form(connection_field(chart, scale * rng.standard_normal(chart.res + (2, 2, 2))))
+        wedge_full = full_antisymmetric(wedge(w, w), chart.n)
+        for psi in bump_basis(chart):
+            got = _weak_functional(chart, w, wedge_full, psi)
+            assert got.tobytes() == full_sum_functional(chart, w, wedge_full, psi).tobytes()
 
 
 # -- representation -----------------------------------------------------------

@@ -56,7 +56,7 @@ def test_curved_mapped_reference_is_the_pulled_back_great_circle():
 
 def test_generate_rough_finite_and_growing(rough_gen):
     assert np.all(np.isfinite(rough_gen.conn_x.values))
-    from rtgeo.calculus import gradient_field, lp_norm
+    from rtgeo.calculus import w1p_norm
     from rtgeo.charts import GridField as GF
     from rtgeo.harness import generate_scenario
 
@@ -66,7 +66,7 @@ def test_generate_rough_finite_and_growing(rough_gen):
     for scn in (small, big):
         g = generate_scenario(scn)
         f = GF(g.conn_x.chart, g.conn_x.values)
-        norms.append(lp_norm(f, 2.2) + lp_norm(gradient_field(f), 2.2))
+        norms.append(w1p_norm(f, 2.2))
     assert norms[1] / norms[0] >= 2.0
 
 
@@ -405,9 +405,9 @@ def test_blinding_tamper(rough_gen):
     prob = GeodesicProblem(
         rough_gen.conn_x, scn.t0, np.asarray(scn.x0), np.asarray(scn.v0), interval=scn.interval
     )
-    before = weak_solution_pipeline(rough_gen.conn_x, prob).curve
+    before = weak_solution_pipeline(rough_gen.conn_x, prob, RTConfig()).curve
     rough_gen.hidden_bundle.jac.J[...] = 999.0
-    after = weak_solution_pipeline(rough_gen.conn_x, prob).curve
+    after = weak_solution_pipeline(rough_gen.conn_x, prob, RTConfig()).curve
     assert np.array_equal(before.positions, after.positions)
     # restore for other tests
     pts = rough_gen.conn_x.chart.nodes.reshape(-1, 2)
@@ -500,6 +500,32 @@ def test_cli_norms(tmp_path, unit_chart):
     assert rep["c0"] == pytest.approx(1.0)
     # the report forms no Hölder quotient, so there is no exponent to pass
     assert _cli("norms", str(field), "--alpha", "0.5").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda head, body: (head.replace(" shape=1d", ""), body), "has no shape="),
+        (lambda head, body: (head.replace("res=9,9", "res=9,x"), body), "does not parse: invalid literal for int() with base 10: 'x'"),
+        (lambda head, body: (head, body[:1]), "1 rows of 3 columns, not 81 of 3"),
+        (lambda head, body: (head, [row.rsplit(",", 1)[0] + "\n" for row in body]), "81 rows of 2 columns, not 81 of 3"),
+    ],
+    ids=["missing_key", "unparsable_value", "row_count", "column_count"],
+)
+def test_cli_refuses_a_malformed_field_csv(tmp_path, capsys, edit, fault):
+    # each used to escape cli.main as a KeyError or ValueError traceback
+    from rtgeo.charts import Chart
+    from rtgeo.cli import main
+
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (9, 9))
+    field = tmp_path / "f.csv"
+    dump_field(GridField(chart, chart.nodes[..., :1].copy(), ("down",)), field)
+    head, *body = field.read_text().splitlines(keepends=True)
+    head, body = edit(head, body)
+    field.write_text(head + "".join(body))
+    assert main(["norms", str(field)]) == 2
+    err = capsys.readouterr().err
+    assert str(field) in err and fault in err
 
 
 def test_cli_rt_solve(tmp_path, unit_chart):

@@ -14,10 +14,9 @@ from rtgeo.rt_solver import (
     optimal_connection,
     regularity_report,
     regularize,
-    rt_bundle,
     solve_reduced_rt,
 )
-from rtgeo.transform import integrate_jacobian, split_transform
+from rtgeo.transform import build_bundle, integrate_jacobian, split_transform
 
 from conftest import flat_disguise_connection, identity_bundle
 
@@ -43,7 +42,7 @@ def test_rt_flat_disguise_bounded_norm(unit_chart_65):
     conn = flat_disguise_connection(unit_chart_65)
     state = solve_reduced_rt(conn, RTConfig())
     tilde = split_transform(conn, state.J)
-    bundle = rt_bundle(state)
+    bundle = build_bundle(state.conn.chart, state.J)
     conn_y = optimal_connection(tilde, bundle)
     p = 2.2
     ny = norm_report(GridField(conn_y.chart, conn_y.values), p)
@@ -88,6 +87,7 @@ def test_rt_regularity_gain_ladder(rough_gen):
                 v0=np.asarray(scn.v0),
                 interval=1.0,
             ),
+            RTConfig(),
         )
         w1p_x.append(w1p_norm(GridField(gen.conn_x.chart, gen.conn_x.values), scn.p))
         w1p_y.append(w1p_norm(GridField(res.conn_y.chart, res.conn_y.values), scn.p))
@@ -124,7 +124,7 @@ def test_rt_gauge_insensitive_curvature(rough_gen, rough_rt_state):
     # tensor law, matches the weakly represented curvature of the raw data
     state = rough_rt_state
     tilde = split_transform(rough_gen.conn_x, state.J)
-    bundle = rt_bundle(state)
+    bundle = build_bundle(state.conn.chart, state.J)
     conn_y = optimal_connection(tilde, bundle)
     Ry = riemann(conn_y)
     inner = (slice(6, -6), slice(6, -6))
@@ -135,7 +135,7 @@ def test_rt_gauge_insensitive_curvature(rough_gen, rough_rt_state):
 
 def test_regularity_report_fields(rough_gen, rough_rt_state):
     tilde = split_transform(rough_gen.conn_x, rough_rt_state.J)
-    bundle = rt_bundle(rough_rt_state)
+    bundle = build_bundle(rough_rt_state.conn.chart, rough_rt_state.J)
     conn_y = optimal_connection(tilde, bundle)
     rep = regularity_report(rough_gen.conn_x, conn_y, 2.2)
     assert set(asdict(rep["x"])) == set(asdict(rep["y"])) == {"p", "lp", "w1p", "c0"}
