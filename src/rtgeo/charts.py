@@ -264,14 +264,14 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             flat = self.values.reshape(self.chart.res + (-1,))
             bad = np.argwhere(~np.isfinite(flat).all(axis=-1))
-            raise SamplingError(f"non-finite values in field (first bad node index {tuple(bad[0])})")
+            raise SamplingError(f"non-finite values in field (first bad node index {tuple(bad[0].tolist())})")
 
     @property
     def comp_shape(self):
         return self.values.shape[self.chart.n :]
 
-    def copy(self, values=None):
-        return GridField(self.chart, self.values.copy() if values is None else values, self.variance)
+    def copy(self, values):
+        return GridField(self.chart, values, self.variance)
 
 
 def _corners(pairs, combine, start):
@@ -456,10 +456,15 @@ def dump_field(fld, path):
 
 
 def load_field(path):
-    """Read a :func:`dump_field` CSV.  A missing header key, a value that does
-    not parse, or a body without one row of n + prod(shape) columns per node
-    raises :class:`ConfigurationError` naming the file."""
-    with open(path) as fh:
+    """Read a :func:`dump_field` CSV.  A file that cannot be opened, a missing
+    header key, a value that does not parse, a body without one row of
+    n + prod(shape) columns per node, or a non-finite sample raises
+    :class:`ConfigurationError` naming the file."""
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise ConfigurationError(f"{path}: cannot read field file: {e.strerror}") from e
+    with fh:
         header = fh.readline().strip()
         if not header.startswith("# chart"):
             raise ConfigurationError(f"{path}: missing chart header")
@@ -479,7 +484,10 @@ def load_field(path):
     chart, columns = make_chart(n, bounds, res), n + int(np.prod(comp_shape))
     if rows.shape != (chart.npoints, columns):
         raise ConfigurationError(f"{path}: {rows.shape[0]} rows of {rows.shape[1]} columns, not {chart.npoints} of {columns}")
-    return GridField(chart, rows[:, n:].reshape(chart.res + comp_shape), variance)
+    try:
+        return GridField(chart, rows[:, n:].reshape(chart.res + comp_shape), variance)
+    except SamplingError as e:
+        raise ConfigurationError(f"{path}: {e}") from e
 
 
 def dump_curve(curve, path):

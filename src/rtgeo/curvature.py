@@ -217,8 +217,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p):
     chart_y = conn_y.chart
     hmax_x = float(chart_x.h.max())
     eps = max(2.05 * hmax_x, min(4.0 * hmax_x, 0.075))
-    smoothed = mollify(conn_x, eps)
-    Rx = riemann(connection_field(chart_x, smoothed.values))
+    Rx = riemann(connection_field(chart_x, mollify(conn_x, eps).values))
     # blank the rim band where truncated kernels and one-sided stencils
     # corrupt the strong evaluation; probes are filtered to stay clear of it
     band = mollifier_band(chart_x, eps)
@@ -229,9 +228,11 @@ def lemma_b1_check(conn_x, bundle, conn_y, p):
     ypts = chart_y.nodes.reshape(-1, chart_y.n)
     xpts, J_at, Jinv_at = bundle.pull_back_at(ypts)
     Rx_at = interpolate(Rx, xpts, clip=True)
+    del Rx, xpts  # full-grid arrays: each goes after its last reader
     # inverse of the x-law: R_y[d,a,b,c] = J[d,t] Jinv[m,a] Jinv[n,b] Jinv[r,c] R_x[t,m,n,r]
     pushed = contract("...dt,...ma,...nb,...rc,...tmnr->...dabc", J_at, Jinv_at, Jinv_at, Jinv_at, Rx_at)
     pushed = pushed.reshape(chart_y.res + Rx_at.shape[1:])
+    del Rx_at, J_at
     # functional-level comparison, unit-mass normalized so the mismatch reads
     # as a local average of curvature components; probes whose pulled-back
     # support leaves the mollifier-clean interior are skipped

@@ -463,20 +463,21 @@ def mollified_family(conn_y, bundle, eps_list):
     chart_y = bundle.y_chart
     n = chart_x.n
     out_eps, out_conn, out_masks = [], [], []
+    # each full-grid intermediate goes after its last reader: at 513^2 the
+    # family is a run's largest stage
     for eps in eps_list:
-        gy_e = mollify(conn_y, eps)
         u_e = mollify(bundle.forward, eps).values
         J_e = chart_x.grad(u_e)
-        x_of_y_e = mollify(bundle.inverse, eps).values
-        dxdy_e = chart_y.grad(x_of_y_e)
         ypts = u_e.reshape(-1, n)
         mask = chart_y.contains(ypts).reshape(chart_x.res)
-        dxdy_at = interpolate(GridField(chart_y, dxdy_e), ypts, clip=True).reshape(
-            chart_x.res + (n, n)
-        )
-        gy_at = interpolate(gy_e, ypts, clip=True).reshape(chart_x.res + (n, n, n))
+        dxdy_e = GridField(chart_y, chart_y.grad(mollify(bundle.inverse, eps).values))
+        dxdy_at = interpolate(dxdy_e, ypts, clip=True).reshape(chart_x.res + (n, n))
+        del dxdy_e
+        gy_at = interpolate(mollify(conn_y, eps), ypts, clip=True).reshape(chart_x.res + (n, n, n))
+        del u_e, ypts
         # connection law with mollified ingredients, dx/dy in Jinv's place
         vals = connection_law(dxdy_at, J_e, chart_x.grad(J_e), gy_at)
+        del dxdy_at, J_e, gy_at
         out_eps.append(eps)
         out_conn.append(connection_field(chart_x, vals))
         out_masks.append(mask)

@@ -502,6 +502,9 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         log(f"[{scn.name}] {name}: {report.timings[name]:.2f}s")
         return result
 
+    # each stage result is dropped after its last reader, so a refined grid's
+    # peak is one stage's work over what later stages still read: the rough
+    # connection (in ``problem``), the y-connection and the weak curve
     try:
         gen = timed("generate", lambda: generate_scenario(scn))
         problem = GeodesicProblem(
@@ -519,12 +522,14 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             "interval": pipe.curve.interval,
             "y_chart": repr(pipe.conn_y.chart),
         }
+        conn_y, curve, bundle = pipe.conn_y, pipe.curve, pipe.bundle
+        del pipe
 
         # the pipeline's curve against the hidden closed form
-        ref_pos, ref_vel = gen.reference_curve(pipe.curve.times)
+        ref_pos, ref_vel = gen.reference_curve(curve.times)
         err = float(
-            np.abs(pipe.curve.positions - ref_pos).max()
-            + np.abs(pipe.curve.velocities - ref_vel).max()
+            np.abs(curve.positions - ref_pos).max()
+            + np.abs(curve.velocities - ref_vel).max()
         )
         report.stages["reference"] = {"c1_error": err}
         if "reference_tol" in scn.checks:
@@ -533,18 +538,20 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         # section-3 identity residuals on the generating jacobian
         report.stages["identities"] = timed("identity_checks", lambda: _identity_stage(gen, scn))
 
-        reg = timed("regularity", lambda: regularity_report(gen.conn_x, pipe.conn_y, scn.p))
+        reg = timed("regularity", lambda: regularity_report(gen.conn_x, conn_y, scn.p))
         report.stages["regularity"] = {**reg, "x": asdict(reg["x"]), "y": asdict(reg["y"])}
 
         fam = timed(
             "mollified_family",
-            lambda: mollified_family(pipe.conn_y, pipe.bundle, list(scn.epsilons)),
+            lambda: mollified_family(conn_y, bundle, list(scn.epsilons)),
         )
+        del bundle
         curves = timed("solve_mollified", lambda: solve_mollified(fam, problem))
         conv = timed(
             "convergence_report",
-            lambda: convergence_report(fam, curves, pipe.curve, gen.conn_x, p=scn.p),
+            lambda: convergence_report(fam, curves, curve, gen.conn_x, p=scn.p),
         )
+        del fam, curves
         report.stages["convergence"] = conv.to_dict()
         if scn.checks.get("enforce_convergence", "yes") == "yes":
             report.flags["conn_monotone"] = conv.monotone["conn"]
@@ -559,6 +566,7 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             )
 
         rep = timed("lemma_b1", lambda: lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=scn.p))
+        del gen
         report.stages["lemma_b1"] = json.loads(rep.to_json())
         report.flags["lemma_b1"] = rep.passed
 
@@ -581,9 +589,9 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             report.flags["gronwall"] = gw["within_envelope"]
 
         if out:
-            dump_field(gen.conn_x, out / f"{scn.name}_gamma_x.csv")
-            dump_field(pipe.conn_y, out / f"{scn.name}_gamma_y.csv")
-            dump_curve(pipe.curve, out / f"{scn.name}_curve.csv")
+            dump_field(problem.connection, out / f"{scn.name}_gamma_x.csv")
+            dump_field(conn_y, out / f"{scn.name}_gamma_y.csv")
+            dump_curve(curve, out / f"{scn.name}_curve.csv")
     except StageError:
         pass  # timed() recorded the failed stage, so all_passed() is False
     report.timings["total"] = time.perf_counter() - t_start

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rtgeo import curvature
+from rtgeo import curvature, harness
 from rtgeo.calculus import connection_form, full_antisymmetric, wedge
 from rtgeo.charts import Chart, GridField, JacobianField, connection_field
 from rtgeo.curvature import _weak_functional
@@ -36,7 +38,7 @@ def identity_bundle(chart):
     """The identity coordinate change on ``chart``: J = I, y = x, y-chart = x-chart."""
     J = np.broadcast_to(np.eye(chart.n), chart.res + (chart.n, chart.n)).copy()
     nodes = GridField(chart, chart.nodes.copy(), ("up",))
-    return TransformBundle(forward=nodes, inverse=nodes.copy(), jac=JacobianField(chart, J))
+    return TransformBundle(forward=nodes, inverse=nodes.copy(chart.nodes.copy()), jac=JacobianField(chart, J))
 
 
 def weak_riemann(conn, psi):
@@ -64,6 +66,55 @@ def drop_jacobian_factor(monkeypatch):
         return real(subscripts, *operands)
 
     monkeypatch.setattr(curvature, "contract", contract)
+
+
+# each timed stage of harness.run_experiment, by the harness function its lambda calls
+RUN_STAGES = {
+    "generate": "generate_scenario",
+    "pipeline": "weak_solution_pipeline",
+    "identity_checks": "_identity_stage",
+    "regularity": "regularity_report",
+    "mollified_family": "mollified_family",
+    "solve_mollified": "solve_mollified",
+    "convergence_report": "convergence_report",
+    "lemma_b1": "lemma_b1_check",
+    "regularity_ladder": "_regularity_ladder",
+    "gronwall": "gronwall_uniqueness_check",
+}
+
+
+def trace_stages(monkeypatch):
+    """Per-stage memory probe over :func:`rtgeo.harness.run_experiment`.
+
+    Wraps the harness function behind each timed stage and returns a dict that
+    fills, as the stages run, with stage name -> (tracemalloc live bytes at
+    entry, traced peak bytes above that entry).  tracemalloc must be tracing;
+    the stages do not nest, so each one resets the traced peak on entry.
+    """
+    stages = {}
+    for stage, name in RUN_STAGES.items():
+
+        def probe(*args, _stage=stage, _fn=getattr(harness, name), **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stages[_stage] = (live, tracemalloc.get_traced_memory()[1] - live)
+
+        monkeypatch.setattr(harness, name, probe)
+    return stages
+
+
+@pytest.fixture
+def stage_memory(monkeypatch):
+    """:func:`trace_stages` with tracemalloc tracing for the test's duration."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield trace_stages(monkeypatch)
+    if started:
+        tracemalloc.stop()
 
 
 def quadratic_jacobian(chart, shear=0.5):

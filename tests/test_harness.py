@@ -2,6 +2,8 @@ from dataclasses import replace
 import json
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +381,43 @@ def test_regularity_gain_fails_when_the_ladder_never_refines(monkeypatch):
     assert code == 1
 
 
+def test_ladder_starts_after_the_run_drops_its_dead_results(stage_memory, monkeypatch):
+    # the 129^2 rung sets the run's peak memory, so nothing the ladder does not
+    # read may still be live when it starts: the mollified family, the
+    # pipeline's bundle and the checker's hidden bundle are gone, and the traced
+    # live set has grown by under 1.5 MB since the run began (1.0 MB measured;
+    # 3.1 MB while the run held its stage results to the end)
+    from rtgeo import harness
+
+    refs, dead = {}, {}
+
+    def keep(name, part):
+        fn = getattr(harness, name)
+
+        def kept(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs[name] = weakref.ref(part(out))
+            return out
+
+        monkeypatch.setattr(harness, name, kept)
+
+    keep("generate_scenario", lambda gen: gen.hidden_bundle)
+    keep("weak_solution_pipeline", lambda pipe: pipe.bundle)
+    keep("mollified_family", lambda fam: fam)
+    ladder = harness._regularity_ladder
+
+    def entered(*args):
+        dead.update({name: ref() is None for name, ref in refs.items()})
+        return ladder(*args)
+
+    monkeypatch.setattr(harness, "_regularity_ladder", entered)
+    start = tracemalloc.get_traced_memory()[0]
+    _, code = run_experiment("configs/rough_beta06.cfg")
+    assert code == 0
+    assert dead == dict.fromkeys(("generate_scenario", "weak_solution_pipeline", "mollified_family"), True)
+    assert stage_memory["regularity_ladder"][0] - start < 1.5e6
+
+
 def test_failed_stage_is_the_innermost(tmp_path, capsys):
     # two RT iterations cannot converge: the pipeline stage fails inside its
     # rt_solve step, and the run names rt_solve, keeping the text under pipeline
@@ -509,11 +548,15 @@ def test_cli_norms(tmp_path, unit_chart):
         (lambda head, body: (head.replace("res=9,9", "res=9,x"), body), "does not parse: invalid literal for int() with base 10: 'x'"),
         (lambda head, body: (head, body[:1]), "1 rows of 3 columns, not 81 of 3"),
         (lambda head, body: (head, [row.rsplit(",", 1)[0] + "\n" for row in body]), "81 rows of 2 columns, not 81 of 3"),
+        (lambda head, body: None, "cannot read field file: No such file or directory"),
+        (lambda head, body: (head, [body[0].rsplit(",", 1)[0] + ",nan\n", *body[1:]]),
+         "non-finite values in field (first bad node index (0, 0))"),
     ],
-    ids=["missing_key", "unparsable_value", "row_count", "column_count"],
+    ids=["missing_key", "unparsable_value", "row_count", "column_count", "missing_file", "nonfinite_sample"],
 )
 def test_cli_refuses_a_malformed_field_csv(tmp_path, capsys, edit, fault):
-    # each used to escape cli.main as a KeyError or ValueError traceback
+    # each used to escape cli.main as a KeyError, ValueError or FileNotFoundError
+    # traceback, or to exit 1 as a stage failure; an edit of None removes the file
     from rtgeo.charts import Chart
     from rtgeo.cli import main
 
@@ -521,8 +564,11 @@ def test_cli_refuses_a_malformed_field_csv(tmp_path, capsys, edit, fault):
     field = tmp_path / "f.csv"
     dump_field(GridField(chart, chart.nodes[..., :1].copy(), ("down",)), field)
     head, *body = field.read_text().splitlines(keepends=True)
-    head, body = edit(head, body)
-    field.write_text(head + "".join(body))
+    edited = edit(head, body)
+    if edited is None:
+        field.unlink()
+    else:
+        field.write_text(edited[0] + "".join(edited[1]))
     assert main(["norms", str(field)]) == 2
     err = capsys.readouterr().err
     assert str(field) in err and fault in err
