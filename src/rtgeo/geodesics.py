@@ -84,15 +84,17 @@ class Curve:
 def _contraction_rows(G, v):
     """Source of ``-np.einsum("mrn,r,n->m", G, v, v)`` row by row, bit for bit.
 
-    ``G`` names the n^3 components and ``v`` the n velocity entries.  Each
-    row is summed in einsum's own order: from 0.0, r outer and n inner, each
-    term (G[m][r][n] * v[r]) * v[n].
+    ``G`` names the n^3 components, None for one compiled out, and ``v`` the
+    n velocity entries.  Each row is summed in einsum's own order: from 0.0,
+    r outer and n inner, each term (G[m][r][n] * v[r]) * v[n].  A sum from
+    +0.0 is never -0.0, and adding a +-0.0 term leaves it as it is, so a
+    component that is zero while v is finite drops out exactly.
     """
     n = len(v)
     rows = []
     for m in range(n):
-        terms = [f"{G[(m * n + r) * n + q]} * {v[r]} * {v[q]}" for r in range(n) for q in range(n)]
-        rows.append(f"-(0.0 + {' + '.join(terms)})")
+        terms = [f"{g} * {v[r]} * {v[q]}" for r in range(n) for q in range(n) if (g := G[(m * n + r) * n + q])]
+        rows.append(f"-({' + '.join(['0.0', *terms])})")
     return rows
 
 
@@ -104,69 +106,94 @@ def _tuple(items):
     return f"({', '.join(items)},)"
 
 
-def _stage_source(n, forced, t, xs, vs, out):
-    """Lines of one RK4 stage that set the names ``out`` to gamma'' at time
-    ``t``, position names ``xs`` and velocity names ``vs``.
+def _inside(xs):
+    """:meth:`Chart.contains`'s bounds test on the position names ``xs``."""
+    return " and ".join(f"glo{k} <= {x} <= ghi{k}" for k, x in enumerate(xs))
 
-    The stage is :meth:`Chart.contains`'s bounds test, whose failure ends
-    the march with "domain_exit", then :func:`charts.interpolate`'s cell,
-    fractions, weights and corner sum, term by term on Python floats, and
-    the contraction.  The 2^n corner rows of the last cell visited stay in
-    the march's locals.  A force adds the components of ``K(t, x, v)``,
-    called first.
+
+def _stage_source(n, forced, zero, t, xs, vs, out):
+    """Lines of one RK4 stage that set the names ``out`` to gamma'' at time
+    ``t``, position names ``xs`` and velocity names ``vs``, a point that
+    passed the march's bounds test.
+
+    The stage is :func:`charts.interpolate`'s cell, fractions, weights and
+    corner sum, term by term on Python floats, and the contraction.  The
+    2^n corner rows of the last cell visited stay in the march's locals.  A
+    force adds the components of ``K(t, x, v)``, called first.  Two rules
+    keep the stage lean and its bits the array code's:
+
+    - no int meets a float: the cell index stays a float, f = s % 1.0 and
+      i = s - f, which for s >= 0 are the exact fraction and floor, clamped
+      to a float ``top`` (on the upper face, f = s - top = 1.0); ``int`` is
+      called only when a new cell's rows are loaded.  (s is -0.0 only for
+      x = -0.0 on glo = +0.0; f is then +0.0, which can flip only the sign
+      of a zero corner sum, and the contraction's +0.0 start hides that.)
+    - the components listed in ``zero``, 0.0 or -0.0 at every node, have no
+      corner sum and no term in the contraction, which is exact while the
+      stage values are finite (see :func:`_contraction_rows`).
     """
     ax = range(n)
     lines = [f"{', '.join(_names('q', n))}, = K({t}, {_tuple(xs)}, {_tuple(vs)})"] if forced else []
+    gs = [None if j in zero else f"g{j}" for j in range(n ** 3)]
     # corner order and weight products as the batch path states them; a
     # product starts from its first factor, which 1.0 times it is
     offsets = _corner_nodes((0,) * n)
     weights = _corners([(f"e{k}", f"f{k}") for k in ax], lambda p, e: f"{p} * {e}" if p else e, "")
-    corners = [_names(f"r{c}_", n ** 3) for c in range(len(offsets))]
-    gs = _names("g", n ** 3)
-    lines += [
-        f"if not ({' and '.join(f'glo{k} <= {x} <= ghi{k}' for k, x in zip(ax, xs))}):",
-        '    return ts, xs, vs, "domain_exit"',
-    ]
+    corners = [[f"r{c}_{j}" if g else "_" for j, g in enumerate(gs)] for c in range(len(offsets))]
     for k, x in zip(ax, xs):
         lines += [
             f"s{k} = ({x} - glo{k}) / gh{k}",
-            f"i{k} = int(s{k})",
+            f"f{k} = s{k} % 1.0",
+            f"i{k} = s{k} - f{k}",
             f"if i{k} > top{k}:",
             f"    i{k} = top{k}",
-            f"f{k} = s{k} - i{k}",
+            f"    f{k} = s{k} - i{k}",
         ]
-    lines.append(f"if {' or '.join(f'i{k} != c{k}' for k in ax)}:")
-    lines.append(f"    {', '.join(_names('c', n))}, = {_tuple(_names('i', n))}")
+    lines += [
+        f"if {' or '.join(f'i{k} != c{k}' for k in ax)}:",
+        f"    {', '.join(_names('c', n))}, = {_tuple(_names('i', n))}",
+        f"    {', '.join(_names('j', n))}, = {_tuple(f'int(i{k})' for k in ax)}",
+    ]
     for row, off in zip(corners, offsets):
-        idx = ", ".join(f"i{k} + 1" if o else f"i{k}" for k, o in enumerate(off))
+        idx = ", ".join(f"j{k} + 1" if o else f"j{k}" for k, o in enumerate(off))
         lines.append(f"    {', '.join(row)}, = rows[{idx}].tolist()")
-    lines += [f"e{k} = 1 - f{k}" for k in ax]
+    lines += [f"e{k} = 1.0 - f{k}" for k in ax]
     lines += [f"w{c} = {w}" for c, w in enumerate(weights)]
     for j, g in enumerate(gs):
-        lines.append(f"{g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(corners))}")
+        if g:
+            lines.append(f"{g} = {' + '.join(f'w{c} * {row[j]}' for c, row in enumerate(corners))}")
     exprs = _contraction_rows(gs, vs)
     return lines + [f"{o} = {e} + q{m}" if forced else f"{o} = {e}" for m, (o, e) in enumerate(zip(out, exprs))]
 
 
-def _march_source(n, forced):
+def _march_source(n, forced, zero):
     """``march(K, t, x, v, steps, half, dt, sixth, grid)``: the fixed-step
     RK4 loop on Python floats, returning the flat node lists and the
     truncation.
 
-    ``grid`` is the field's ``(lo, h, hi, top, rows)``, whose stages
-    :func:`_stage_source` writes inline; ``K`` is a force's
-    ``(t, x, v) -> K``.  A step is straight-line code: the stages
-    ``x + half*k`` and the update ``x + sixth*(((k1 + 2k2) + 2k3) + k4)``
-    element by element in the order numpy gives the array expressions.  A
-    stage point off the chart (or a DomainExit from ``K``), a step that ends
-    off the chart, or one that ends with sum((v - v0)^2) > VELOCITY_BALL^2
-    stops the loop before that step.
+    ``grid`` is the field's ``(lo, h, hi, top, rows)``, ``top`` as floats,
+    whose stages :func:`_stage_source` writes inline with the components
+    ``zero`` compiled out; ``K`` is a force's ``(t, x, v) -> K``.  A step is
+    straight-line code: the stages ``x + half*k`` and the update
+    ``x + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4)`` element by element in the
+    order numpy gives the array expressions, every literal a float.  A stage
+    point off the chart (or a DomainExit from ``K``), a step that ends off
+    the chart, or one that ends with sum((v - v0)^2) > VELOCITY_BALL^2 stops
+    the loop before that step.  Besides :func:`_stage_source`'s two rules
+    (float-only arithmetic, zero components compiled out), a third: the
+    first stage's point is the step's start, which passed the same bounds
+    test as the last step's end, so x0 is tested once, before the loop, and
+    only stages 2 to 4 test their points.  The curve is the array loop's bit
+    for bit while every stage value is finite.
     """
     ax = range(n)
     xs, vs, ys, us, bs, ds, ps = (_names(s, n) for s in ("x", "v", "y", "u", "b", "d", "p"))
     k1v, k2x, k2v, k3x, k3v, k4x, k4v = (
         _names(f"{k}_", n) for k in ("k1v", "k2x", "k2v", "k3x", "k3v", "k4x", "k4v")
     )
+
+    def body(lines):
+        return [f"            {line}" for line in lines]
 
     def axpy(y, a, z):
         return [f"{p} + {a} * {q}" for p, q in zip(y, z)]
@@ -175,10 +202,14 @@ def _march_source(n, forced):
         return [f"{indent}{a} = {e}" for a, e in zip(names, exprs)]
 
     def advance(y, k1, k2, k3, k4):
-        return [f"{p} + sixth * ((({a} + 2 * {b}) + 2 * {c}) + {d})" for p, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        return [f"{p} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})" for p, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     def stage(t, pos, vel, out):
-        return [f"            {line}" for line in _stage_source(n, forced, t, pos, vel, out)]
+        return body([
+            f"if not ({_inside(pos)}):",
+            '    return ts, xs, vs, "domain_exit"',
+            *_stage_source(n, forced, zero, t, pos, vel, out),
+        ])
 
     return "\n".join([
         "def march(K, t, x, v, steps, half, dt, sixth, grid):",
@@ -186,12 +217,13 @@ def _march_source(n, forced):
         f"    {', '.join(vs)}, = v",
         f"    {', '.join(bs)}, = v",
         f"    {', '.join(_tuple(_names(a, n)) for a in ('glo', 'gh', 'ghi', 'top'))}, rows = grid",
-        f"    {', '.join(_names('c', n))}, = {_tuple(['-1'] * n)}",
-        f"    {' = '.join(f'r{c}_{j}' for c in range(2 ** n) for j in range(n ** 3))} = 0.0",
+        f"    {', '.join(_names('c', n))}, = {_tuple(['-1.0'] * n)}",
         "    ts, xs, vs = [t], list(x), list(v)",
+        f"    if steps and not ({_inside(xs)}):",
+        '        return ts, xs, vs, "domain_exit"',
         "    for _ in range(steps):",
         "        try:",
-        *stage("t", xs, vs, k1v),
+        *body(_stage_source(n, forced, zero, "t", xs, vs, k1v)),
         *assign(k2x, axpy(vs, "half", k1v)),
         *assign(ps, axpy(xs, "half", vs)),
         *stage("t + half", ps, k2x, k2v),
@@ -205,7 +237,7 @@ def _march_source(n, forced):
         '            return ts, xs, vs, "domain_exit"',
         *assign(ys, advance(xs, vs, k2x, k3x, k4x), "        "),
         *assign(us, advance(vs, k1v, k2v, k3v, k4v), "        "),
-        f"        if not ({' and '.join(f'glo{k} <= y{k} <= ghi{k}' for k in ax)}):",
+        f"        if not ({_inside(ys)}):",
         '            return ts, xs, vs, "chart_exit"',
         *assign(ds, [f"u{k} - b{k}" for k in ax], "        "),
         f"        if {' + '.join(f'd{k} * d{k}' for k in ax)} > {VELOCITY_BALL ** 2!r}:",
@@ -220,11 +252,11 @@ def _march_source(n, forced):
 
 
 @lru_cache(maxsize=None)
-def _rk4_march(n, forced):
+def _rk4_march(n, forced, zero):
     """The :func:`_march_source` march for dimension ``n``, with or without a
-    force, compiled once."""
+    force, with the components ``zero`` compiled out, compiled once."""
     ns = {"DomainExit": DomainExit}
-    exec(compile(_march_source(n, forced), f"<rk4 march n={n}>", "exec"), ns)
+    exec(compile(_march_source(n, forced, zero), f"<rk4 march n={n}>", "exec"), ns)
     return ns["march"]
 
 
@@ -244,8 +276,9 @@ def _solve_rk4(problem, dt):
     """Classical fixed-step RK4 on u = (gamma, v): the generated
     :func:`_march_source` loop on Python floats, element by element in the
     order numpy gives the array expressions, so the curve is bit for bit the
-    array loop's.  The field's stages run inline; a force is called on
-    arrays and its output flattened."""
+    array loop's.  The field's stages run inline, without the components that
+    are zero at every node; a force is called on arrays and its output
+    flattened."""
     dt = dt or default_dt(problem)
     conn, force, chart = problem.connection, problem.force, problem.chart
     n = len(problem.x0)
@@ -253,10 +286,10 @@ def _solve_rk4(problem, dt):
     if force is not None:
         def K(t, x, v):
             return np.ravel(force(t, np.array(x), np.array(v))).tolist()
-    top, rows = [r - 2 for r in chart.res], conn.values.reshape(chart.res + (-1,))
+    top, rows = [float(r - 2) for r in chart.res], conn.values.reshape(chart.res + (-1,))
     grid = (chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), top, rows)
     x0, v0, steps = tuple(problem.x0.tolist()), tuple(problem.v0.tolist()), int(round(problem.interval / dt))
-    march = _rk4_march(n, force is not None)
+    march = _rk4_march(n, force is not None, _zero_columns(conn))
     ts, xs, vs, truncation = march(K, problem.t0, x0, v0, steps, 0.5 * dt, dt, dt / 6, grid)
     if len(ts) == 1 and truncation != "none":
         raise DomainExit(problem.x0)
@@ -267,6 +300,17 @@ def _solve_rk4(problem, dt):
         truncation=truncation,
         dt=dt,
     )
+
+
+def _zero_columns(conn):
+    """The components of a sampled connection that are 0.0 (of either sign)
+    at every node, as a tuple of flat indices.  Made once per field object
+    and kept on it, as :func:`_grad_max` is."""
+    zero = vars(conn).get("_zero_columns")
+    if zero is None:
+        nonzero = conn.values.reshape(conn.chart.npoints, -1).any(axis=0)
+        zero = conn._zero_columns = tuple(np.flatnonzero(~nonzero).tolist())
+    return zero
 
 
 def _grad_max(conn):

@@ -211,27 +211,31 @@ def gamma_vv_reference(fld, x, v):
 def inline_stage(fld):
     """The sampled RK4 march's inline stage as ``(x, v) -> -Gamma(x) v v``,
     compiled from the lines the march inlines, with its kept cell in closure
-    cells where the march keeps it in locals.  A point off the chart gives
-    the march's ``(..., "domain_exit")`` return."""
+    cells where the march keeps it in locals.  The march's bounds test comes
+    first, so a point off the chart gives its ``(..., "domain_exit")``
+    return."""
     chart, n = fld.chart, fld.chart.n
     xs, vs, out = ([f"{s}{k}" for k in range(n)] for s in ("x", "v", "o"))
     kept = [f"c{k}" for k in range(n)] + [f"r{c}_{j}" for c in range(2 ** n) for j in range(n ** 3)]
+    zero = geodesics._zero_columns(fld)
     src = [
         "def make(glo, gh, ghi, top, rows):",
         *(f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in ("glo", "gh", "ghi", "top")),
-        f"    {' = '.join(kept)} = -1",
+        f"    {' = '.join(kept)} = -1.0",
         "    ts = xs = vs = None",
         "    def stage(x, v):",
         f"        nonlocal {', '.join(kept)}",
         f"        {', '.join(xs)}, = x",
         f"        {', '.join(vs)}, = v",
-        *(f"        {line}" for line in geodesics._stage_source(n, False, "t", xs, vs, out)),
+        f"        if not ({geodesics._inside(xs)}):",
+        '            return ts, xs, vs, "domain_exit"',
+        *(f"        {line}" for line in geodesics._stage_source(n, False, zero, "t", xs, vs, out)),
         f"        return ({', '.join(out)},)",
         "    return stage",
     ]
     ns = {}
     exec("\n".join(src), ns)
-    return ns["make"](chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), [r - 2 for r in chart.res],
+    return ns["make"](chart.lo.tolist(), chart.h.tolist(), chart.hi.tolist(), [float(r - 2) for r in chart.res],
                       fld.values.reshape(chart.res + (-1,)))
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -618,6 +620,9 @@ RK4_TRUNCATION = {None: "none", "stage": "domain_exit", "chart": "chart_exit", "
 PICARD_TRUNCATION = {**RK4_TRUNCATION, "stage": "chart_exit"}
 
 
+DRAG = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
+
+
 def reference_case(case):
     """The problem and its stopping cause: the sampled sphere per SPHERE_IVPS
     cause, with a drag force, or n = 3."""
@@ -628,8 +633,7 @@ def reference_case(case):
     if case in SPHERE_IVPS:
         return GeodesicProblem(conn, 0.0, *SPHERE_IVPS[case], interval=1.0), case
     if case == "forced":
-        drag = ForceField(evaluator=lambda t, x, v: -np.asarray(v))
-        return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=drag), None
+        return GeodesicProblem(conn, 0.0, [2.151, 0.734], [-0.6, -0.2], force=DRAG), None
     return wavy_n3_problem((9, 10, 11)), "stage"
 
 
@@ -664,30 +668,106 @@ def test_rk4_and_picard_match_reference_on_sphere(case, monkeypatch):
     assert p.truncation == PICARD_TRUNCATION[cause]
 
 
+def check_rk4_bits(prob, dt, min_cells):
+    """RK4 on ``prob`` at ``dt`` is :func:`rk4_reference`'s curve byte for
+    byte and sign bit for sign bit, with its truncation, over ``min_cells``
+    cells or more; returns the curve and the reference's stopping cause."""
+    ts, xs, vs, truncated, cause = rk4_reference(prob, dt)
+    chart = prob.chart
+    cells = np.minimum(((xs - chart.lo) / chart.h).astype(int), np.array(chart.res) - 2)
+    assert len(set(map(tuple, cells.tolist()))) >= min_cells
+    c = solve_geodesic(prob, "rk4", dt=dt)
+    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert c.truncation == RK4_TRUNCATION[cause]
+    return c, cause
+
+
 @pytest.mark.parametrize("case, cause", [(None, None), ("chart", "stage"), ("forced", None), ("n3", "stage")])
 def test_fused_march_keeps_rk4_bits_at_the_default_step(case, cause):
     """Long curves at the default step, each crossing 20 or more cells, so the
     inline stages load and reuse many cells: sampled, sampled with a drag
     force, and n = 3, two of them ended by a stage point off the chart."""
     prob = wavy_n3_problem((25, 27, 29)) if case == "n3" else reference_case(case)[0]
-    ts, xs, vs, truncated, got_cause = rk4_reference(prob, default_dt(prob))
-    assert got_cause == cause
-    chart = prob.connection.chart
-    cells = np.minimum(((xs - chart.lo) / chart.h).astype(int), np.array(chart.res) - 2)
-    assert len(set(map(tuple, cells.tolist()))) >= 20
-    c = solve_geodesic(prob, "rk4")
-    for a, b in ((c.times, ts), (c.positions, xs), (c.velocities, vs)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert c.truncation == RK4_TRUNCATION[cause]
+    assert check_rk4_bits(prob, default_dt(prob), min_cells=20)[1] == cause
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampled_march_evaluates_its_stages_inline(n):
     """Guard: the march reads the field's rows itself and calls no right-hand
     side; only the forced march calls ``K``."""
-    assert "rows[" in geodesics._march_source(n, False)
-    assert "K(" not in geodesics._march_source(n, False)
-    assert "K(" in geodesics._march_source(n, True)
+    assert "rows[" in geodesics._march_source(n, False, ())
+    assert "K(" not in geodesics._march_source(n, False, ())
+    assert "K(" in geodesics._march_source(n, True, ())
+
+
+def zero_pattern_problem(field, forced):
+    """A problem per zero pattern, with the drag force when ``forced``: dense
+    n = 3; the sampled sphere, five components zero at every node; the
+    sphere with a nonzero column stored as -0.0; and the zero field."""
+    prob = wavy_n3_problem((25, 27, 29)) if field == "dense" else reference_case(None)[0]
+    vals = prob.connection.values.copy()
+    if field == "signed_zero":
+        vals[..., 0, 1, 1] = -0.0
+    if field == "zero":
+        vals[:] = 0.0
+    return replace(prob, connection=connection_field(prob.chart, vals), force=DRAG if forced else None)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("field, zeros", [("dense", 0), ("sphere", 5), ("signed_zero", 6), ("zero", 8)])
+def test_compiled_out_columns_keep_rk4_bits(field, zeros, forced):
+    """The march without the components that are zero at every node (either
+    sign) is the array loop's bit for bit at the default step, over 20 cells
+    or more."""
+    prob = zero_pattern_problem(field, forced)
+    assert len(geodesics._zero_columns(prob.connection)) == zeros
+    check_rk4_bits(prob, default_dt(prob), min_cells=20)
+
+
+def test_march_starts_on_the_rim():
+    """x0 on each lower and upper face and at both corners, where the hi
+    corner's cell coordinate is top + 1 exactly and the clamp makes f = 1.0;
+    an x0 moved off the chart after construction still raises DomainExit,
+    so the test hoisted out of the first stage still runs."""
+    chart = Chart((0.0, -0.5), (1.0, 1.5), (17, 33))
+    assert ((chart.hi - chart.lo) / chart.h).tolist() == [16.0, 32.0]  # top + 1 on both axes
+    pts = chart.nodes.reshape(-1, 2)
+    vals = 0.5 * np.sin(pts @ np.random.default_rng(4).normal(size=(2, 8)) + np.arange(8))
+    conn = connection_field(chart, vals.reshape(chart.res + (2, 2, 2)))
+    starts = [
+        ([0.0, 0.3], [0.6, 0.2]), ([1.0, 0.3], [-0.6, 0.2]),
+        ([0.4, -0.5], [0.1, 0.7]), ([0.4, 1.5], [0.1, -0.7]),
+        ([0.0, -0.5], [0.5, 0.5]), ([1.0, 1.5], [-0.5, -0.5]),
+    ]
+    for x0, v0 in starts:
+        for force in (None, DRAG):
+            prob = GeodesicProblem(conn, 0.0, x0, v0, force=force, interval=0.25)
+            assert len(check_rk4_bits(prob, default_dt(prob), min_cells=1)[0].times) > 1
+    # each velocity points back in, so every later stage point is on the chart
+    for off, v0 in (([np.nextafter(1.0, 2.0), 0.3], [-0.6, 0.2]), ([0.4, np.nextafter(-0.5, -1.0)], [0.1, 0.7])):
+        for force in (None, DRAG):
+            prob = GeodesicProblem(conn, 0.0, [0.5, 0.5], v0, force=force)
+            prob.x0 = np.array(off)
+            with pytest.raises(DomainExit):
+                solve_geodesic(prob, "rk4")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_march_source_is_float_only_without_dropped_columns(n):
+    """Guard: outside the rows' indices no int literal appears in a march
+    (the stage's ``1.0 - f`` and the update's ``2.0 * k``), and a component
+    compiled out leaves no corner sum, no corner row name and no term."""
+    full = tuple(range(n ** 3))
+    for zero in ((), (1, 4), full[1::2], full):
+        for forced in (False, True):
+            src = geodesics._march_source(n, forced, zero)
+            assert not re.findall(r"(?<![\w.])\d+(?![\w.])", re.sub(r"rows\[[^\]]*\]", "", src))
+            assert "e0 = 1.0 - f0" in src
+            assert "+ 2.0 * k2x_0" in src
+            for j in full:
+                assert (re.search(rf"\b(g{j}|r\d+_{j})\b", src) is None) == (j in zero)
 
 
 def fan_problems(conn, scn, seed, count=512, directions=16):
@@ -863,23 +943,32 @@ def test_contract_check_rejects_other_order():
 
 
 def test_kernels_compile_once_per_dimension():
-    """Solves on different charts of one dimension share the compiled march;
-    a new dimension compiles once."""
+    """The march compiles once per (dimension, force, zero pattern): a field
+    with the same zero components on another chart, stored as 0.0 or -0.0,
+    shares it; a new pattern, a force and a new dimension each compile once."""
     kernels = geodesics._rk4_march
     kernels.cache_clear()
 
-    def solve(lo, hi, res, x0, v0):
+    def solve(lo, hi, res, zero, zero_value=0.0, force=None):
         chart = Chart(lo, hi, res)
-        conn = connection_field(chart, np.zeros(chart.res + (len(res),) * 3))
-        return solve_geodesic(GeodesicProblem(conn, 0.0, x0, v0, interval=0.25), "rk4")
+        n = len(res)
+        vals = np.full(chart.res + (n ** 3,), 0.1)
+        vals[..., list(zero)] = zero_value
+        conn = connection_field(chart, vals.reshape(chart.res + (n,) * 3))
+        assert geodesics._zero_columns(conn) == tuple(zero)
+        mid, v0 = 0.5 * (chart.lo + chart.hi), np.linspace(0.2, -0.1, n)
+        solve_geodesic(GeodesicProblem(conn, 0.0, mid, v0, force=force, interval=0.25), "rk4")
+        return kernels.cache_info().misses
 
-    solve((0.0, 0.0), (1.0, 1.0), (17, 17), [0.5, 0.5], [0.2, 0.1])
-    misses = kernels.cache_info().misses
-    solve((0.0, 0.0), (1.0, 1.0), (33, 33), [0.5, 0.5], [0.2, 0.1])
-    solve((-1.0, 0.5), (2.0, 1.5), (9, 12), [0.1, 1.0], [-0.3, 0.1])
-    assert kernels.cache_info().misses == misses
-    solve((0.0,) * 3, (1.0,) * 3, (9, 9, 9), [0.5] * 3, [0.1, 0.0, 0.2])
-    assert kernels.cache_info().misses == misses + 1
+    assert solve((0.0, 0.0), (1.0, 1.0), (17, 17), (1, 4)) == 1
+    assert solve((0.0, 0.0), (1.0, 1.0), (33, 33), (1, 4)) == 1
+    assert solve((-1.0, 0.5), (2.0, 1.5), (9, 12), (1, 4), zero_value=-0.0) == 1
+    assert solve((0.0, 0.0), (1.0, 1.0), (17, 17), (0, 1, 4)) == 2
+    assert solve((-1.0, 0.5), (2.0, 1.5), (9, 12), (0, 1, 4)) == 2
+    assert solve((0.0, 0.0), (1.0, 1.0), (17, 17), tuple(range(8))) == 3
+    assert solve((0.0, 0.0), (1.0, 1.0), (17, 17), (1, 4), force=DRAG) == 4
+    assert solve((0.0,) * 3, (1.0,) * 3, (9, 9, 9), (1, 4)) == 5
+    assert solve((0.0,) * 3, (2.0,) * 3, (8, 10, 12), (1, 4)) == 5
 
 
 def test_velocity_ball_guard_matches_norm():
