@@ -18,7 +18,6 @@ from .charts import (
     make_chart,
 )
 from .calculus import (
-    NormReport,
     matrix_inner,
     mollify,
     norm_report,

@@ -16,9 +16,7 @@ Operators, one entry point each (signs fixed once, asserted by tests):
     :func:`wedge` and :func:`matrix_inner` pair two 1-forms.
 """
 
-from dataclasses import asdict, dataclass
 import functools
-import json
 import math
 
 import numpy as np
@@ -328,17 +326,6 @@ def mollify(fld, eps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NormReport:
-    p: float
-    lp: float
-    w1p: float
-    c0: float
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 def lp_norm(fld, p, weights=None):
     """h-weighted (trapezoidal) L^p norm of the pointwise Frobenius magnitude; p = inf is C0."""
     chart = fld.chart
@@ -356,7 +343,8 @@ def w1p_norm(fld, p):
 
 
 def norm_report(fld, p):
-    """L^p (h-weighted Riemann sum), W^{1,p} and C^0 norms.
+    """L^p (h-weighted Riemann sum), W^{1,p} and C^0 norms: the dict with keys
+    ``p``, ``lp``, ``w1p`` and ``c0``.
 
     Pointwise magnitudes are Frobenius norms over components.  For p > n,
     Morrey's inequality bounds the C^{0,1-n/p} norm by the W^{1,p} norm, so
@@ -365,4 +353,4 @@ def norm_report(fld, p):
     chart = fld.chart
     if not np.isinf(p) and p <= chart.n:
         raise ConfigurationError(f"exponent p must exceed n={chart.n} (or be inf), got {p}")
-    return NormReport(p=float(p), lp=lp_norm(fld, p), w1p=w1p_norm(fld, p), c0=lp_norm(fld, np.inf))
+    return {"p": float(p), "lp": lp_norm(fld, p), "w1p": w1p_norm(fld, p), "c0": lp_norm(fld, np.inf)}

@@ -12,7 +12,7 @@ import numpy as np
 
 from .calculus import norm_report
 from .charts import Chart, GridField, connection_field, dump_curve, dump_field, load_field
-from .errors import ConfigurationError, RtgeoError
+from .errors import ConfigurationError, RtgeoError, ShapeError
 from .geodesics import GeodesicProblem, solve_geodesic
 from .harness import (
     _identity_stage,
@@ -57,8 +57,23 @@ def _parser():
     return ap
 
 
-def _vec(s):
-    return np.array([float(tok) for tok in s.split(",")])
+def _vec(args, key):
+    """Option ``--key`` as an array of its comma-separated floats."""
+    text = getattr(args, key)
+    try:
+        return np.array([float(tok) for tok in text.split(",")])
+    except ValueError as e:
+        raise ConfigurationError(f"--{key} {text!r}: {e}") from e
+
+
+def _load_connection(path):
+    """The connection field CSV at ``path``; components that are not (n, n, n)
+    are a config error naming the file."""
+    fld = load_field(path)
+    try:
+        return connection_field(fld.chart, fld.values)
+    except ShapeError as e:
+        raise ConfigurationError(f"{path}: {e}") from e
 
 
 def cmd_run(args):
@@ -110,9 +125,7 @@ def cmd_check_identities(args):
 
 
 def cmd_rt_solve(args):
-    fld = load_field(args.field)
-    conn = connection_field(fld.chart, fld.values)
-    state, bundle, conn_y = regularize(conn, RTConfig())
+    state, bundle, conn_y = regularize(_load_connection(args.field), RTConfig())
     print(json.dumps(state.summary(), sort_keys=True))
     if args.out:
         out = Path(args.out)
@@ -125,11 +138,13 @@ def cmd_rt_solve(args):
 
 
 def cmd_geodesic(args):
-    fld = load_field(args.field)
-    conn = connection_field(fld.chart, fld.values)
-    problem = GeodesicProblem(
-        connection=conn, t0=args.t0, x0=_vec(args.x0), v0=_vec(args.v0), interval=args.interval
-    )
+    conn = _load_connection(args.field)
+    try:
+        problem = GeodesicProblem(
+            connection=conn, t0=args.t0, x0=_vec(args, "x0"), v0=_vec(args, "v0"), interval=args.interval
+        )
+    except ShapeError as e:  # x0 or v0 of the wrong length, which the message names first
+        raise ConfigurationError(f"--{e}") from e
     curve = solve_geodesic(problem, method=args.method)
     target = Path(args.out or ".") / "curve.csv"
     Path(target).parent.mkdir(parents=True, exist_ok=True)
@@ -140,9 +155,7 @@ def cmd_geodesic(args):
 
 
 def cmd_norms(args):
-    fld = load_field(args.field)
-    rep = norm_report(fld, args.p)
-    print(rep.to_json())
+    print(json.dumps(norm_report(load_field(args.field), args.p), sort_keys=True))
     return 0
 
 

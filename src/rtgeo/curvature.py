@@ -8,7 +8,6 @@ of Gamma is ever taken.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -174,33 +173,6 @@ def transform_curvature(R, J):
     return curvature_field(R.chart, out)
 
 
-@dataclass
-class LemmaReport:
-    """Lemma B.1 outcome; ``epsilon_basis`` is the probe quadrature term
-    (hmax / r_min)^2 * scale of ``tolerance``, which adds the transport bias."""
-
-    distance: float
-    tolerance: float
-    grid: tuple
-    epsilon_basis: float
-
-    @property
-    def passed(self):
-        return self.distance < self.tolerance
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "distance": self.distance,
-                "tolerance": self.tolerance,
-                "pass": self.passed,
-                "grid": list(self.grid),
-                "epsilon_basis": self.epsilon_basis,
-            },
-            sort_keys=True,
-        )
-
-
 def lemma_b1_check(conn_x, bundle, conn_y, p):
     """Tensoriality of the weak curvature under the bundle's coordinate change.
 
@@ -212,6 +184,11 @@ def lemma_b1_check(conn_x, bundle, conn_y, p):
     read only the basis, never Gamma_x).
     Only component-transformation consistency is checked; absent a metric
     there is no invariant volume element and no functional equality.
+
+    Returns the report block: ``distance``, ``tolerance``, ``pass`` (distance
+    below tolerance), ``grid`` and ``epsilon_basis``, the probe quadrature
+    term (hmax / r_min)^2 * scale of the tolerance, which adds the transport
+    bias.
     """
     chart_x = conn_x.chart
     chart_y = conn_y.chart
@@ -280,9 +257,10 @@ def lemma_b1_check(conn_x, bundle, conn_y, p):
     r_min = min(psi.radius for psi in kept)
     eps_basis = (hmax / r_min) ** 2 * scale
     tolerance = eps_basis + 0.25 * eps ** 2 * scale
-    return LemmaReport(
-        distance=float(mismatch),
-        tolerance=float(tolerance),
-        grid=chart_x.res,
-        epsilon_basis=float(eps_basis),
-    )
+    return {
+        "distance": float(mismatch),
+        "tolerance": float(tolerance),
+        "pass": bool(mismatch < tolerance),
+        "grid": list(chart_x.res),
+        "epsilon_basis": float(eps_basis),
+    }

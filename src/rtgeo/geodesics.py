@@ -8,7 +8,7 @@ truncate at chart exit and at the velocity ball sum((v - v0)^2) <= 1, the
 normalization of the local existence interval.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import lp_norm, mollifier_band, mollify
 from .charts import GridField, _corner_nodes, _corners, connection_field, interpolate, sub_connection
 from .curvature import bump_basis, represent_weak, riemann
-from .errors import DomainExit, RtgeoError, SolverError, staged
+from .errors import DomainExit, RtgeoError, ShapeError, SolverError, staged
 from .rt_solver import regularize
 from .transform import connection_law, inscribed_inset, pull_back_curve, transform_force
 
@@ -40,6 +40,9 @@ class GeodesicProblem:
                              f"not {type(self.connection).__name__}")
         self.x0 = np.asarray(self.x0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
+        for key, value in (("x0", self.x0), ("v0", self.v0)):
+            if value.shape != (self.chart.n,):
+                raise ShapeError(f"{key} has {value.size} components; the chart has {self.chart.n} axes")
         if not self.chart.contains(self.x0)[0]:
             raise DomainExit(self.x0)
         if not np.all(np.isfinite(self.v0)):
@@ -402,10 +405,9 @@ def _last_inside(problem, pos, kmax, vel=None, v0=None):
     is false).  When every node is on the chart, one bounds test settles the
     chart rule.
     """
-    chart = problem.chart
-    pos = pos[: kmax + 1]
-    if not ((pos >= chart.lo) & (pos <= chart.hi)).all():
-        return max(int(chart.contains(pos).argmin()) - 1, 0)
+    first = problem.chart.first_outside(pos[: kmax + 1])
+    if first is not None:
+        return max(first - 1, 0)
     if vel is not None:
         out = sum(d * d for d in (vel[: kmax + 1] - v0).T) > VELOCITY_BALL ** 2
         if out.any():
@@ -544,21 +546,6 @@ def solve_mollified(family, problem):
     return curves
 
 
-@dataclass
-class ConvergenceReport:
-    eps: list
-    conn_l2p: list
-    riem_lp: list
-    curve_c1: list
-    rates: dict
-    monotone: dict
-    final_c1: float
-    common_interval: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def _monotone_decreasing(seq):
     """Non-increasing up to 2% slack and an absolute 1e-12."""
     return all(b <= a * 1.02 + 1e-12 for a, b in zip(seq, seq[1:]))
@@ -615,26 +602,17 @@ def convergence_report(family, curves, reference, conn_x, p):
         R_e = riemann(sub_e)
         riem_d.append(lp_norm(GridField(sub, R_e.values - weak_reference.values), p))
         curve_d.append(curve.c1_distance(reference))
-    common = min(c.interval for c in curves)
-    report = ConvergenceReport(
-        eps=list(family.eps),
-        conn_l2p=[float(v) for v in conn_d],
-        riem_lp=[float(v) for v in riem_d],
-        curve_c1=[float(v) for v in curve_d],
-        rates={
-            "conn": _fit_rate(family.eps, conn_d),
-            "riem": _fit_rate(family.eps, riem_d),
-            "curve": _fit_rate(family.eps, curve_d),
-        },
-        monotone={
-            "conn": _monotone_decreasing(conn_d),
-            "riem": _monotone_decreasing(riem_d),
-            "curve": _monotone_decreasing(curve_d),
-        },
-        final_c1=float(curve_d[-1]),
-        common_interval=float(common),
-    )
-    return report
+    dists = {"conn": conn_d, "riem": riem_d, "curve": curve_d}
+    return {
+        "eps": list(family.eps),
+        "conn_l2p": conn_d,
+        "riem_lp": riem_d,
+        "curve_c1": curve_d,
+        "rates": {k: _fit_rate(family.eps, d) for k, d in dists.items()},
+        "monotone": {k: _monotone_decreasing(d) for k, d in dists.items()},
+        "final_c1": curve_d[-1],
+        "common_interval": float(min(c.interval for c in curves)),
+    }
 
 
 # ---------------------------------------------------------------------------

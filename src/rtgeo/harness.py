@@ -305,16 +305,30 @@ def _choice(*allowed):
     return parse
 
 
-_yes_no = _choice("yes", "no")
+def _yes_no(s):
+    return _choice("yes", "no")(s) == "yes"
 
 
-# [checks] key -> parser, run on load only to reject a bad entry: Scenario.checks
-# keeps the raw strings, which the report's scenario block echoes
+# [checks] key -> (parser, default for an absent key).  Scenario.checks keeps
+# the raw strings, which the report's scenario block echoes; load_config
+# parses them to reject a bad entry, and _checks is what the run reads
 _CHECK_KEYS = {
-    **dict.fromkeys(("enforce_convergence", "riem_monotone", "gronwall"), _yes_no),
-    **dict.fromkeys(("reference_tol", "curve_final_tol", "interval_min"), float),
-    "ladder": _ints,
+    **dict.fromkeys(("enforce_convergence", "riem_monotone"), (_yes_no, True)),
+    "gronwall": (_yes_no, False),
+    "reference_tol": (float, None),
+    "curve_final_tol": (float, 1e-2),
+    "interval_min": (float, 0.5),
+    "ladder": (_ints, ()),
 }
+
+
+def _checks(scn):
+    """``scn``'s [checks] values parsed, each absent key at its default."""
+    return {
+        key: parse(scn.checks[key]) if key in scn.checks else default
+        for key, (parse, default) in _CHECK_KEYS.items()
+    }
+
 
 # section -> key -> (Scenario field or None, parser); a key absent from the file
 # keeps the dataclass default, and an unknown section or key is refused.  Every
@@ -334,7 +348,7 @@ _CONFIG_KEYS = {
     "rt": {"p": ("p", float), "max_iters": (None, int), "fixed_point_tol": (None, float)},
     "mollify": {"epsilons": ("epsilons", _floats)},
     "ivp": {"t0": ("t0", float), "x0": ("x0", _floats), "v0": ("v0", _floats), "interval": ("interval", float)},
-    "checks": {key: (None, parse) for key, parse in _CHECK_KEYS.items()},
+    "checks": {key: (None, parse) for key, (parse, _) in _CHECK_KEYS.items()},
 }
 
 
@@ -448,9 +462,9 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         scn.resolution = (grid, grid)
     if seed is not None:
         scn.seed = seed
+    checks = _checks(scn)
     # the run's chart and every ladder rung's (m, m) chart, refused before any stage runs
-    ladder = _ints(scn.checks.get("ladder", ""))
-    for what, res in [("chart", scn.resolution), *((f"ladder rung {m}: chart", (m, m)) for m in ladder)]:
+    for what, res in [("chart", scn.resolution), *((f"ladder rung {m}: chart", (m, m)) for m in checks["ladder"])]:
         for axis, r in enumerate(res):
             if r < MIN_INSCRIBED_RES:
                 raise ConfigurationError(
@@ -532,14 +546,13 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
             + np.abs(curve.velocities - ref_vel).max()
         )
         report.stages["reference"] = {"c1_error": err}
-        if "reference_tol" in scn.checks:
-            report.flags["reference"] = err < float(scn.checks["reference_tol"])
+        if checks["reference_tol"] is not None:
+            report.flags["reference"] = err < checks["reference_tol"]
 
         # section-3 identity residuals on the generating jacobian
         report.stages["identities"] = timed("identity_checks", lambda: _identity_stage(gen, scn))
 
-        reg = timed("regularity", lambda: regularity_report(gen.conn_x, conn_y, scn.p))
-        report.stages["regularity"] = {**reg, "x": asdict(reg["x"]), "y": asdict(reg["y"])}
+        reg = report.stages["regularity"] = timed("regularity", lambda: regularity_report(gen.conn_x, conn_y, scn.p))
 
         fam = timed(
             "mollified_family",
@@ -547,45 +560,35 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         )
         del bundle
         curves = timed("solve_mollified", lambda: solve_mollified(fam, problem))
-        conv = timed(
+        conv = report.stages["convergence"] = timed(
             "convergence_report",
             lambda: convergence_report(fam, curves, curve, gen.conn_x, p=scn.p),
         )
         del fam, curves
-        report.stages["convergence"] = conv.to_dict()
-        if scn.checks.get("enforce_convergence", "yes") == "yes":
-            report.flags["conn_monotone"] = conv.monotone["conn"]
-            if scn.checks.get("riem_monotone", "yes") == "yes":
-                report.flags["riem_monotone"] = conv.monotone["riem"]
-            report.flags["curve_monotone"] = conv.monotone["curve"]
-            report.flags["curve_final"] = conv.final_c1 < float(
-                scn.checks.get("curve_final_tol", 1e-2)
-            )
-            report.flags["common_interval"] = conv.common_interval >= float(
-                scn.checks.get("interval_min", 0.5)
-            )
+        if checks["enforce_convergence"]:
+            monotone = conv["monotone"]
+            report.flags["conn_monotone"] = monotone["conn"]
+            if checks["riem_monotone"]:
+                report.flags["riem_monotone"] = monotone["riem"]
+            report.flags["curve_monotone"] = monotone["curve"]
+            report.flags["curve_final"] = conv["final_c1"] < checks["curve_final_tol"]
+            report.flags["common_interval"] = conv["common_interval"] >= checks["interval_min"]
 
-        rep = timed("lemma_b1", lambda: lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=scn.p))
+        rep = report.stages["lemma_b1"] = timed(
+            "lemma_b1", lambda: lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=scn.p)
+        )
         del gen
-        report.stages["lemma_b1"] = json.loads(rep.to_json())
-        report.flags["lemma_b1"] = rep.passed
+        report.flags["lemma_b1"] = rep["pass"]
 
-        if ladder:
-            lad = timed(
+        if checks["ladder"]:
+            lad = report.stages["regularity_ladder"] = timed(
                 "regularity_ladder",
-                lambda: _regularity_ladder(scn, rtcfg, ladder, (reg["x"].w1p, reg["y"].w1p)),
+                lambda: _regularity_ladder(scn, rtcfg, checks["ladder"], (reg["x"]["w1p"], reg["y"]["w1p"])),
             )
-            report.stages["regularity_ladder"] = lad
-            report.flags["regularity_gain"] = (
-                lad["x_growth"] >= 2.0 and lad["y_variation"] < 0.25
-            )
+            report.flags["regularity_gain"] = lad["x_growth"] >= 2.0 and lad["y_variation"] < 0.25
 
-        if scn.checks.get("gronwall", "no") == "yes":
-            gw = timed(
-                "gronwall",
-                lambda: gronwall_uniqueness_check(problem, 1e-6),
-            )
-            report.stages["gronwall"] = gw
+        if checks["gronwall"]:
+            gw = report.stages["gronwall"] = timed("gronwall", lambda: gronwall_uniqueness_check(problem, 1e-6))
             report.flags["gronwall"] = gw["within_envelope"]
 
         if out:

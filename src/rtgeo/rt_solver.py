@@ -191,4 +191,4 @@ def regularity_report(conn_x, conn_y, p):
     of their W^{1,p} norms."""
     rep_x = norm_report(conn_x, p)
     rep_y = norm_report(conn_y, p)
-    return {"x": rep_x, "y": rep_y, "w1p_ratio": rep_y.w1p / max(rep_x.w1p, 1e-300)}
+    return {"x": rep_x, "y": rep_y, "w1p_ratio": rep_y["w1p"] / max(rep_x["w1p"], 1e-300)}

@@ -120,7 +120,7 @@ def integrate_jacobian(J_field):
     is not a gradient).
     """
     chart = J_field.chart
-    J = J_field.J if isinstance(J_field, JacobianField) else J_field.values
+    J = J_field.values
     curl = row_curl_residual(chart, J)
     scale = max(float(np.abs(J).max()), 1.0)
     if curl > TAU_CURL * scale:

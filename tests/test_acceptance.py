@@ -73,17 +73,17 @@ def test_criterion_1_flat_oracle_pipeline():
 
 def test_criterion_2_mollified_convergence(rough_run):
     scn, gen, prob, pipe, fam, curves, conv = rough_run
-    a_ok = conv.monotone["conn"]
-    b_ok = conv.monotone["riem"]
-    c_ok = conv.monotone["curve"] and conv.final_c1 < 1e-2
+    a_ok = conv["monotone"]["conn"]
+    b_ok = conv["monotone"]["riem"]
+    c_ok = conv["monotone"]["curve"] and conv["final_c1"] < 1e-2
     common = min(c.interval for c in curves)
     d_ok = common >= 0.5 and all(c.times[0] == prob.t0 for c in curves)
     report(
         2,
         a_ok and b_ok and c_ok and d_ok,
-        f"conn {['%.3e' % v for v in conv.conn_l2p]} monotone={a_ok}; "
-        f"riem {['%.3e' % v for v in conv.riem_lp]} monotone={b_ok}; "
-        f"curve {['%.3e' % v for v in conv.curve_c1]} final={conv.final_c1:.2e} (< 1e-2); "
+        f"conn {['%.3e' % v for v in conv['conn_l2p']]} monotone={a_ok}; "
+        f"riem {['%.3e' % v for v in conv['riem_lp']]} monotone={b_ok}; "
+        f"curve {['%.3e' % v for v in conv['curve_c1']]} final={conv['final_c1']:.2e} (< 1e-2); "
         f"common interval {common:.2f} (>= 0.5)",
     )
 
@@ -137,8 +137,8 @@ def test_criterion_5_curvature_tensoriality(monkeypatch):
             scn.resolution = (m, m)
             gen = generate_scenario(scn)
             rep = lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=scn.p)
-            per.append(rep.distance)
-            passed &= rep.passed
+            per.append(rep["distance"])
+            passed &= rep["pass"]
         passed &= per[0] >= per[1] >= per[2]
         distances[scn.name] = per
     ctl = Scenario(
@@ -152,12 +152,12 @@ def test_criterion_5_curvature_tensoriality(monkeypatch):
     gen = generate_scenario(ctl)
     drop_jacobian_factor(monkeypatch)
     bad = lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=ctl.p)
-    control_ok = (not bad.passed) and bad.distance > 0.1
+    control_ok = (not bad["pass"]) and bad["distance"] > 0.1
     report(
         5,
         passed and control_ok,
         f"distances {({k: ['%.1e' % x for x in v]}) if False else {k: ['%.1e' % x for x in v] for k, v in distances.items()}} "
-        f"all pass and decreasing; dropped-factor control distance {bad.distance:.2f} (O(1)) fails",
+        f"all pass and decreasing; dropped-factor control distance {bad['distance']:.2f} (O(1)) fails",
     )
 
 

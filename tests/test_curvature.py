@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -293,21 +295,21 @@ def test_transform_curvature_round_trip_and_composition(unit_chart):
 def test_lemma_b1_pass_all_scenarios(flat_gen, rough_gen, sphere_gen):
     for gen in (flat_gen, rough_gen, sphere_gen):
         rep = lemma_b1_check(gen.conn_x, gen.hidden_bundle, gen.conn_y_true, p=2.2)
-        assert rep.passed, rep
+        assert rep["pass"], rep
 
 
 def test_lemma_b1_negative_control(control_gen, monkeypatch):
     good = lemma_b1_check(control_gen.conn_x, control_gen.hidden_bundle, control_gen.conn_y_true, p=2.2)
     drop_jacobian_factor(monkeypatch)
     bad = lemma_b1_check(control_gen.conn_x, control_gen.hidden_bundle, control_gen.conn_y_true, p=2.2)
-    assert good.passed
-    assert not bad.passed
-    assert bad.distance > 5 * good.distance
+    assert good["pass"]
+    assert not bad["pass"]
+    assert bad["distance"] > 5 * good["distance"]
 
 
 def test_lemma_b1_json(flat_gen):
     rep = lemma_b1_check(flat_gen.conn_x, flat_gen.hidden_bundle, flat_gen.conn_y_true, p=2.2)
-    import json
-
-    payload = json.loads(rep.to_json())
-    assert set(payload) == {"distance", "tolerance", "pass", "grid", "epsilon_basis"}
+    # the dict is the report block as stored: it survives a JSON round trip unchanged
+    assert json.loads(json.dumps(rep)) == rep
+    assert set(rep) == {"distance", "tolerance", "pass", "grid", "epsilon_basis"}
+    assert rep["pass"] == (rep["distance"] < rep["tolerance"])

@@ -471,10 +471,10 @@ def test_masked_subchart_refusals(true, false, message):
 def test_family_convergence_rough(rough_gen, rough_family):
     prob, pipe, fam, curves = rough_family
     rep = convergence_report(fam, curves, pipe.curve, rough_gen.conn_x, p=2.2)
-    assert rep.monotone["conn"] and rep.monotone["riem"] and rep.monotone["curve"]
-    assert rep.final_c1 < 1e-2
-    assert rep.common_interval >= 0.5
-    assert rep.rates["conn"] > 0.5
+    assert rep["monotone"]["conn"] and rep["monotone"]["riem"] and rep["monotone"]["curve"]
+    assert rep["final_c1"] < 1e-2
+    assert rep["common_interval"] >= 0.5
+    assert rep["rates"]["conn"] > 0.5
 
 
 def test_family_w1p_divergence_witness(rough_gen, rough_family):

@@ -273,6 +273,29 @@ def test_shipped_checks_parse():
         assert all(isinstance(v, str) for v in scn.checks.values()), cfg
 
 
+def test_only_checks_and_load_config_read_scenario_checks():
+    # the run reads [checks] through _checks, which parses each raw string by
+    # _CHECK_KEYS and fills the defaults; any other reader would parse again
+    import ast
+    from pathlib import Path
+
+    import rtgeo
+
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute) and node.attr == "checks":
+            readers.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in Path(rtgeo.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), f"{path.stem} module")
+    assert "_checks" in readers and readers <= {"_checks", "load_config"}, readers
+
+
 def test_inscribed_limit_is_the_inset_rule():
     from rtgeo.charts import Chart
     from rtgeo.errors import JacobianError
@@ -572,6 +595,34 @@ def test_cli_refuses_a_malformed_field_csv(tmp_path, capsys, edit, fault):
     assert main(["norms", str(field)]) == 2
     err = capsys.readouterr().err
     assert str(field) in err and fault in err
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (["geodesic", "{conn}", "--x0", "0.5,0.5,0.5", "--v0", "0.1,0"], "--x0 has 3 components; the chart has 2 axes"),
+        (["geodesic", "{conn}", "--x0", "0.5,0.5", "--v0", "0.1,0,0"], "--v0 has 3 components; the chart has 2 axes"),
+        (["geodesic", "{conn}", "--x0", "0.5,x", "--v0", "0.1,0"], "--x0 '0.5,x': could not convert string to float: 'x'"),
+        (["geodesic", "{conn}", "--x0", "0.5,0.5", "--v0", ""], "--v0 '': could not convert string to float: ''"),
+        (["geodesic", "{scalar}", "--x0", "0.5,0.5", "--v0", "0.1,0"], "{scalar}: connection components must be (n,n,n), got (1,)"),
+        (["rt-solve", "{scalar}"], "{scalar}: connection components must be (n,n,n), got (1,)"),
+    ],
+    ids=["x0_length", "v0_length", "x0_unparsable", "v0_empty", "geodesic_not_a_connection", "rt_solve_not_a_connection"],
+)
+def test_cli_refuses_malformed_ivp_or_connection_input(tmp_path, capsys, argv, fault):
+    # a wrong-length x0 or v0 used to escape cli.main as a numpy broadcast or
+    # unpacking ValueError, an unparsable one as a float() ValueError, and a
+    # field CSV that is not a connection to exit 1 as a ShapeError
+    from rtgeo.charts import Chart
+    from rtgeo.cli import main
+
+    chart = Chart((0.0, 0.0), (1.0, 1.0), (9, 9))
+    files = {"conn": tmp_path / "conn.csv", "scalar": tmp_path / "scalar.csv"}
+    dump_field(GridField(chart, np.zeros(chart.res + (2, 2, 2)), ("up", "down", "down")), files["conn"])
+    dump_field(GridField(chart, chart.nodes[..., :1].copy(), ("down",)), files["scalar"])
+    assert main(["--out", str(tmp_path), *(a.format(**files) for a in argv)]) == 2
+    assert fault.format(**files) in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_cli_rt_solve(tmp_path, unit_chart):
