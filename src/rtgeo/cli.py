@@ -143,7 +143,7 @@ def cmd_geodesic(args):
         problem = GeodesicProblem(
             connection=conn, t0=args.t0, x0=_vec(args, "x0"), v0=_vec(args, "v0"), interval=args.interval
         )
-    except ShapeError as e:  # x0 or v0 of the wrong length, which the message names first
+    except RtgeoError as e:  # a refused x0 or v0, which the message names first
         raise ConfigurationError(f"--{e}") from e
     curve = solve_geodesic(problem, method=args.method)
     target = Path(args.out or ".") / "curve.csv"

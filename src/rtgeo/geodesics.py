@@ -44,9 +44,9 @@ class GeodesicProblem:
             if value.shape != (self.chart.n,):
                 raise ShapeError(f"{key} has {value.size} components; the chart has {self.chart.n} axes")
         if not self.chart.contains(self.x0)[0]:
-            raise DomainExit(self.x0)
+            raise DomainExit(self.x0, f"x0 {self.x0} lies outside the chart {self.chart!r}")
         if not np.all(np.isfinite(self.v0)):
-            raise RtgeoError("non-finite initial velocity")
+            raise RtgeoError(f"v0 {self.v0} is not finite")
 
     @property
     def chart(self):

@@ -71,6 +71,11 @@ def sphere_geodesic(x0, v0, times):
     return np.stack([th, ph], axis=1), np.stack([dth, dph], axis=1)
 
 
+def straight_line(y0, w0, t):
+    """The flat geodesic y0 + t w0, at constant velocity w0."""
+    return y0[None] + t[:, None] * w0[None], np.broadcast_to(w0, (len(t), len(w0)))
+
+
 def trig_gradient_jacobian(chart):
     """Gradient rows of a trigonometric potential u (n = 2), exactly curl-free
     samples; returns (J, u)."""
@@ -113,9 +118,8 @@ class KinkMap:
         pts = np.atleast_2d(pts)
         s = pts[..., 0] - self.a
         gp = self.c * (1 + self.beta) * np.abs(s) ** self.beta * np.sign(s)
-        J = np.zeros(pts.shape[:-1] + (2, 2))
+        J = IdentityMap().jacobian(pts)
         J[..., 0, 0] = 1 + gp
-        J[..., 1, 1] = 1
         return J
 
     def inverse(self, pts):
@@ -147,9 +151,7 @@ class QuadraticMap:
 
     def jacobian(self, pts):
         pts = np.atleast_2d(pts)
-        J = np.zeros(pts.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 1
-        J[..., 1, 1] = 1
+        J = IdentityMap().jacobian(pts)
         J[..., 1, 0] = self.shear * pts[..., 0]
         return J
 
@@ -172,6 +174,16 @@ class IdentityMap:
         return np.atleast_2d(pts).copy()
 
 
+# hidden connection -> (Christoffel batch evaluator, closed-form geodesic (y0, w0, t) -> (y, w)),
+# and map -> (map object built from the Scenario, whether its Jacobian is rough); the keys,
+# in this order, are the config's allowed ``hidden`` and ``map`` values
+HIDDEN = {"zero": (lambda pts: np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 3), straight_line),
+          "sphere": (sphere_christoffel, sphere_geodesic)}
+MAPS = {"identity": (lambda scn: IdentityMap(), False),
+        "quadratic": (lambda scn: QuadraticMap(scn.shear), False),
+        "kink": (lambda scn: KinkMap(scn.beta, scn.amplitude, scn.kink_position), True)}
+
+
 # ---------------------------------------------------------------------------
 # scenario spec and generation
 # ---------------------------------------------------------------------------
@@ -180,8 +192,8 @@ class IdentityMap:
 @dataclass
 class Scenario:
     name: str
-    hidden: str = "zero"             # zero | sphere
-    map_kind: str = "identity"       # identity | quadratic | kink
+    hidden: str = "zero"             # a key of HIDDEN
+    map_kind: str = "identity"       # a key of MAPS
     beta: float = 0.6
     amplitude: float = 0.3
     shear: float = 1.0
@@ -203,21 +215,12 @@ class Scenario:
 
 
 def _hidden_connection(scn, chart):
-    if scn.hidden == "zero":
-        return connection_field(chart, np.zeros(chart.res + (2, 2, 2)))
-    if scn.hidden == "sphere":
-        return connection_field(chart, sphere_christoffel(chart.nodes.reshape(-1, 2)).reshape(chart.res + (2, 2, 2)))
-    raise ConfigurationError(f"unknown hidden connection '{scn.hidden}'")
+    values = HIDDEN[scn.hidden][0](chart.nodes.reshape(-1, chart.n))
+    return connection_field(chart, values.reshape(chart.res + (chart.n,) * 3))
 
 
 def _map_object(scn):
-    if scn.map_kind == "identity":
-        return IdentityMap()
-    if scn.map_kind == "quadratic":
-        return QuadraticMap(scn.shear)
-    if scn.map_kind == "kink":
-        return KinkMap(scn.beta, scn.amplitude, scn.kink_position)
-    raise ConfigurationError(f"unknown map '{scn.map_kind}'")
+    return MAPS[scn.map_kind][0](scn)
 
 
 @dataclass
@@ -239,12 +242,11 @@ def _pull_back(scn, mp):
     pts = chart.nodes.reshape(-1, chart.n)
     forward = mp.forward(pts).reshape(chart.res + (chart.n,))
     jac = JacobianField(chart, mp.jacobian(pts).reshape(chart.res + (chart.n, chart.n)))
-    # covering y-chart; the identity map reuses the chart so interpolation lands on nodes
-    cover_chart = chart
-    if scn.map_kind != "identity":
-        ys, margin = forward.reshape(-1, chart.n), 2 * float(chart.h.max())
-        cover_chart = Chart(ys.min(axis=0) - margin, ys.max(axis=0) + margin, chart.res)
-    conn_x = transform_connection(_hidden_connection(scn, cover_chart), forward, jac)
+    # a covering y-chart only when y(x)'s bounding box leaves the chart; else interpolation lands on nodes
+    ys, margin = forward.reshape(-1, chart.n), 2 * float(chart.h.max())
+    lo, hi = ys.min(axis=0), ys.max(axis=0)
+    cover = chart if chart.contains(np.stack([lo, hi])).all() else Chart(lo - margin, hi + margin, chart.res)
+    conn_x = transform_connection(_hidden_connection(scn, cover), forward, jac)
     return conn_x, forward, jac
 
 
@@ -265,10 +267,7 @@ def generate_scenario(scn):
         t = np.asarray(times) - scn.t0
         y0 = mp.forward(x0[None])[0]
         w0 = mp.jacobian(x0[None])[0] @ v0
-        if scn.hidden == "sphere":
-            ys, ws = sphere_geodesic(y0, w0, t)
-        else:
-            ys, ws = y0[None] + t[:, None] * w0[None], np.broadcast_to(w0, (len(t), len(w0)))
+        ys, ws = HIDDEN[scn.hidden][1](y0, w0, t)
         pos = mp.inverse(ys)
         return pos, matvec(det_inverse(mp.jacobian(pos))[1], ws)
 
@@ -336,8 +335,8 @@ def _checks(scn):
 _CONFIG_KEYS = {
     "scenario": {
         "name": ("name", str),
-        "hidden": ("hidden", _choice("zero", "sphere")),
-        "map": ("map_kind", _choice("identity", "quadratic", "kink")),
+        "hidden": ("hidden", _choice(*HIDDEN)),
+        "map": ("map_kind", _choice(*MAPS)),
         "beta": ("beta", float),
         "amplitude": ("amplitude", float),
         "shear": ("shear", float),
@@ -422,7 +421,7 @@ def _identity_stage(gen, scn):
     it stays exactly curl-free and twice differenceable.
     """
     conn, J = gen.conn_x, gen.hidden_bundle.jac.J
-    if scn.map_kind == "kink":
+    if MAPS[scn.map_kind][1]:
         chart, eps = conn.chart, max(scn.epsilons)
         conn = connection_field(chart, mollify(conn, eps).values)
         J = chart.grad(mollify(gen.hidden_bundle.forward, eps).values)
