@@ -38,7 +38,6 @@ from .geodesics import (
     GeodesicProblem,
     MollifiedFamily,
     convergence_report,
-    gronwall_uniqueness_check,
     mollified_family,
     solve_geodesic,
     solve_mollified,

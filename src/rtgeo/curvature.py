@@ -21,7 +21,7 @@ from .calculus import (
     mollify,
     wedge,
 )
-from .charts import GridField, connection_field, det_inverse, interpolate
+from .charts import GridField, det_inverse, interpolate
 from .errors import FittingError, ShapeError, TestFunctionError
 
 
@@ -194,7 +194,7 @@ def lemma_b1_check(conn_x, bundle, conn_y, p):
     chart_y = conn_y.chart
     hmax_x = float(chart_x.h.max())
     eps = max(2.05 * hmax_x, min(4.0 * hmax_x, 0.075))
-    Rx = riemann(connection_field(chart_x, mollify(conn_x, eps).values))
+    Rx = riemann(mollify(conn_x, eps))
     # blank the rim band where truncated kernels and one-sided stencils
     # corrupt the strong evaluation; probes are filtered to stay clear of it
     band = mollifier_band(chart_x, eps)

@@ -343,8 +343,8 @@ def _solve_picard(problem, dt, tol_ode):
     pos = x0 + np.outer(ts - problem.t0, v0)
     vel = np.tile(v0, (K + 1, 1))
     truncation = "none"
-    # clip the initial straight guess to the chart
-    K = _last_inside(problem, pos, K)
+    # clip the initial straight guess to the chart; its velocities are v0, inside the ball
+    K = _last_inside(problem, pos, K, vel, v0)
     if K < len(ts) - 1:
         truncation = "chart_exit"
         ts, pos, vel = ts[: K + 1], pos[: K + 1], vel[: K + 1]
@@ -366,7 +366,7 @@ def _solve_picard(problem, dt, tol_ode):
             tail += start
         inc = max(np.abs(new_pos - pos).max(), np.abs(new_vel - vel).max())
         pos, vel = new_pos, new_vel
-        k_in = _last_inside(problem, pos, len(ts) - 1, vel=vel, v0=v0)
+        k_in = _last_inside(problem, pos, len(ts) - 1, vel, v0)
         if k_in < len(ts) - 1:
             # the first node cut is the one the rule stopped at
             off_chart = problem.chart.first_outside(pos[k_in + 1]) is not None
@@ -396,7 +396,7 @@ def _solve_picard(problem, dt, tol_ode):
     )
 
 
-def _last_inside(problem, pos, kmax, vel=None, v0=None):
+def _last_inside(problem, pos, kmax, vel, v0):
     """Last node index up to ``kmax`` before the first node off the chart, else
     before the first with sum((v - v0)^2) > VELOCITY_BALL^2; 0 at the earliest.
 
@@ -408,10 +408,9 @@ def _last_inside(problem, pos, kmax, vel=None, v0=None):
     first = problem.chart.first_outside(pos[: kmax + 1])
     if first is not None:
         return max(first - 1, 0)
-    if vel is not None:
-        out = sum(d * d for d in (vel[: kmax + 1] - v0).T) > VELOCITY_BALL ** 2
-        if out.any():
-            return max(int(out.argmax()) - 1, 0)
+    out = sum(d * d for d in (vel[: kmax + 1] - v0).T) > VELOCITY_BALL ** 2
+    if out.any():
+        return max(int(out.argmax()) - 1, 0)
     return kmax
 
 
@@ -446,9 +445,7 @@ def weak_solution_pipeline(conn, problem, rt_config, mode="existence"):
     passes = [regularize(conn, rt_config)]
     if mode == "uniqueness":
         passes.append(regularize(passes[0][2], replace(rt_config, retry_subchart=False), "_second"))
-    prov = {"mode": mode, "y_chart": repr(passes[0][2].chart)}
-    for (state, _, _), key in zip(passes, ("rt", "rt_second")):
-        prov[key] = state.summary()
+    prov = {key: state.summary() for (state, _, _), key in zip(passes, ("rt", "rt_second"))}
 
     def initial_data():
         """The y-side problem: (x0, v0, force) pushed through each pass by y(x), J(x)
@@ -473,7 +470,6 @@ def weak_solution_pipeline(conn, problem, rt_config, mode="existence"):
     prob_y = staged("initial_data", initial_data)
     dt = default_dt(problem)
     curve_y = staged("geodesic_y", lambda: solve_geodesic(prob_y, "rk4", dt=dt))
-    prov["y_interval"] = curve_y.interval
     if mode == "uniqueness":
         try:
             cross = solve_geodesic(prob_y, "picard", dt=dt)
@@ -481,7 +477,6 @@ def weak_solution_pipeline(conn, problem, rt_config, mode="existence"):
         except SolverError as e:
             prov["picard_rk4_gap"] = f"picard failed: {e}"
     curve_x = staged("pushforward_back", lambda: pull_back(curve_y))
-    prov["x_interval"] = curve_x.interval
     return PipelineResult(curve=curve_x, bundle=passes[0][1], conn_y=passes[0][2], provenance=prov)
 
 
@@ -612,42 +607,4 @@ def convergence_report(family, curves, reference, conn_x, p):
         "monotone": {k: _monotone_decreasing(d) for k, d in dists.items()},
         "final_c1": curve_d[-1],
         "common_interval": float(min(c.interval for c in curves)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# appendix-style runtime checks
-# ---------------------------------------------------------------------------
-
-
-def gronwall_uniqueness_check(problem, delta0):
-    """Exponential-envelope separation test for a perturbation of size
-    ``delta0`` of the first initial-velocity component.
-
-    The Lipschitz constant of the first-order field is estimated from the
-    sampled connection's FD gradient and C0 norm over the velocity ball.
-    """
-    base = solve_geodesic(problem, "rk4")
-    pert_dir = np.zeros_like(problem.v0)
-    pert_dir[0] = 1.0
-    pert = solve_geodesic(replace(problem, v0=problem.v0 + delta0 * pert_dir), "rk4")
-    k = min(len(base.times), len(pert.times))
-    sep = np.sqrt(
-        np.linalg.norm(base.positions[:k] - pert.positions[:k], axis=1) ** 2
-        + np.linalg.norm(base.velocities[:k] - pert.velocities[:k], axis=1) ** 2
-    )
-    c0 = lp_norm(problem.connection, np.inf)
-    lip_g = _grad_max(problem.connection)
-    vmax = float(np.linalg.norm(problem.v0)) + VELOCITY_BALL
-    C = 1.0 + 2.0 * c0 * vmax + lip_g * vmax ** 2
-    envelope = max(delta0, 1e-300) * np.exp(C * (base.times[:k] - problem.t0))
-    if delta0 == 0:
-        within = bool(sep.max() <= 1e-8)
-    else:
-        within = bool(np.all(sep <= envelope * (1 + 1e-9) + 1e-14))
-    return {
-        "separation_max": float(sep.max()),
-        "envelope_final": float(envelope[-1]),
-        "lipschitz_estimate": float(C),
-        "within_envelope": within,
     }

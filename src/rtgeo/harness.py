@@ -21,7 +21,6 @@ from .errors import ConfigurationError, ResolutionError, RtgeoError, StageError
 from .geodesics import (
     GeodesicProblem,
     convergence_report,
-    gronwall_uniqueness_check,
     mollified_family,
     solve_mollified,
     weak_solution_pipeline,
@@ -313,7 +312,6 @@ def _yes_no(s):
 # parses them to reject a bad entry, and _checks is what the run reads
 _CHECK_KEYS = {
     **dict.fromkeys(("enforce_convergence", "riem_monotone"), (_yes_no, True)),
-    "gronwall": (_yes_no, False),
     "reference_tol": (float, None),
     "curve_final_tol": (float, 1e-2),
     "interval_min": (float, 0.5),
@@ -422,9 +420,9 @@ def _identity_stage(gen, scn):
     """
     conn, J = gen.conn_x, gen.hidden_bundle.jac.J
     if MAPS[scn.map_kind][1]:
-        chart, eps = conn.chart, max(scn.epsilons)
-        conn = connection_field(chart, mollify(conn, eps).values)
-        J = chart.grad(mollify(gen.hidden_bundle.forward, eps).values)
+        eps = max(scn.epsilons)
+        conn = mollify(conn, eps)
+        J = conn.chart.grad(mollify(gen.hidden_bundle.forward, eps).values)
     return {
         "coderivative_residual": coderivative_identity_residual(conn, J, p=scn.p),
         "dgamma_residual": dgamma_identity_residual(conn, J, p=scn.p),
@@ -516,8 +514,9 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
         return result
 
     # each stage result is dropped after its last reader, so a refined grid's
-    # peak is one stage's work over what later stages still read: the rough
-    # connection (in ``problem``), the y-connection and the weak curve
+    # peak is one stage's work over what later stages still read; the rough
+    # connection (in ``problem``), the y-connection and the weak curve stay
+    # for the --out dumps
     try:
         gen = timed("generate", lambda: generate_scenario(scn))
         problem = GeodesicProblem(
@@ -585,10 +584,6 @@ def run_experiment(config_path, out_dir=None, grid=None, seed=None, quiet=True):
                 lambda: _regularity_ladder(scn, rtcfg, checks["ladder"], (reg["x"]["w1p"], reg["y"]["w1p"])),
             )
             report.flags["regularity_gain"] = lad["x_growth"] >= 2.0 and lad["y_variation"] < 0.25
-
-        if checks["gronwall"]:
-            gw = report.stages["gronwall"] = timed("gronwall", lambda: gronwall_uniqueness_check(problem, 1e-6))
-            report.flags["gronwall"] = gw["within_envelope"]
 
         if out:
             dump_field(problem.connection, out / f"{scn.name}_gamma_x.csv")

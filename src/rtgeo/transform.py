@@ -108,7 +108,7 @@ def transform_connection(conn_y, forward, jac):
             f"forward map leaves the y-chart at {np.count_nonzero(~inside)} nodes "
             f"(coverage {inside.mean():.3f})"
         )
-    gy = interpolate(conn_y, ypts, clip=True).reshape(chart_x.res + conn_y.comp_shape)
+    gy = interpolate(conn_y, ypts).reshape(chart_x.res + conn_y.comp_shape)
     return connection_field(chart_x, connection_law(jac.Jinv, jac.J, chart_x.grad(jac.J), gy))
 
 

@@ -79,7 +79,6 @@ RUN_STAGES = {
     "convergence_report": "convergence_report",
     "lemma_b1": "lemma_b1_check",
     "regularity_ladder": "_regularity_ladder",
-    "gronwall": "gronwall_uniqueness_check",
 }
 
 

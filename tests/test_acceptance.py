@@ -14,7 +14,6 @@ from rtgeo.curvature import lemma_b1_check
 from rtgeo.geodesics import (
     GeodesicProblem,
     convergence_report,
-    gronwall_uniqueness_check,
     mollified_family,
     solve_geodesic,
     solve_mollified,
@@ -158,22 +157,6 @@ def test_criterion_5_curvature_tensoriality(monkeypatch):
         passed and control_ok,
         f"distances {({k: ['%.1e' % x for x in v]}) if False else {k: ['%.1e' % x for x in v] for k, v in distances.items()}} "
         f"all pass and decreasing; dropped-factor control distance {bad['distance']:.2f} (O(1)) fails",
-    )
-
-
-def test_criterion_6_uniqueness():
-    scn, _ = load_config("configs/flat_disguise.cfg")
-    gen = generate_scenario(scn)
-    prob = GeodesicProblem(
-        gen.conn_x, 0.0, np.asarray(scn.x0), np.asarray(scn.v0), interval=1.0
-    )
-    pert = gronwall_uniqueness_check(prob, 1e-6)
-    zero = gronwall_uniqueness_check(prob, 0.0)
-    report(
-        6,
-        pert["within_envelope"] and zero["separation_max"] < 1e-8,
-        f"separation {pert['separation_max']:.2e} within envelope {pert['envelope_final']:.2e}; "
-        f"zero-perturbation gap {zero['separation_max']:.1e} (< 1e-8)",
     )
 
 

@@ -488,6 +488,53 @@ def test_regularity_gain_outside_the_hypothesis(monkeypatch, tmp_path, edit, x_g
     assert report.flags["regularity_gain"] == (x_grows and y_steady)
 
 
+NO_CONTROL = "no control yet, ROADMAP item 17"
+
+# every flag run_experiment can write -> the negative control that turns it
+# false: ("test", "<file>::<test>"), ("golden", "<report>") for a golden report
+# that exits 1 on it, or (None, reason)
+FLAG_CONTROLS = {
+    "reference": ("test", "test_geodesics.py::test_reference_tol_fails_with_the_connection_zeroed"),
+    "lemma_b1": ("test", "test_curvature.py::test_lemma_b1_negative_control"),
+    "regularity_gain": ("test", "test_harness.py::test_regularity_gain_fails_when_the_ladder_never_refines"),
+    "riem_monotone": ("golden", "flat_disguise_129"),
+    **dict.fromkeys(("conn_monotone", "curve_monotone", "curve_final", "common_interval"), (None, NO_CONTROL)),
+}
+
+
+def test_every_flag_has_a_negative_control_or_a_reason():
+    # a flag no control can turn false shows nothing; the names are read from
+    # the report.flags["..."] subscripts in harness.py
+    import ast
+    from pathlib import Path
+
+    from rtgeo import harness
+
+    def is_flags(node):
+        return isinstance(node, ast.Attribute) and node.attr == "flags"
+
+    written = {
+        node.slice.value
+        for node in ast.walk(ast.parse(Path(harness.__file__).read_text()))
+        if isinstance(node, ast.Subscript) and is_flags(node.value) and isinstance(node.slice, ast.Constant)
+    }
+    assert written == set(FLAG_CONTROLS)
+    tests = Path(__file__).parent
+    golden = tests / "golden"
+    codes = json.loads((golden / "exit_codes.json").read_text())
+    for flag, (kind, control) in FLAG_CONTROLS.items():
+        if kind == "test":
+            file, name = control.split("::")
+            defined = {node.name for node in ast.parse((tests / file).read_text()).body
+                       if isinstance(node, ast.FunctionDef)}
+            assert name in defined, (flag, control)
+        elif kind == "golden":
+            report = json.loads((golden / f"{control}.json").read_text())
+            assert report["flags"][flag] is False and codes[control] == 1, (flag, control)
+        else:
+            assert control == NO_CONTROL, flag
+
+
 def test_no_comparison_reads_a_hidden_connection_or_map_name():
     # which connections and maps exist, and what a stage asks of them, is
     # read from harness.HIDDEN and harness.MAPS, never by comparing a name
@@ -747,12 +794,19 @@ def test_cli_rt_solve(tmp_path, unit_chart):
 
 
 def test_cli_check_identities():
-    out = _cli("check-identities", "configs/flat_disguise.cfg")
-    assert out.returncode == 0, out.stderr
-    rep = json.loads(out.stdout)
-    for suite in rep["suites"].values():
-        assert suite["pass"]
-        assert 2.5 <= suite["ratio"] <= 5.5
-    # the quadratic-map scenario itself is identity-exact
-    assert rep["scenario_residuals"]["coderivative_residual"] < 1e-10
-    assert rep["scenario_residuals"]["dgamma_residual"] < 1e-10
+    # at --grid 17 the pair once collapsed to [17], and the suites passed with
+    # no ratio; coderivative 4.05 and curl_split 3.81 on 17 and 33
+    for args, grids in (
+        (("check-identities", "configs/flat_disguise.cfg"), [33, 65]),
+        (("--grid", "17", "check-identities", "configs/sphere.cfg"), [17, 33]),
+    ):
+        out = _cli(*args)
+        assert out.returncode == 0, out.stderr
+        rep = json.loads(out.stdout)
+        assert rep["grids"] == grids
+        for suite in rep["suites"].values():
+            assert suite["pass"]
+            assert 2.5 <= suite["ratio"] <= 5.5
+        # the quadratic-map and identity-map scenarios are identity-exact
+        assert rep["scenario_residuals"]["coderivative_residual"] < 1e-10
+        assert rep["scenario_residuals"]["dgamma_residual"] < 1e-10
